@@ -348,3 +348,98 @@ def test_eval_result_is_immutable():
     res = EvalResult(fvec({0: 1.0}), 1)
     with pytest.raises(AttributeError):
         res.terms = 2  # type: ignore[misc]
+
+
+# ------------------------------------------------------- brute-force guard
+#
+# Reference: for every candidate ell, the sum over enumerate_sparse(spec, ell)
+# of b_{ell - sum js} * prod u_j, with a term counted when every u_j and the
+# symbol entry are stored.  It shares no code with either evaluator.
+
+GUARD_SYMBOLS = {
+    "unit": lambda d: {(0,) * d: 1.0},
+    "three": lambda d: {(-1,) + (0,) * (d - 1): 0.5 - 0.25j, (0,) * d: 1.0, (1,) * d: -0.75j},
+}
+
+
+def _guard_inputs(d: int, p: int, seed: int) -> tuple[SpectralVector, ...]:
+    """Random complex entries on the origin plus a random handful of cells."""
+    rng = random.Random(seed)
+    reach = 3 if d == 1 else 2
+    cells = [j for j in itertools.product(range(-reach, reach + 1), repeat=d) if any(j)]
+    return tuple(
+        SpectralVector(
+            Basis.fourier(d),
+            {
+                j: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                for j in [(0,) * d] + rng.sample(cells, 4 if d == 1 else 8)
+            },
+        )
+        for _ in range(p)
+    )
+
+
+def _brute_sum(symbol: FourierSymbol, inputs, spec: SparseSetSpec, ells):
+    from spspec.indices import enumerate_sparse
+
+    values, terms = {}, 0
+    for ell in ells:
+        acc, hits = 0j, 0
+        for js in enumerate_sparse(spec, ell):
+            m = tuple(e - sum(c) for e, c in zip(ell, zip(*js)))
+            if m in symbol.table and all(j in u for j, u in zip(js, inputs)):
+                acc += symbol.table[m] * math.prod(u[j] for j, u in zip(js, inputs))
+                hits += 1
+        if hits:
+            values[ell] = acc
+            terms += hits
+    return values, terms
+
+
+def _candidate_ells(symbol: FourierSymbol, inputs, d: int):
+    """Every ell that some stored tuple and symbol entry reach."""
+    lo = [sum(min(j[c] for j in u) for u in inputs) + min(m[c] for m in symbol.table) for c in range(d)]
+    hi = [sum(max(j[c] for j in u) for u in inputs) + max(m[c] for m in symbol.table) for c in range(d)]
+    return list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+
+
+@pytest.mark.parametrize("d,size,alpha,box,sym", [
+    (d, size, alpha, box, sym)
+    for d in (1, 2)
+    for size in SizeFunction
+    for alpha in (0, 1)
+    for box in (None, 3)
+    for sym in GUARD_SYMBOLS
+])
+def test_direct_fourier_matches_brute_force(d, size, alpha, box, sym):
+    p, level = (3, 8) if d == 1 else (2, 6)
+    inputs = _guard_inputs(d, p, seed=17 * d + 3 * alpha + (box or 0))
+    symbol = FourierSymbol(GUARD_SYMBOLS[sym](d), d)
+    spec = SparseSetSpec(p, level, alpha, size, integers(d), box=box)
+    ells = _candidate_ells(symbol, inputs, d)
+    domain = tuple(ells[::3]) + ((40,) * d,)
+    scale = math.prod(l1s_norm(u, 0.0) for u in inputs) * sum(abs(v) for v in symbol.table.values())
+    for dom in (None, domain):
+        want, want_terms = _brute_sum(symbol, inputs, spec, ells if dom is None else dom)
+        got = direct_sparse_eval(EvalRequest(symbol, inputs, spec, output_domain=dom))
+        assert got.terms == want_terms
+        assert set(got.vector) == set(want)
+        assert all(abs(got.vector[ell] - v) <= 1e-14 * scale for ell, v in want.items())
+
+
+@pytest.mark.parametrize("size", list(SizeFunction))
+def test_alpha_one_is_alpha_zero_at_the_output_budget(size):
+    """X_ell at alpha = 1 is the alpha = 0 sum at budget N // size(ell), read at ell."""
+    d, level = 1, 24
+    inputs = _guard_inputs(d, 3, seed=5)
+    symbol = FourierSymbol(GUARD_SYMBOLS["three"](d), d)
+    gated = direct_sparse_eval(EvalRequest(symbol, inputs, SparseSetSpec(3, level, 1, size, integers(d))))
+    assert gated.vector
+    for ell in _candidate_ells(symbol, inputs, d):
+        budget = level // size.of(ell)
+        if budget < 1:
+            assert ell not in gated.vector
+            continue
+        spec0 = SparseSetSpec(3, budget, 0, size, integers(d))
+        plain = direct_sparse_eval(EvalRequest(symbol, inputs, spec0, output_domain=(ell,))).vector
+        assert abs(gated.vector.get(ell, 0j) - plain.get(ell, 0j)) <= 1e-14 * max(1.0, abs(plain.get(ell, 0j)))
