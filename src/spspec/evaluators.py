@@ -4,23 +4,30 @@ The target quantity per output index ell is
 
     X_ell = sum over admitted (j_1, ..., j_p) of a_{ell;js} * u^1_{j_1} * ... * u^p_{j_p}
 
-with the tuples admitted by a SparseSetSpec budget.  Two complementary
-strategies are used:
+with the tuples admitted by a SparseSetSpec budget.  Two strategies are used:
 
-* Fourier symbols vanish unless ell - sum(js) stays inside the symbol
-  support, so the evaluator walks the j-tuples once and scatters each
-  contribution to the few reachable ell (cost proportional to the actual
-  nonzero terms).
+* A Fourier coefficient is a symbol entry b_{ell - sum(js)}, so X is b
+  convolved with a budgeted sum over the inputs.  The budget one slot
+  leaves to the next only takes the values N // m, O(sqrt(N)) of them, so
+  the sum regroups by budget class: the entries j of a slot that leave the
+  same budget c = b // size(j) form one block, convolved in one numpy call
+  with the memoized sum of the later slots at budget c, over arrays trimmed
+  to their own span.  At alpha = 1, size(ell) * prod size(j) <= N exactly
+  when prod size(j) <= N // size(ell), so X_ell is the alpha = 0 sum at
+  budget N // size(ell), read at ell, and no tuple is formed only to be
+  gated out.  Term counts ride through the same convolutions as 0/1
+  indicator arrays.  Cost and memory follow the span of the input supports
+  (largest minus smallest coordinate), not the number of entries.
 * Hermite coefficients have no such locality, so the evaluator gathers
   per output index over the budgeted tuples restricted to the input
-  supports.
+  supports, ordered by size and then lexicographically.
 
-Both walks order candidates by size and then lexicographically, so every
-per-ell sum is accumulated in a fixed deterministic order.
+Both are deterministic: every sum is accumulated in a fixed order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -77,51 +84,227 @@ def _support_by_size(u: SpectralVector, size: SizeFunction):
     return sizes, keys, vals
 
 
-def _scatter_fourier(
+class _Line(NamedTuple):
+    """Term values and term counts on the consecutive flat keys lo, lo + 1, ..."""
+
+    lo: int
+    vals: np.ndarray
+    cnts: np.ndarray
+
+
+def _line(keys: np.ndarray, vals: np.ndarray) -> _Line:
+    lo = int(keys.min())
+    n = int(keys.max()) - lo + 1
+    line = _Line(lo, np.zeros(n, dtype=complex), np.zeros(n))
+    line.vals[keys - lo] = vals
+    line.cnts[keys - lo] = 1.0
+    return line
+
+
+def _convolve(a: _Line, b: _Line) -> _Line:
+    return _Line(a.lo + b.lo, np.convolve(a.vals, b.vals), np.convolve(a.cnts, b.cnts))
+
+
+def _sizes(coords: np.ndarray, size: SizeFunction, cap: int) -> np.ndarray:
+    """min(size(j), cap + 1) for each row j of an (n, d) coordinate array.
+
+    Callers only compare a size above cap against cap, so the clip loses
+    nothing, and with the product taken in float64 (exact below 2**53) a
+    far-out index cannot wrap around to a small size.
+    """
+    a = np.minimum(np.abs(coords), cap + 1)
+    if size is SizeFunction.MAX:
+        return a.max(axis=1, initial=1)
+    out = np.ones(len(a))
+    for col in a.T:
+        out = np.minimum(out * (1 + col), cap + 1)
+    return out.astype(np.int64)
+
+
+# A hole between two entries of a block is filled with zeros when that costs
+# fewer multiply-adds than one more np.convolve call (about a microsecond).
+_HOLE_MACS = 1024
+
+
+class _BudgetClasses:
+    """Budgeted sums over tuples of Fourier inputs, as dense convolutions.
+
+    Multi-indices are flattened to one integer each, key(j) = sum_c j_c *
+    stride_c, with strides wider than the output extent in every coordinate:
+    the key of a sum is the sum of the keys and no two outputs share a key.
+    partial(s, b) is the sum over the tuples of slots s..p-1 with size
+    product <= b (box-capped) of prod u, placed at the key of sum(js), with
+    the number of such tuples beside it.  The budgets reached are N // m,
+    about 2 sqrt(N) values per slot, and the slot-s entries that share the
+    remaining budget c = b // size(j) form a block convolved with
+    partial(s + 1, c) as a whole.
+    """
+
+    def __init__(self, inputs: Sequence[SpectralVector], symbol: FourierSymbol, spec: SparseSetSpec):
+        self.level = spec.level
+        cap = spec.level if spec.box is None else min(spec.level, spec.box)
+        trimmed = {}  # per distinct input: coordinates, sizes, values, sorted by size then key
+        for u in inputs:
+            if id(u) not in trimmed:
+                coords, vals = u.as_arrays()
+                sizes = _sizes(coords, spec.size, cap)
+                order = np.flatnonzero(sizes <= cap)
+                order = order[np.argsort(sizes[order], kind="stable")]
+                trimmed[id(u)] = coords[order], sizes[order], vals[order]
+        self.empty = not symbol.table or any(len(c) == 0 for c, _, _ in trimmed.values())
+        if self.empty:
+            return
+        bcoords, bvals = np.array(list(symbol.table), dtype=np.int64), np.array(list(symbol.table.values()))
+        picked = [trimmed[id(u)][0] for u in inputs]
+        self.lo = sum(c.min(axis=0) for c in picked) + bcoords.min(axis=0)
+        self.hi = sum(c.max(axis=0) for c in picked) + bcoords.max(axis=0)
+        width = self.hi - self.lo + 1
+        self.strides = np.append(np.cumprod(width[:0:-1])[::-1], 1).astype(np.int64)
+        self.slots = [(sz, c @ self.strides, v) for c, sz, v in (trimmed[id(u)] for u in inputs)]
+        self.symbol = _line(bcoords @ self.strides, bvals)
+        self.memo: dict[tuple[int, int], _Line | None] = {}
+
+    def partial(self, s: int, b: int) -> _Line | None:
+        key = (s, b)
+        if key not in self.memo:
+            sizes, keys, vals = self.slots[s]
+            hi = int(np.searchsorted(sizes, b, side="right"))
+            out = None
+            if hi and s == len(self.slots) - 1:
+                out = _line(keys[:hi], vals[:hi])
+            elif hi:
+                out = self._blocks(keys[:hi], vals[:hi], b // sizes[:hi], s + 1)
+            self.memo[key] = out
+        return self.memo[key]
+
+    def _blocks(self, keys: np.ndarray, vals: np.ndarray, budgets: np.ndarray, s: int) -> _Line | None:
+        """Sum over entries j of u_j * partial(s, budgets_j) shifted by key(j).
+
+        Entries sharing a budget form one block; a block is cut into runs of
+        nearby keys, each run one np.convolve and a lone key a scaled copy.
+        """
+        first_of_block = np.diff(budgets, prepend=0) != 0
+        group = np.cumsum(first_of_block) - 1
+        subs = [self.partial(s, c) for c in budgets[first_of_block].tolist()]
+        sub_lo = np.array([0 if x is None else x.lo for x in subs], dtype=np.int64)
+        sub_len = np.array([0 if x is None else len(x.vals) for x in subs], dtype=np.int64)
+        order = np.lexsort((keys, group))
+        order = order[sub_len[group[order]] > 0]
+        if not len(order):
+            return None
+        keys, vals, group = keys[order], vals[order], group[order]
+        width = sub_len[group]
+        cut = np.ones(len(keys), dtype=bool)
+        cut[1:] = (group[1:] != group[:-1]) | ((np.diff(keys) - 1) * width[1:] > _HOLE_MACS)
+        first = np.flatnonzero(cut)
+        last = np.append(first[1:], len(keys)) - 1
+        lo = int((keys[first] + sub_lo[group[first]]).min())
+        n = int((keys[last] + sub_lo[group[last]] + width[last]).max()) - lo
+        out = _Line(lo, np.zeros(n, dtype=complex), np.zeros(n))
+        shift = (keys + sub_lo[group] - lo).tolist()
+        for a, e, g in zip(first.tolist(), (last + 1).tolist(), group[first].tolist()):
+            sub = subs[g]
+            if e - a == 1:
+                part = _Line(shift[a], vals[a] * sub.vals, sub.cnts)
+            else:
+                part = _convolve(_line(keys[a:e], vals[a:e]), sub)
+                part = _Line(part.lo - lo, part.vals, part.cnts)
+            at = slice(part.lo, part.lo + len(part.vals))
+            out.vals[at] += part.vals
+            out.cnts[at] += part.cnts
+        return out
+
+    def at_level(self, coords: np.ndarray | None):
+        """alpha = 0: symbol * partial(0, N), at coords or wherever a term lands.
+
+        Returns (coords, values, term counts)."""
+        total = self.partial(0, self.level)
+        if total is None:
+            return np.empty((0, len(self.lo)), dtype=np.int64), np.empty(0, dtype=complex), np.empty(0)
+        total = _convolve(total, self.symbol)
+        if coords is None:
+            pos = np.flatnonzero(total.cnts)
+            digits = (total.lo + pos - self.lo @ self.strides)[:, None] // self.strides
+            coords = self.lo + digits % (self.hi - self.lo + 1)
+        else:
+            pos = coords @ self.strides - total.lo
+            inside = (pos >= 0) & (pos < len(total.vals))
+            coords, pos = coords[inside], pos[inside]
+        return coords, total.vals[pos], total.cnts[pos]
+
+    def _row(self, c: int) -> _Line | None:
+        """symbol * partial(1, c): every slot but the first, at budget c."""
+        if len(self.slots) == 1:
+            return self.symbol
+        sub = self.partial(1, c)
+        return None if sub is None else _convolve(sub, self.symbol)
+
+    def at_own_budget(self, coords: np.ndarray, sizes: np.ndarray):
+        """alpha = 1: X_ell = (symbol * partial(0, N // size(ell)))[ell].
+
+        partial(0, c) is never formed whole: an ell of class c reads
+        sum over slot-0 entries j of u_j * row(c // size(j))[ell - j], and
+        one gather per class reads those from the rows stored back to back.
+        Returns (values, term counts) at coords.
+        """
+        sizes0, keys0, vals0 = self.slots[0]
+        targets = coords @ self.strides
+        budgets = self.level // sizes
+        classes = np.unique(budgets)
+        his = np.searchsorted(sizes0, classes, side="right")
+        need = np.unique(np.concatenate([c // sizes0[:h] for c, h in zip(classes, his)]))
+        rows = [self._row(c) for c in need.tolist()]
+        lens = np.array([0 if r is None else len(r.vals) for r in rows], dtype=np.int64)
+        los = np.array([0 if r is None else r.lo for r in rows], dtype=np.int64)
+        starts = np.cumsum(lens) - lens
+        flat_v = np.concatenate([r.vals for r in rows if r is not None] + [np.zeros(1, dtype=complex)])
+        flat_c = np.concatenate([r.cnts for r in rows if r is not None] + [np.zeros(1)])
+        vals = np.zeros(len(coords), dtype=complex)
+        cnts = np.zeros(len(coords))
+        for c, h in zip(classes.tolist(), his.tolist()):
+            sel = np.flatnonzero(budgets == c)
+            r = np.searchsorted(need, c // sizes0[:h])
+            pos = targets[sel, None] - keys0[:h] - los[r]
+            ok = (pos >= 0) & (pos < lens[r])
+            idx = np.where(ok, starts[r] + pos, 0)
+            vals[sel] = (np.where(ok, flat_v[idx], 0) * vals0[:h]).sum(axis=1)
+            cnts[sel] = np.where(ok, flat_c[idx], 0).sum(axis=1)
+        return vals, cnts
+
+
+def _fourier_sum(
     symbol: FourierSymbol,
     inputs: Sequence[SpectralVector],
     spec: SparseSetSpec,
-    domain: tuple[Index, ...] | None,
+    domain: Sequence[Index] | None,
 ):
-    p, level, alpha, size, box = spec.p, spec.level, spec.alpha, spec.size, spec.box
-    supports = [_support_by_size(u, size) for u in inputs]
-    bitems = sorted(symbol.table.items())
-    dom = set(domain) if domain is not None else None
-    out: dict[Index, complex] = {}
-    terms = 0
-
-    def walk(slot: int, budget: int, psum: Index, pprod: complex, prodsz: int):
-        nonlocal terms
-        sizes, keys, vals = supports[slot]
-        cap = budget if box is None else min(budget, box)
-        hi = bisect_right(sizes, cap)
-        if slot == p - 1:
-            for i in range(hi):
-                total = tuple(a + b for a, b in zip(psum, keys[i]))
-                value = pprod * vals[i]
-                used = prodsz * sizes[i]
-                for m, bm in bitems:
-                    ell = tuple(a + b for a, b in zip(total, m))
-                    if alpha and size.of(ell) * used > level:
-                        continue
-                    if box is not None and size.of(ell) > box:
-                        continue
-                    if dom is not None and ell not in dom:
-                        continue
-                    out[ell] = out.get(ell, 0j) + bm * value
-                    terms += 1
-        else:
-            for i in range(hi):
-                walk(
-                    slot + 1,
-                    budget // sizes[i],
-                    tuple(a + b for a, b in zip(psum, keys[i])),
-                    pprod * vals[i],
-                    prodsz * sizes[i],
-                )
-
-    walk(0, level, (0,) * spec.lattice.dim, 1.0 + 0j, 1)
-    return out, terms
+    kernel = _BudgetClasses(inputs, symbol, spec)
+    if kernel.empty:
+        return {}, 0
+    dim = spec.lattice.dim
+    cap = spec.level if spec.box is None else min(spec.level, spec.box)
+    coords = None
+    if domain is not None:
+        # outside the reachable box a flat key could alias one inside it
+        coords = np.array(list(set(domain)), dtype=np.int64).reshape(-1, dim)
+        coords = coords[np.all((coords >= kernel.lo) & (coords <= kernel.hi), axis=1)]
+    if spec.alpha == 0:
+        coords, vals, cnts = kernel.at_level(coords)
+        keep = cnts > 0
+        if spec.box is not None:
+            keep &= _sizes(coords, spec.size, cap) <= cap
+    else:
+        if coords is None:
+            axes = [np.arange(max(a, -cap), min(b, cap) + 1) for a, b in zip(kernel.lo.tolist(), kernel.hi.tolist())]
+            coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+        sizes = _sizes(coords, spec.size, cap)
+        coords, sizes = coords[sizes <= cap], sizes[sizes <= cap]
+        if not len(coords):
+            return {}, 0
+        vals, cnts = kernel.at_own_budget(coords, sizes)
+        keep = cnts > 0
+    entries = dict(zip(map(tuple, coords[keep].tolist()), vals[keep].tolist()))
+    return entries, int(round(cnts[keep].sum()))
 
 
 def _gather(
@@ -174,16 +357,18 @@ def direct_sparse_eval(request: EvalRequest) -> EvalResult:
     For Fourier providers the output domain defaults to the momentum
     closure of the admitted tuples; for Hermite, alpha = 1 defaults to
     {ell : size(ell) <= N} and alpha = 0 requires an explicit domain since
-    nothing else bounds the output range.
+    nothing else bounds the output range.  An explicit domain must hold
+    indices of the provider's lattice.
     """
     spec = request.spec
+    domain = request.output_domain
+    if domain is not None:
+        domain = [spec.lattice.validate(ell) for ell in domain]
     if isinstance(request.provider, FourierSymbol):
-        entries, terms = _scatter_fourier(
-            request.provider, request.inputs, spec, request.output_domain
-        )
+        entries, terms = _fourier_sum(request.provider, request.inputs, spec, domain)
     else:
-        if request.output_domain is not None:
-            ells = [spec.lattice.validate(ell) for ell in request.output_domain]
+        if domain is not None:
+            ells = domain
         elif spec.alpha == 1:
             ells = list(indices_up_to(spec.lattice, spec.size, min(spec.level, spec.box or spec.level)))
         else:
@@ -361,10 +546,12 @@ def error_report(
     """Weighted l1 distance over the union of the supports."""
     if approx.basis != reference.basis:
         raise ValueError("cannot compare vectors over different bases")
-    keys = sorted(set(approx) | set(reference))
-    return float(
-        sum(size.of(j) ** s * abs(approx.get(j, 0j) - reference.get(j, 0j)) for j in keys)
-    )
+    # both iterate in key order, so this sort is a merge of two sorted runs
+    keys = dict.fromkeys(sorted(itertools.chain(approx, reference)))
+    gaps = (abs(approx.get(j, 0j) - reference.get(j, 0j)) for j in keys)
+    if s == 0:  # size(j) ** 0 * x == x exactly; skip the size and the power
+        return float(sum(gaps))
+    return float(sum(size.of(j) ** s * g for j, g in zip(keys, gaps)))
 
 
 class RatePrediction(NamedTuple):

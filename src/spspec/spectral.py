@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from collections.abc import Mapping
@@ -9,11 +10,19 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .indices import Index, Lattice, SizeFunction, integers, max_norm, naturals
 
 # Entries smaller than this are dropped on normalization: they cannot
 # influence any norm at double precision and would bloat serialized files.
 PRUNE_TOL = 1e-300
+
+
+def _finite(j: Index, v: complex) -> complex:
+    if not cmath.isfinite(v):
+        raise ValueError(f"coefficient at index {j} is not finite: {v}")
+    return v
 
 
 class BasisKind(Enum):
@@ -63,7 +72,7 @@ class SpectralVector(Mapping):
         clean = {}
         for j, v in items:
             j = lattice.validate(j)
-            v = complex(v)
+            v = _finite(j, complex(v))
             if abs(v) >= PRUNE_TOL:
                 clean[j] = v
         self.basis = basis
@@ -71,6 +80,13 @@ class SpectralVector(Mapping):
 
     def __getitem__(self, j: Index) -> complex:
         return self._entries[j]
+
+    # Mapping's versions raise and catch KeyError for every missing key.
+    def get(self, j: Index, default=None):
+        return self._entries.get(j, default)
+
+    def __contains__(self, j) -> bool:
+        return j in self._entries
 
     def __iter__(self) -> Iterator[Index]:
         return iter(self._entries)
@@ -90,6 +106,12 @@ class SpectralVector(Mapping):
 
     def support(self) -> tuple[Index, ...]:
         return tuple(self._entries)
+
+    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Keys as an (n, dim) int64 array and values as complex, in key order."""
+        n, dim = len(self._entries), self.basis.dim
+        keys = np.fromiter(itertools.chain.from_iterable(self._entries), dtype=np.int64, count=n * dim)
+        return keys.reshape(n, dim), np.fromiter(self._entries.values(), dtype=complex, count=n)
 
     def max_degree(self) -> int:
         """Largest raw coordinate magnitude in the support (0 if empty)."""
@@ -156,7 +178,7 @@ def parse_vector(text: str, basis: Basis) -> SpectralVector:
             raise ValueError(f"line {i}: expected 3 tab-separated fields, got {len(parts)}")
         try:
             j = tuple(int(c) for c in parts[0].split())
-            v = complex(float(parts[1]), float(parts[2]))
+            v = _finite(j, complex(float(parts[1]), float(parts[2])))
         except ValueError as exc:
             raise ValueError(f"line {i}: {exc}") from None
         if len(j) != basis.dim:

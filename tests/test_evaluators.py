@@ -160,6 +160,17 @@ def test_direct_hermite_alpha_zero_needs_a_domain():
     assert set(got.vector) <= {(0,), (2,)}
 
 
+def test_direct_fourier_checks_the_output_domain():
+    u = fvec({0: 1.0, 1: 2.0})
+    with pytest.raises(ValueError, match="not in Z"):
+        direct([u, u], 4, 0, output_domain=((1, 2),))
+    with pytest.raises(ValueError, match="non-integer"):
+        direct([u, u], 4, 0, output_domain=((1.5,),))
+    got = direct([u, u], 4, 0, output_domain=((1,), (1,), (7,)))
+    assert dict(got.vector) == {(1,): 4.0 + 0j}
+    assert got.terms == 2
+
+
 def test_request_validation():
     u = fvec({0: 1.0})
     h = SpectralVector(HERMITE, {(0,): 1.0})
@@ -281,6 +292,22 @@ def test_error_report_examples():
     assert error_report(v, z, s=2.0) == 4.0
     with pytest.raises(ValueError):
         error_report(u, SpectralVector(HERMITE, {(0,): 1.0}))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_error_report_sums_in_key_order(dim):
+    """The same float, bit for bit, as the plain sum over the sorted union."""
+    rng = random.Random(dim)
+    cells = list(itertools.product(range(-9, 10), repeat=dim))
+    a, b = (
+        SpectralVector(Basis.fourier(dim), {j: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for j in rng.sample(cells, 15)})
+        for _ in range(2)
+    )
+    for s in (0.0, 1.5):
+        for size in SizeFunction:
+            keys = sorted(set(a) | set(b))
+            want = float(sum(size.of(j) ** s * abs(a.get(j, 0j) - b.get(j, 0j)) for j in keys))
+            assert error_report(a, b, s, size) == want
 
 
 def test_monotone_error_and_alpha_ordering():
@@ -443,3 +470,16 @@ def test_alpha_one_is_alpha_zero_at_the_output_budget(size):
         spec0 = SparseSetSpec(3, budget, 0, size, integers(d))
         plain = direct_sparse_eval(EvalRequest(symbol, inputs, spec0, output_domain=(ell,))).vector
         assert abs(gated.vector.get(ell, 0j) - plain.get(ell, 0j)) <= 1e-14 * max(1.0, abs(plain.get(ell, 0j)))
+
+
+@pytest.mark.parametrize("size", list(SizeFunction))
+def test_direct_fourier_ignores_indices_far_beyond_the_budget(size):
+    # the product-norm size (1 + (2**32 - 1))**2 = 2**64 wraps to 0 in
+    # 64-bit integers; such an entry must still be too large for the budget
+    basis = Basis.fourier(2)
+    near = {(0, 0): 1.0, (1, -1): 0.5, (0, 2): -0.25}
+    far = {**near, (2**32 - 1, 2**32 - 1): 3.0, (-(2**40), 0): 2.0}
+    spec = SparseSetSpec(2, 6, 0, size, integers(2))
+    want = direct_sparse_eval(EvalRequest(FourierSymbol.unit(2), (SpectralVector(basis, near),) * 2, spec))
+    got = direct_sparse_eval(EvalRequest(FourierSymbol.unit(2), (SpectralVector(basis, far),) * 2, spec))
+    assert got == want

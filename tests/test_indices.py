@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from spspec.indices import (
@@ -25,18 +27,23 @@ def brute_tuples(spec: SparseSetSpec, ell):
     """Filter the boxed p-fold product set; the reference for enumerate_sparse.
 
     Any admitted index satisfies size(j) <= N, so coordinates beyond N can
-    never appear and the box [-N..N]^d is exhaustive.
+    never appear and the box [-N..N]^d is exhaustive.  The inequality of
+    SparseSetSpec.admits is applied to the whole p-fold product of sizes at
+    once, and np.nonzero reads the admitted tuples in C order, which is the
+    order of itertools.product.
     """
     if spec.lattice.kind is LatticeKind.INTEGERS:
         coords = range(-spec.level, spec.level + 1)
     else:
         coords = range(0, spec.level + 1)
     single = [j for j in itertools.product(coords, repeat=spec.lattice.dim)]
-    out = []
-    for js in itertools.product(single, repeat=spec.p):
-        if spec.admits(ell, js):
-            out.append(js)
-    return out
+    sizes = np.array([spec.size.of(j) for j in single], dtype=np.int64)
+    sz_ell = spec.size.of(ell)
+    ok = sz_ell**spec.alpha * functools.reduce(np.multiply.outer, [sizes] * spec.p) <= spec.level
+    if spec.box is not None:
+        ok &= sz_ell <= spec.box
+        ok &= functools.reduce(np.logical_and.outer, [sizes <= spec.box] * spec.p)
+    return [tuple(single[i] for i in idx) for idx in zip(*(a.tolist() for a in np.nonzero(ok)))]
 
 
 def weight(size: SizeFunction, j) -> int:

@@ -76,6 +76,23 @@ def test_support_and_max_degree():
     assert SpectralVector(FOURIER, {}).max_degree() == 0
 
 
+def test_lookup_and_arrays():
+    u = SpectralVector(Basis.fourier(2), {(1, -2): 2.0, (-3, 0): 1j})
+    assert u.get((1, -2)) == 2.0 + 0j
+    assert u.get((0, 0)) is None
+    assert u.get((0, 0), 0j) == 0j
+    assert (-3, 0) in u and (0, 0) not in u
+    keys, vals = u.as_arrays()
+    assert keys.tolist() == [[-3, 0], [1, -2]]
+    assert vals.tolist() == [1j, 2.0 + 0j]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf), complex(math.nan, 0.0)])
+def test_non_finite_coefficients_are_rejected(bad):
+    with pytest.raises(ValueError, match=r"index \(2,\) is not finite"):
+        SpectralVector(FOURIER, {(0,): 1.0, (2,): bad})
+
+
 # ---------------------------------------------------------------- norms
 
 def test_l1s_examples():
@@ -179,3 +196,10 @@ def test_parse_errors_carry_line_numbers():
         parse_vector("0\t1.0\t0.0\nx\t1.0\t0.0\n", FOURIER)
     with pytest.raises(ValueError, match="line 1"):
         parse_vector("0 1\t1.0\t0.0\n", FOURIER)
+
+
+@pytest.mark.parametrize("re, im", [("nan", "0.0"), ("1.0", "-inf"), ("inf", "nan")])
+def test_parse_rejects_non_finite_values(re, im):
+    text = f"0\t1.0\t0.0\n2\t{re}\t{im}\n"
+    with pytest.raises(ValueError, match=r"line 2: coefficient at index \(2,\) is not finite"):
+        parse_vector(text, FOURIER)
