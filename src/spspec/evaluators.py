@@ -140,7 +140,9 @@ class _BudgetClasses:
     partial(s + 1, c) as a whole.
     """
 
-    def __init__(self, inputs: Sequence[SpectralVector], symbol: FourierSymbol, spec: SparseSetSpec):
+    def __init__(
+        self, inputs: Sequence[SpectralVector], symbol: FourierSymbol, spec: SparseSetSpec
+    ):
         self.level = spec.level
         cap = spec.level if spec.box is None else min(spec.level, spec.box)
         trimmed = {}  # per distinct input: coordinates, sizes, values, sorted by size then key
@@ -154,7 +156,8 @@ class _BudgetClasses:
         self.empty = not symbol.table or any(len(c) == 0 for c, _, _ in trimmed.values())
         if self.empty:
             return
-        bcoords, bvals = np.array(list(symbol.table), dtype=np.int64), np.array(list(symbol.table.values()))
+        bcoords = np.array(list(symbol.table), dtype=np.int64)
+        bvals = np.array(list(symbol.table.values()))
         picked = [trimmed[id(u)][0] for u in inputs]
         self.lo = sum(c.min(axis=0) for c in picked) + bcoords.min(axis=0)
         self.hi = sum(c.max(axis=0) for c in picked) + bcoords.max(axis=0)
@@ -177,7 +180,9 @@ class _BudgetClasses:
             self.memo[key] = out
         return self.memo[key]
 
-    def _blocks(self, keys: np.ndarray, vals: np.ndarray, budgets: np.ndarray, s: int) -> _Line | None:
+    def _blocks(
+        self, keys: np.ndarray, vals: np.ndarray, budgets: np.ndarray, s: int
+    ) -> _Line | None:
         """Sum over entries j of u_j * partial(s, budgets_j) shifted by key(j).
 
         Entries sharing a budget form one block; a block is cut into runs of
@@ -220,7 +225,8 @@ class _BudgetClasses:
         Returns (coords, values, term counts)."""
         total = self.partial(0, self.level)
         if total is None:
-            return np.empty((0, len(self.lo)), dtype=np.int64), np.empty(0, dtype=complex), np.empty(0)
+            coords = np.empty((0, len(self.lo)), dtype=np.int64)
+            return coords, np.empty(0, dtype=complex), np.empty(0)
         total = _convolve(total, self.symbol)
         if coords is None:
             pos = np.flatnonzero(total.cnts)
@@ -257,8 +263,9 @@ class _BudgetClasses:
         lens = np.array([0 if r is None else len(r.vals) for r in rows], dtype=np.int64)
         los = np.array([0 if r is None else r.lo for r in rows], dtype=np.int64)
         starts = np.cumsum(lens) - lens
-        flat_v = np.concatenate([r.vals for r in rows if r is not None] + [np.zeros(1, dtype=complex)])
-        flat_c = np.concatenate([r.cnts for r in rows if r is not None] + [np.zeros(1)])
+        kept = [r for r in rows if r is not None]
+        flat_v = np.concatenate([r.vals for r in kept] + [np.zeros(1, dtype=complex)])
+        flat_c = np.concatenate([r.cnts for r in kept] + [np.zeros(1)])
         vals = np.zeros(len(coords), dtype=complex)
         cnts = np.zeros(len(coords))
         for c, h in zip(classes.tolist(), his.tolist()):
@@ -295,7 +302,8 @@ def _fourier_sum(
             keep &= _sizes(coords, spec.size, cap) <= cap
     else:
         if coords is None:
-            axes = [np.arange(max(a, -cap), min(b, cap) + 1) for a, b in zip(kernel.lo.tolist(), kernel.hi.tolist())]
+            bounds = zip(kernel.lo.tolist(), kernel.hi.tolist())
+            axes = [np.arange(max(a, -cap), min(b, cap) + 1) for a, b in bounds]
             coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
         sizes = _sizes(coords, spec.size, cap)
         coords, sizes = coords[sizes <= cap], sizes[sizes <= cap]

@@ -110,7 +110,8 @@ class SpectralVector(Mapping):
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Keys as an (n, dim) int64 array and values as complex, in key order."""
         n, dim = len(self._entries), self.basis.dim
-        keys = np.fromiter(itertools.chain.from_iterable(self._entries), dtype=np.int64, count=n * dim)
+        coords = itertools.chain.from_iterable(self._entries)
+        keys = np.fromiter(coords, dtype=np.int64, count=n * dim)
         return keys.reshape(n, dim), np.fromiter(self._entries.values(), dtype=complex, count=n)
 
     def max_degree(self) -> int:

@@ -16,7 +16,7 @@ from spspec.evaluators import (
     predicted_rate,
     predicted_rate_iterative,
 )
-from spspec.indices import SizeFunction, SparseSetSpec, integers, naturals
+from spspec.indices import SizeFunction, SparseSetSpec, enumerate_sparse, integers, naturals
 from spspec.spectral import Basis, SpectralVector, l1s_norm, power_law_vector
 
 FOURIER = Basis.fourier()
@@ -300,7 +300,10 @@ def test_error_report_sums_in_key_order(dim):
     rng = random.Random(dim)
     cells = list(itertools.product(range(-9, 10), repeat=dim))
     a, b = (
-        SpectralVector(Basis.fourier(dim), {j: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for j in rng.sample(cells, 15)})
+        SpectralVector(
+            Basis.fourier(dim),
+            {j: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for j in rng.sample(cells, 15)},
+        )
         for _ in range(2)
     )
     for s in (0.0, 1.5):
@@ -407,8 +410,6 @@ def _guard_inputs(d: int, p: int, seed: int) -> tuple[SpectralVector, ...]:
 
 
 def _brute_sum(symbol: FourierSymbol, inputs, spec: SparseSetSpec, ells):
-    from spspec.indices import enumerate_sparse
-
     values, terms = {}, 0
     for ell in ells:
         acc, hits = 0j, 0
@@ -425,9 +426,12 @@ def _brute_sum(symbol: FourierSymbol, inputs, spec: SparseSetSpec, ells):
 
 def _candidate_ells(symbol: FourierSymbol, inputs, d: int):
     """Every ell that some stored tuple and symbol entry reach."""
-    lo = [sum(min(j[c] for j in u) for u in inputs) + min(m[c] for m in symbol.table) for c in range(d)]
-    hi = [sum(max(j[c] for j in u) for u in inputs) + max(m[c] for m in symbol.table) for c in range(d)]
-    return list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+    axes = []
+    for c in range(d):
+        lo = sum(min(j[c] for j in u) for u in inputs) + min(m[c] for m in symbol.table)
+        hi = sum(max(j[c] for j in u) for u in inputs) + max(m[c] for m in symbol.table)
+        axes.append(range(lo, hi + 1))
+    return list(itertools.product(*axes))
 
 
 @pytest.mark.parametrize("d,size,alpha,box,sym", [
@@ -460,7 +464,8 @@ def test_alpha_one_is_alpha_zero_at_the_output_budget(size):
     d, level = 1, 24
     inputs = _guard_inputs(d, 3, seed=5)
     symbol = FourierSymbol(GUARD_SYMBOLS["three"](d), d)
-    gated = direct_sparse_eval(EvalRequest(symbol, inputs, SparseSetSpec(3, level, 1, size, integers(d))))
+    spec1 = SparseSetSpec(3, level, 1, size, integers(d))
+    gated = direct_sparse_eval(EvalRequest(symbol, inputs, spec1))
     assert gated.vector
     for ell in _candidate_ells(symbol, inputs, d):
         budget = level // size.of(ell)
@@ -469,7 +474,8 @@ def test_alpha_one_is_alpha_zero_at_the_output_budget(size):
             continue
         spec0 = SparseSetSpec(3, budget, 0, size, integers(d))
         plain = direct_sparse_eval(EvalRequest(symbol, inputs, spec0, output_domain=(ell,))).vector
-        assert abs(gated.vector.get(ell, 0j) - plain.get(ell, 0j)) <= 1e-14 * max(1.0, abs(plain.get(ell, 0j)))
+        want = plain.get(ell, 0j)
+        assert abs(gated.vector.get(ell, 0j) - want) <= 1e-14 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("size", list(SizeFunction))
@@ -480,6 +486,7 @@ def test_direct_fourier_ignores_indices_far_beyond_the_budget(size):
     near = {(0, 0): 1.0, (1, -1): 0.5, (0, 2): -0.25}
     far = {**near, (2**32 - 1, 2**32 - 1): 3.0, (-(2**40), 0): 2.0}
     spec = SparseSetSpec(2, 6, 0, size, integers(2))
-    want = direct_sparse_eval(EvalRequest(FourierSymbol.unit(2), (SpectralVector(basis, near),) * 2, spec))
-    got = direct_sparse_eval(EvalRequest(FourierSymbol.unit(2), (SpectralVector(basis, far),) * 2, spec))
+    unit = FourierSymbol.unit(2)
+    want = direct_sparse_eval(EvalRequest(unit, (SpectralVector(basis, near),) * 2, spec))
+    got = direct_sparse_eval(EvalRequest(unit, (SpectralVector(basis, far),) * 2, spec))
     assert got == want

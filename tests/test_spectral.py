@@ -87,7 +87,9 @@ def test_lookup_and_arrays():
     assert vals.tolist() == [1j, 2.0 + 0j]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf), complex(math.nan, 0.0)])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, complex(1.0, -math.inf), complex(math.nan, 0.0)]
+)
 def test_non_finite_coefficients_are_rejected(bad):
     with pytest.raises(ValueError, match=r"index \(2,\) is not finite"):
         SpectralVector(FOURIER, {(0,): 1.0, (2,): bad})
