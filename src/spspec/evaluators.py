@@ -299,7 +299,7 @@ def _fourier_sum(
         coords, vals, cnts = kernel.at_level(coords)
         keep = cnts > 0
         if spec.box is not None:
-            keep &= _sizes(coords, spec.size, cap) <= cap
+            keep &= _sizes(coords, spec.size, spec.box) <= spec.box
     else:
         if coords is None:
             bounds = zip(kernel.lo.tolist(), kernel.hi.tolist())

@@ -439,7 +439,7 @@ def _candidate_ells(symbol: FourierSymbol, inputs, d: int):
     for d in (1, 2)
     for size in SizeFunction
     for alpha in (0, 1)
-    for box in (None, 3)
+    for box in (None, 3, 12)
     for sym in GUARD_SYMBOLS
 ])
 def test_direct_fourier_matches_brute_force(d, size, alpha, box, sym):
