@@ -1,4 +1,8 @@
+import io
+import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +238,151 @@ def test_main_rejects_missing_input_file(tmp_path):
         ["eval", str(tmp_path / "absent.tsv"), "--basis", "fourier", "--p", "2",
          "--alpha", "0", "--N", "4", "--out", str(tmp_path / "o.tsv")]
     ) == 2
+
+
+# ---------------------------------------------------------------- CLI guard
+#
+# Every case runs main() on small inputs and is compared exactly with the
+# outcome recorded in cli_golden.json: exit code, stdout with the
+# wall_time_s column removed from CSV rows, stderr lines, and the bytes of
+# the eval output file.  {dir} stands for the directory holding the inputs
+# made by guard_inputs.
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+FOURIER = "--basis fourier --sigma 3"
+HERMITE = "--basis hermite --sigma 6"
+EVAL_F = "eval {dir}/f.vec --basis fourier --out {dir}/out.vec"
+EVAL_H = "eval {dir}/h.vec --basis hermite --out {dir}/out.vec"
+
+GUARD_CASES = {
+    "converge-f-direct-a0": f"converge {FOURIER} --p 3 --alpha 0 --N 4,8,16",
+    "converge-f-direct-a1-prod": f"converge {FOURIER} --p 2 --alpha 1 --N 4,8 --norm prod",
+    "converge-f-iterative-a1": f"converge {FOURIER} --p 3 --alpha 1 --N 4,8 --method iterative",
+    "converge-f-iterative-a0": f"converge {FOURIER} --p 2 --alpha 0 --N 4,8 --method iterative",
+    "converge-f-fit-window": f"converge {FOURIER} --p 2 --alpha 0 --N 4,8,16,32 --fit-window 8:16",
+    "converge-f-cutoff": f"converge {FOURIER} --p 2 --alpha 1 --N 4,8 --cutoff 20",
+    "converge-f-ell-cap": f"converge {FOURIER} --p 2 --alpha 0 --N 4,8 --ell-cap 3",
+    "converge-f-weak-reference": f"converge {FOURIER} --p 2 --alpha 0 --N 4,8,16 --cutoff 8",
+    "converge-f-transform": f"converge {FOURIER} --p 2 --alpha 0 --N 4,8 --method transform",
+    "converge-h-direct-a0": f"converge {HERMITE} --p 2 --alpha 0 --N 2,4",
+    "converge-h-direct-a0-cap": f"converge {HERMITE} --p 2 --alpha 0 --N 2,4 --ell-cap 3",
+    "converge-h-direct-a1-cache": (
+        f"converge {HERMITE} --p 2 --alpha 1 --N 2,4,8 --cache {{dir}}/h2.cache"
+    ),
+    "converge-h-direct-a1-wrong-cache": (
+        f"converge {HERMITE} --p 2 --alpha 1 --N 2,4 --cache {{dir}}/h3.cache"
+    ),
+    "converge-h-direct-a1-p3-cache": (
+        f"converge {HERMITE} --p 3 --alpha 1 --N 2,4 --cache {{dir}}/h3.cache"
+    ),
+    "converge-h-direct-a1-prod": f"converge {HERMITE} --p 2 --alpha 1 --N 2,4 --norm prod",
+    "converge-h-iterative-a1-cache": (
+        f"converge {HERMITE} --p 3 --alpha 1 --N 2,4 --method iterative --cache {{dir}}/h2.cache"
+    ),
+    "converge-h-iterative-a0-cap": (
+        f"converge {HERMITE} --p 3 --alpha 0 --N 2,4 --method iterative --ell-cap 5"
+    ),
+    "converge-h-iterative-wrong-cache": (
+        f"converge {HERMITE} --p 3 --alpha 1 --N 2,4 --method iterative --cache {{dir}}/h3.cache"
+    ),
+    "converge-h-iterative-prod": (
+        f"converge {HERMITE} --p 2 --alpha 1 --N 2,4 --method iterative --norm prod"
+    ),
+    "converge-h-transform-a0": f"converge {HERMITE} --p 2 --alpha 0 --N 2,4,8 --method transform",
+    "converge-h-transform-a1": f"converge {HERMITE} --p 3 --alpha 1 --N 2,4 --method transform",
+    "converge-h-weak-ref-jmax": f"converge {HERMITE} --p 2 --alpha 1 --N 2,4 --ref-jmax 3",
+    "converge-h-weak-ref-nodes": f"converge {HERMITE} --p 2 --alpha 1 --N 2,4 --ref-nodes 4",
+    "bench-f-direct-a0": f"bench {FOURIER} --p 3 --alpha 0 --N 4,8",
+    "bench-f-iterative-a1": f"bench {FOURIER} --p 3 --alpha 1 --N 4,8 --method iterative",
+    "bench-f-direct-a1-prod": f"bench {FOURIER} --p 2 --alpha 1 --N 8 --norm prod --repeats 4",
+    "bench-f-repeats-2": f"bench {FOURIER} --p 2 --alpha 0 --N 4 --repeats 2",
+    "bench-f-transform": f"bench {FOURIER} --p 2 --alpha 0 --N 4 --method transform",
+    "bench-h-direct-a0": f"bench {HERMITE} --p 2 --alpha 0 --N 2,4",
+    "bench-h-direct-a0-cap": f"bench {HERMITE} --p 2 --alpha 0 --N 2,4 --ell-cap 3",
+    "bench-h-direct-a1-cache": f"bench {HERMITE} --p 2 --alpha 1 --N 2,4 --cache {{dir}}/h2.cache",
+    "bench-h-direct-a1-wrong-cache": (
+        f"bench {HERMITE} --p 2 --alpha 1 --N 2,4 --cache {{dir}}/h3.cache"
+    ),
+    "bench-h-iterative-a1-cache": (
+        f"bench {HERMITE} --p 3 --alpha 1 --N 2,4 --method iterative --cache {{dir}}/h2.cache"
+    ),
+    "bench-h-iterative-a0-cap": (
+        f"bench {HERMITE} --p 2 --alpha 0 --N 2,4 --method iterative --ell-cap 4"
+    ),
+    "bench-h-transform-a0": f"bench {HERMITE} --p 2 --alpha 0 --N 2,4 --method transform",
+    "bench-h-transform-a1-cache": (
+        f"bench {HERMITE} --p 2 --alpha 1 --N 2,4 --method transform --cache {{dir}}/h3.cache"
+    ),
+    "eval-f-direct-a0": f"{EVAL_F} --p 2 --alpha 0 --N 4",
+    "eval-f-direct-a1": f"{EVAL_F} --p 3 --alpha 1 --N 8",
+    "eval-f-direct-a1-prod": f"{EVAL_F} --p 2 --alpha 1 --N 6 --norm prod",
+    "eval-f-iterative-a1": f"{EVAL_F} --p 3 --alpha 1 --N 8 --method iterative",
+    "eval-f-transform": f"{EVAL_F} --p 2 --alpha 0 --N 4 --method transform",
+    "eval-f-missing-file": "eval {dir}/absent.vec --basis fourier --p 2 --alpha 0 --N 4 "
+    "--out {dir}/out.vec",
+    "eval-h-direct-a0-cap": f"{EVAL_H} --p 2 --alpha 0 --N 4 --ell-cap 5",
+    "eval-h-direct-a0-no-cap": f"{EVAL_H} --p 2 --alpha 0 --N 4",
+    "eval-h-direct-a1-cache": f"{EVAL_H} --p 2 --alpha 1 --N 4 --cache {{dir}}/h2.cache",
+    "eval-h-direct-a1-wrong-cache": f"{EVAL_H} --p 2 --alpha 1 --N 4 --cache {{dir}}/h3.cache",
+    "eval-h-direct-a1-prod": f"{EVAL_H} --p 3 --alpha 1 --N 6 --norm prod",
+    "eval-h-direct-a1-cap": f"{EVAL_H} --p 2 --alpha 1 --N 4 --ell-cap 2",
+    "eval-h-iterative-a1-cache": (
+        f"{EVAL_H} --p 3 --alpha 1 --N 4 --method iterative --cache {{dir}}/h2.cache"
+    ),
+    "eval-h-iterative-a0-cap": f"{EVAL_H} --p 3 --alpha 0 --N 4 --method iterative --ell-cap 6",
+    "eval-h-iterative-wrong-cache": (
+        f"{EVAL_H} --p 3 --alpha 1 --N 4 --method iterative --cache {{dir}}/h3.cache"
+    ),
+    "eval-h-transform-a0": f"{EVAL_H} --p 2 --alpha 0 --N 6 --method transform",
+    "eval-h-transform-a0-cap": f"{EVAL_H} --p 2 --alpha 0 --N 6 --method transform --ell-cap 2",
+    "eval-h-transform-a1-cache": (
+        f"{EVAL_H} --p 2 --alpha 1 --N 4 --method transform --cache {{dir}}/h3.cache"
+    ),
+    "count-z": "count --p 2 --alpha 0 --N 1,2,4,8",
+    "count-prod-d2": "count --p 2 --alpha 1 --N 4,8 --norm prod --d 2",
+    "count-momentum": "count --p 3 --alpha 0 --N 8,16 --q 1",
+    "count-momentum-alpha-1": "count --p 3 --alpha 1 --N 8 --q 1",
+    "count-naturals-box": "count --p 3 --alpha 1 --N 8,16 --lattice N --box 3",
+}
+
+
+def guard_inputs(root: Path) -> None:
+    """Input vectors and coefficient caches shared by the guard cases."""
+    fourier = {(-2,): 0.25, (-1,): 0.5, (0,): 1.0, (1,): -0.5 + 0.25j, (3,): 0.125}
+    write_vector(SpectralVector(Basis.fourier(1), fourier), root / "f.vec")
+    hermite = {(0,): 1.0, (1,): 0.5, (2,): -0.25, (4,): 0.125}
+    write_vector(SpectralVector(Basis.hermite(), hermite), root / "h.vec")
+    for p, jmax in ((2, 8), (3, 6)):
+        assert main(["coeffs", "--p", str(p), "--jmax", str(jmax),
+                     "--out", str(root / f"h{p}.cache")]) == 0
+
+
+def guard_outcome(argv: str, root: Path) -> dict:
+    out = root / "out.vec"
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(argv.format(dir=root).split())
+    rows = stdout.getvalue().splitlines()
+    if rows and rows[0] == CSV_HEADER:
+        rows = [row.rsplit(",", 1)[0] for row in rows]
+    return {
+        "code": code,
+        "stdout": rows,
+        "stderr": stderr.getvalue().replace(str(root), "{dir}").splitlines(),
+        "eval_out": out.read_bytes().decode() if out.exists() else None,
+    }
+
+
+@pytest.fixture(scope="module")
+def guard_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("guard")
+    guard_inputs(root)
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_CASES))
+def test_cli_outcomes_match_recorded(name, guard_dir):
+    golden = json.loads(GOLDEN.read_text())
+    assert guard_outcome(GUARD_CASES[name], guard_dir) == golden[name]
