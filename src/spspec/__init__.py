@@ -7,8 +7,6 @@ from .coeffs import (
     FourierSymbol,
     HermiteCache,
     build_cache,
-    fourier_coefficient,
-    hermite_coefficient,
     hermite_product_integral,
     load_cache,
     save_cache,

@@ -76,34 +76,51 @@ def _parse_n_list(text: str) -> list[int]:
     return ns
 
 
-def _norm(name: str) -> SizeFunction:
-    return SizeFunction.MAX if name == "max" else SizeFunction.PROD
+def _basis(name: str) -> Basis:
+    if name == "fourier":
+        return Basis.fourier(1)
+    if name == "hermite":
+        return Basis.hermite()
+    raise CliError(f"unknown basis {name!r}")
 
 
-def _load_arity_cache(path, arity: int) -> HermiteCache:
-    cache = load_cache(path)
-    if cache.arity != arity:
-        raise CliError(f"cache {path} has arity {cache.arity}, this run needs {arity}")
-    return cache
+def _setup(u, p, alpha, method, norm, cache_path, jmax, ell_cap):
+    """run(n) -> EvalResult: the p-fold product of u with itself at budget n.
 
+    The basis comes from u.  Fourier runs use the unit symbol.  Hermite
+    runs load the cache only for the methods that read it (arity 2 for
+    iterative, p for direct), gate alpha = 0 outputs to 0..ell_cap
+    (default jmax), and send transform to the pointwise route with
+    min(n - 1, jmax) projected coefficients.
+    """
+    if ell_cap is not None and ell_cap < 0:
+        raise CliError(f"--ell-cap must be >= 0, got {ell_cap}")
+    lattice = u.basis.lattice
+    if u.basis.kind is BasisKind.FOURIER:
+        if method == "transform":
+            raise CliError("the transform method applies to the Hermite basis")
+        provider = FourierSymbol.unit(1)
+        domain = None
+    elif method != "transform":
+        arity = 2 if method == "iterative" else p
+        provider = load_cache(cache_path) if cache_path is not None else HermiteCache(arity)
+        if provider.arity != arity:
+            raise CliError(f"cache {cache_path} has arity {provider.arity}, this run needs {arity}")
+        ell_cap = ell_cap if ell_cap is not None else jmax
+        domain = tuple((l,) for l in range(ell_cap + 1)) if alpha == 0 else None
 
-def _fourier_run(method, sym, u, p, spec):
-    if method == "direct":
-        return direct_sparse_eval(EvalRequest(sym, (u,) * p, spec))
-    return iterative_eval(sym, [u] * p, spec.level, spec.alpha, size=spec.size)
+    def run(n):
+        spec = SparseSetSpec(p, n, alpha, norm, lattice)
+        if method == "direct":
+            return direct_sparse_eval(EvalRequest(provider, (u,) * p, spec, domain))
+        if method == "iterative":
+            return iterative_eval(provider, [u] * p, n, alpha, size=norm, ell_cap=ell_cap)
+        out = min(n - 1, jmax) if n > 1 else 0
+        vec = dense_oracle_hermite([u] * p, n, out, strict=False)
+        # transform work units: nodes times projected coefficients
+        return EvalResult(vec, n * (out + 1))
 
-
-def _hermite_run(method, cache, u, p, spec, domain, jmax, ell_cap):
-    if method == "direct":
-        return direct_sparse_eval(EvalRequest(cache, (u,) * p, spec, domain))
-    if method == "iterative":
-        return iterative_eval(
-            cache, [u] * p, spec.level, spec.alpha, size=spec.size, ell_cap=ell_cap
-        )
-    out = min(spec.level - 1, jmax) if spec.level > 1 else 0
-    vec = dense_oracle_hermite([u] * p, spec.level, out, strict=False)
-    # transform work units: nodes times projected coefficients
-    return EvalResult(vec, spec.level * (out + 1))
+    return run
 
 
 def cmd_converge(
@@ -121,7 +138,6 @@ def cmd_converge(
     ref_jmax: int | None = None,
     ell_cap: int | None = None,
     cache_path=None,
-    threads: int = 1,
     fit_window: tuple[int, int] | None = None,
 ):
     """Error against a dominating dense reference, one record per N.
@@ -135,65 +151,34 @@ def cmd_converge(
         raise CliError(f"alpha must be 0 or 1, got {alpha}")
     n_max = max(n_list)
     notes = []
-    if basis == "fourier":
-        if method == "transform":
-            raise CliError("the transform method applies to the Hermite basis")
+    jmax = None
+    input_basis = _basis(basis)
+    if input_basis.kind is BasisKind.FOURIER:
         cut = cutoff if cutoff is not None else ref_mult * n_max
         if cut < n_max:
             raise CliError(f"reference weaker than test: cutoff {cut} < max N {n_max}")
-        u = power_law_vector(sigma, cut, Basis.fourier(1))
-        sym = FourierSymbol.unit(1)
+        u = power_law_vector(sigma, cut, input_basis)
         reference = dense_oracle_fourier([u] * p)
         tail = 2.0 * (1.0 + cut) ** (1.0 - sigma) / (sigma - 1.0)
         bound = p * tail * l1s_norm(u, 0.0) ** (p - 1)
         notes.append(f"input tail beyond cutoff {cut} shifts the reference by <= {bound:.3e}")
-
-        def run(n):
-            spec = SparseSetSpec(p, n, alpha, norm, Basis.fourier(1).lattice)
-            t0 = time.perf_counter()
-            res = _fourier_run(method, sym, u, p, spec)
-            dt = time.perf_counter() - t0
-            return res, dt
-
-    elif basis == "hermite":
+    else:
         cut = cutoff if cutoff is not None else n_max
         jmax = ref_jmax if ref_jmax is not None else p * n_max
         if jmax < n_max:
             raise CliError(f"reference weaker than test: output range {jmax} < max N {n_max}")
-        u = power_law_vector(sigma, cut, Basis.hermite())
+        u = power_law_vector(sigma, cut, input_basis)
         try:
             reference = dense_oracle_hermite([u] * p, ref_nodes, jmax, strict=True)
         except ValueError as exc:
             raise CliError(f"reference weaker than test: {exc}") from None
-        arity = 2 if method == "iterative" else p
-        if cache_path is not None:
-            cache = _load_arity_cache(cache_path, arity)
-        else:
-            cache = HermiteCache(arity)
-        cap = ell_cap if ell_cap is not None else jmax
-        domain = tuple((l,) for l in range(cap + 1)) if alpha == 0 else None
-
-        def run(n):
-            spec = SparseSetSpec(p, n, alpha, norm, Basis.hermite().lattice)
-            t0 = time.perf_counter()
-            res = _hermite_run(method, cache, u, p, spec, domain, jmax, cap)
-            dt = time.perf_counter() - t0
-            return res, dt
-
-    else:
-        raise CliError(f"unknown basis {basis!r}")
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, n_list))
-        notes.append("timings under --threads > 1 contend for the interpreter lock")
-    else:
-        outcomes = [run(n) for n in n_list]
+    run = _setup(u, p, alpha, method, norm, cache_path, jmax, ell_cap)
 
     records = []
-    for n, (res, dt) in zip(n_list, outcomes):
+    for n in n_list:
+        t0 = time.perf_counter()
+        res = run(n)
+        dt = time.perf_counter() - t0
         err = error_report(res.vector, reference)
         records.append(ConvergenceRecord(method, basis, p, sigma, alpha, n, res.terms, err, dt))
     fit_records = records
@@ -261,48 +246,20 @@ def cmd_bench(
     if repeats < 3:
         raise CliError(f"need at least 3 repeats for a stable median, got {repeats}")
     n_max = max(n_list)
+    u = power_law_vector(sigma, n_max, _basis(basis))
+    run = _setup(u, p, alpha, method, norm, cache_path, p * n_max, ell_cap)
     records = []
-    if basis == "fourier":
-        if method == "transform":
-            raise CliError("the transform method applies to the Hermite basis")
-        u = power_law_vector(sigma, n_max, Basis.fourier(1))
-        sym = FourierSymbol.unit(1)
-        for n in n_list:
-            spec = SparseSetSpec(p, n, alpha, norm, Basis.fourier(1).lattice)
-            times = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                res = _fourier_run(method, sym, u, p, spec)
-                times.append(time.perf_counter() - t0)
-            records.append(
-                ConvergenceRecord(
-                    method, basis, p, sigma, alpha, n, res.terms, math.nan, statistics.median(times)
-                )
+    for n in n_list:
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            res = run(n)
+            times.append(time.perf_counter() - t0)
+        records.append(
+            ConvergenceRecord(
+                method, basis, p, sigma, alpha, n, res.terms, math.nan, statistics.median(times)
             )
-    elif basis == "hermite":
-        u = power_law_vector(sigma, n_max, Basis.hermite())
-        arity = 2 if method == "iterative" else p
-        if cache_path is not None and method != "transform":
-            cache = _load_arity_cache(cache_path, arity)
-        else:
-            cache = HermiteCache(arity)
-        jmax = p * n_max
-        cap = ell_cap if ell_cap is not None else jmax
-        domain = tuple((l,) for l in range(cap + 1)) if alpha == 0 else None
-        for n in n_list:
-            spec = SparseSetSpec(p, n, alpha, norm, Basis.hermite().lattice)
-            times = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                res = _hermite_run(method, cache, u, p, spec, domain, jmax, cap)
-                times.append(time.perf_counter() - t0)
-            records.append(
-                ConvergenceRecord(
-                    method, basis, p, sigma, alpha, n, res.terms, math.nan, statistics.median(times)
-                )
-            )
-    else:
-        raise CliError(f"unknown basis {basis!r}")
+        )
     return records
 
 
@@ -329,28 +286,12 @@ def cmd_eval(
     ell_cap: int | None = None,
 ):
     """Evaluate the p-fold product of one serialized vector with itself."""
-    if basis == "fourier":
-        u = read_vector(in_path, Basis.fourier(1))
-        if method == "transform":
-            raise CliError("the transform method applies to the Hermite basis")
-        sym = FourierSymbol.unit(1)
-        spec = SparseSetSpec(p, n, alpha, norm, Basis.fourier(1).lattice)
-        res = _fourier_run(method, sym, u, p, spec)
-    elif basis == "hermite":
-        u = read_vector(in_path, Basis.hermite())
-        arity = 2 if method == "iterative" else p
-        if cache_path is not None and method != "transform":
-            cache = _load_arity_cache(cache_path, arity)
-        else:
-            cache = HermiteCache(arity)
-        if alpha == 0 and method != "transform" and ell_cap is None:
-            raise CliError("alpha = 0 on the Hermite basis needs --ell-cap")
-        jmax = ell_cap if ell_cap is not None else p * n
-        domain = tuple((l,) for l in range(jmax + 1)) if alpha == 0 else None
-        spec = SparseSetSpec(p, n, alpha, norm, Basis.hermite().lattice)
-        res = _hermite_run(method, cache, u, p, spec, domain, jmax, jmax)
-    else:
-        raise CliError(f"unknown basis {basis!r}")
+    u = read_vector(in_path, _basis(basis))
+    jmax = ell_cap if ell_cap is not None else p * n
+    run = _setup(u, p, alpha, method, norm, cache_path, jmax, ell_cap)
+    if basis == "hermite" and alpha == 0 and method != "transform" and ell_cap is None:
+        raise CliError("alpha = 0 on the Hermite basis needs --ell-cap")
+    res = run(n)
     write_vector(res.vector, out_path)
     return res.terms
 
@@ -370,25 +311,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, methods=("direct", "iterative", "transform")):
+    def common(sp, **n_args):
         sp.add_argument("--basis", choices=("fourier", "hermite"), required=True)
         sp.add_argument("--p", type=int, required=True, help="number of inputs")
         sp.add_argument("--alpha", type=int, choices=(0, 1), required=True)
-        sp.add_argument("--N", required=True, help="comma-separated budget list")
+        sp.add_argument("--N", required=True, **n_args)
         sp.add_argument("--norm", choices=("max", "prod"), default="max")
-        sp.add_argument("--method", choices=methods, default="direct")
+        sp.add_argument("--method", choices=("direct", "iterative", "transform"), default="direct")
         sp.add_argument("--cache", default=None, help="Hermite coefficient cache file")
+
+    def sweep(sp):
+        common(sp, help="comma-separated budget list")
         sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
     con = sub.add_parser("converge", help="error sweep against a dense reference")
-    common(con)
+    sweep(con)
     con.add_argument("--sigma", type=float, default=3.0, help="power-law decay exponent")
     con.add_argument("--cutoff", type=int, default=None, help="input truncation")
     con.add_argument("--ref-mult", type=int, default=4, help="Fourier reference cutoff = mult * max N")
     con.add_argument("--ref-nodes", type=int, default=500, help="Hermite reference transform nodes")
     con.add_argument("--ref-jmax", type=int, default=None, help="Hermite reference output range")
     con.add_argument("--ell-cap", type=int, default=None, help="output cap for Hermite alpha=0")
-    con.add_argument("--threads", type=int, default=1, help="parallelism across N values")
     con.add_argument("--fit-window", default=None, help="lo:hi N window for the slope fit")
 
     cnt = sub.add_parser("count", help="exact sparse-set cardinalities")
@@ -403,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cnt.add_argument("--out", default=None)
 
     ben = sub.add_parser("bench", help="median-of-repeats timing rows")
-    common(ben)
+    sweep(ben)
     ben.add_argument("--sigma", type=float, default=3.0)
     ben.add_argument("--repeats", type=int, default=3)
     ben.add_argument("--ell-cap", type=int, default=None)
@@ -415,13 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate the p-fold product of a serialized vector")
     ev.add_argument("input", help="vector file, one 'coords<TAB>re<TAB>im' line per entry")
-    ev.add_argument("--basis", choices=("fourier", "hermite"), required=True)
-    ev.add_argument("--p", type=int, required=True)
-    ev.add_argument("--alpha", type=int, choices=(0, 1), required=True)
-    ev.add_argument("--N", type=int, required=True)
-    ev.add_argument("--norm", choices=("max", "prod"), default="max")
-    ev.add_argument("--method", choices=("direct", "iterative", "transform"), default="direct")
-    ev.add_argument("--cache", default=None)
+    common(ev, type=int)
     ev.add_argument("--ell-cap", type=int, default=None)
     ev.add_argument("--out", required=True)
     return parser
@@ -434,9 +371,12 @@ def _parse_fit_window(text):
     if not sep:
         raise CliError(f"bad fit window {text!r}; expected lo:hi")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise CliError(f"bad fit window {text!r}; expected integers") from None
+    if lo > hi:
+        raise CliError(f"bad fit window {text!r}; lo must not exceed hi")
+    return lo, hi
 
 
 def main(argv=None) -> int:
@@ -454,14 +394,13 @@ def main(argv=None) -> int:
                 _parse_n_list(args.N),
                 args.alpha,
                 args.method,
-                norm=_norm(args.norm),
+                norm=SizeFunction(args.norm),
                 cutoff=args.cutoff,
                 ref_mult=args.ref_mult,
                 ref_nodes=args.ref_nodes,
                 ref_jmax=args.ref_jmax,
                 ell_cap=args.ell_cap,
                 cache_path=args.cache,
-                threads=args.threads,
                 fit_window=_parse_fit_window(args.fit_window),
             )
             _write_csv([CSV_HEADER] + [r.row() for r in records], args.out)
@@ -473,7 +412,7 @@ def main(argv=None) -> int:
                 args.p,
                 args.alpha,
                 _parse_n_list(args.N),
-                norm=_norm(args.norm),
+                norm=SizeFunction(args.norm),
                 lattice_kind=args.lattice,
                 dim=args.d,
                 q=args.q,
@@ -491,7 +430,7 @@ def main(argv=None) -> int:
                 args.alpha,
                 args.method,
                 args.repeats,
-                norm=_norm(args.norm),
+                norm=SizeFunction(args.norm),
                 cache_path=args.cache,
                 ell_cap=args.ell_cap,
             )
@@ -508,7 +447,7 @@ def main(argv=None) -> int:
                 args.N,
                 args.alpha,
                 args.method,
-                norm=_norm(args.norm),
+                norm=SizeFunction(args.norm),
                 cache_path=args.cache,
                 ell_cap=args.ell_cap,
             )

@@ -100,10 +100,6 @@ class FourierSymbol:
         return FourierSymbol(table, 1, decay=(amp, -math.log(r)))
 
 
-def fourier_coefficient(symbol: FourierSymbol, ell: Index, js: Sequence[Index]) -> complex:
-    return symbol.coefficient(ell, js)
-
-
 def hermite_product_integral(indices: tuple[int, ...], node_factor: int = 1) -> float:
     """Integral over the line of the product of chi_{indices[i]}.
 
@@ -174,10 +170,6 @@ class HermiteCache:
         return value
 
 
-def hermite_coefficient(cache: HermiteCache, ell, js) -> float:
-    return cache.coefficient(ell, js)
-
-
 def build_cache(p: int, jmax: int) -> HermiteCache:
     """Precompute all even-parity coefficients with every index <= jmax."""
     if p < 2:
@@ -239,6 +231,8 @@ def load_cache(path) -> HermiteCache:
             value = float(parts[1])
         except ValueError:
             raise ValueError(f"{path}:{i}: malformed entry {line!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{i}: coefficient {value} is not finite")
         if len(key) != arity + 1 or any(c < 0 for c in key) or list(key) != sorted(key):
             raise ValueError(f"{path}:{i}: key {key} is not a sorted tuple of length {arity + 1}")
         if sum(key) % 2:

@@ -50,15 +50,6 @@ def test_converge_fourier_records():
     assert any("tail" in n for n in notes)
 
 
-def test_converge_is_deterministic_across_threads():
-    seq, slope_a, _ = cmd_converge("fourier", 2, 3.0, [4, 8, 16], 0, "direct")
-    par, slope_b, _ = cmd_converge("fourier", 2, 3.0, [4, 8, 16], 0, "direct", threads=3)
-    assert [(r.N, r.terms, r.error_l1) for r in seq] == [
-        (r.N, r.terms, r.error_l1) for r in par
-    ]
-    assert slope_a == slope_b
-
-
 def test_converge_refuses_weak_fourier_reference():
     with pytest.raises(CliError, match="reference"):
         cmd_converge("fourier", 2, 3.0, [4, 8, 16], 0, "direct", cutoff=8)
@@ -386,3 +377,31 @@ def guard_dir(tmp_path_factory):
 def test_cli_outcomes_match_recorded(name, guard_dir):
     golden = json.loads(GOLDEN.read_text())
     assert guard_outcome(GUARD_CASES[name], guard_dir) == golden[name]
+
+
+def test_transform_ignores_the_cache(guard_dir):
+    # transform never reads coefficients, so a cache of any arity is unused
+    argv = f"converge {HERMITE} --p 2 --alpha 1 --N 2,4 --method transform"
+    plain = guard_outcome(argv, guard_dir)
+    assert plain["code"] == 0
+    assert guard_outcome(argv + " --cache {dir}/h3.cache", guard_dir) == plain
+
+
+@pytest.mark.parametrize("argv", [
+    f"converge {HERMITE} --p 2 --alpha 0 --N 2,4",
+    f"bench {HERMITE} --p 2 --alpha 0 --N 2,4",
+    f"{EVAL_H} --p 2 --alpha 0 --N 4",
+    f"{EVAL_H} --p 2 --alpha 0 --N 4 --method transform",
+], ids=["converge", "bench", "eval", "eval-transform"])
+def test_negative_ell_cap_is_rejected(argv, guard_dir):
+    outcome = guard_outcome(argv + " --ell-cap -1", guard_dir)
+    assert outcome["code"] == 2
+    assert outcome["stdout"] == [] and outcome["eval_out"] is None
+    assert outcome["stderr"] == ["error: --ell-cap must be >= 0, got -1"]
+
+
+def test_inverted_fit_window_is_rejected(guard_dir):
+    outcome = guard_outcome(f"converge {FOURIER} --p 2 --alpha 0 --N 8,16,32 --fit-window 32:8",
+                            guard_dir)
+    assert outcome["code"] == 2
+    assert outcome["stderr"] == ["error: bad fit window '32:8'; lo must not exceed hi"]

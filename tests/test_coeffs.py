@@ -11,8 +11,6 @@ from spspec.coeffs import (
     FourierSymbol,
     HermiteCache,
     build_cache,
-    fourier_coefficient,
-    hermite_coefficient,
     hermite_product_integral,
     load_cache,
     save_cache,
@@ -43,16 +41,16 @@ QUAD_ORACLE = {
 def test_unit_symbol_is_the_momentum_kronecker():
     sym = FourierSymbol.unit(1)
     assert sym.q == 0
-    assert fourier_coefficient(sym, (3,), ((1,), (2,))) == 1.0
-    assert fourier_coefficient(sym, (3,), ((1,), (1,))) == 0.0
-    assert fourier_coefficient(sym, (0,), ((5,), (-5,))) == 1.0
+    assert sym.coefficient((3,), ((1,), (2,))) == 1.0
+    assert sym.coefficient((3,), ((1,), (1,))) == 0.0
+    assert sym.coefficient((0,), ((5,), (-5,))) == 1.0
 
 
 def test_table_symbol_lookup():
     sym = FourierSymbol({(1,): 2.0 + 0j})
     assert sym.q == 1
-    assert fourier_coefficient(sym, (3,), ((1,), (1,))) == 2.0
-    assert fourier_coefficient(sym, (4,), ((1,), (1,))) == 0.0
+    assert sym.coefficient((3,), ((1,), (1,))) == 2.0
+    assert sym.coefficient((4,), ((1,), (1,))) == 0.0
 
 
 def test_momentum_support_is_the_table():
@@ -148,10 +146,10 @@ def test_cache_validates_arity_and_sign():
         HermiteCache(0)
 
 
-def test_hermite_coefficient_wrapper():
+def test_hermite_cache_coefficient_closed_form():
     cache = HermiteCache(2)
     want = math.sqrt(2.0 / 3.0) * math.pi**-0.25
-    assert abs(hermite_coefficient(cache, (0,), ((0,), (0,))) - want) < 1e-12
+    assert abs(cache.coefficient((0,), ((0,), (0,))) - want) < 1e-12
 
 
 def test_build_cache_small_cases():
@@ -225,6 +223,16 @@ def test_load_rejects_tampered_files(tmp_path):
     bad.write_text(text + "0 2 2\t0.5\n")
     with pytest.raises(ValueError, match="jmax"):
         load_cache(bad)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_coefficients(tmp_path, value):
+    path = tmp_path / "c.cache"
+    save_cache(build_cache(2, 1), path)
+    header, first, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([header, first.split("\t")[0] + "\t" + value, *rest]) + "\n")
+    with pytest.raises(ValueError, match=f"c.cache:2: coefficient {value} is not finite"):
+        load_cache(path)
 
 
 # ---------------------------------------------------------------- decay shape
