@@ -38,7 +38,7 @@ from .indices import (
     naturals,
     prod_norm,
 )
-from .quadrature import QuadratureRule, gauss_hermite_rule, hermite_batch, hermite_function
+from .quadrature import QuadratureRule, gauss_hermite_rule, hermite_batch
 from .spectral import (
     Basis,
     BasisKind,

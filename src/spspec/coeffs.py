@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .indices import Index, momentum
-from .quadrature import gauss_hermite_rule, hermite_batch
+from .quadrature import MAX_NODES, gauss_hermite_rule, hermite_batch
 from .spectral import Basis
 
 # Node policy for a product of q Hermite functions of degree at most D:
@@ -85,6 +85,8 @@ class FourierSymbol:
         The table is truncated where |b_k| < tol.  The coefficients decay
         geometrically, recorded in the decay field.
         """
+        if not tol > 0:  # r**k underflows to 0, which is never below tol <= 0
+            raise ValueError(f"tol must be > 0, got {tol}")
         r = 2.0 - math.sqrt(3.0)
         amp = 1.0 / math.sqrt(3.0)
         table = {}
@@ -110,8 +112,16 @@ def hermite_product_integral(indices: tuple[int, ...], node_factor: int = 1) -> 
     q = len(indices)
     if q < 1:
         raise ValueError("need at least one index")
+    if min(indices) < 0:
+        raise ValueError(f"Hermite indices must be >= 0, got {indices}")
     deg = max(indices)
     n = (math.ceil(q * deg / 2) + 8) * node_factor
+    if n > MAX_NODES:
+        limit = 2 * (MAX_NODES // node_factor - 8) // q
+        raise ValueError(
+            f"degree {deg} exceeds {limit}, the largest a product of {q} Hermite functions"
+            f" supports within the {MAX_NODES}-node rule cap"
+        )
     key = (n, q, deg)
     cached = _chi_tables.get(key)
     if cached is None:

@@ -10,17 +10,19 @@ which also yields the scaled weights w_i * exp(x_i^2) without underflow;
 evaluators that integrate products of Hermite functions need those, since
 the plain weights degrade below ~1e-308 once n grows past a few hundred.
 
-Inside the rule builder the chi recurrence carries an explicit power-of-two
-exponent: near the classical edge of a large rule the seed exp(-x^2/2)
-underflows in doubles even though chi_{n-1} there is O(1), so the plain
-recurrence would turn into exact zeros and poison both the Newton step and
-the weight identity.
+One loop runs the chi recurrence, for the rule builder and hermite_batch.
+It carries a power-of-two exponent: near the classical edge of a large rule
+the seed exp(-x^2/2) underflows although chi_n there is O(1), and the plain
+recurrence would yield zeros that poison the Newton step, the weights and
+the coefficients.  Under the node cap a product of q functions reaches
+degree 2*(1024-8)//q: 1016 at q=2, 677 at q=3, 508 at q=4 (see coeffs).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,31 +32,37 @@ from scipy.linalg import eigh_tridiagonal
 # longer representable in doubles end to end.
 MAX_NODES = 1024
 
-_SQRT2 = math.sqrt(2.0)
+_TINY = np.finfo(float).tiny
 _LOG2E = math.log2(math.e)
 
 
-def _chi_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """chi_{n-1}(x) and chi_n(x) as mantissas v0, v1 with a shared exponent e.
+def _chi_rows(nmax: int, x: np.ndarray, t: np.ndarray):
+    """Yield (v0, v1, e) for k = 0..nmax: chi_{k-1}(x), chi_k(x) = v * 2**e.
 
-    The true values are v * 2**e.  Renormalization multiplies by exact powers
-    of two, so precision matches the plain recurrence wherever that one stays
-    in range.  Ratios of the pair can be taken on the mantissas directly.
+    chi_{-1} = 0.  The caller picks the seed exponent e = floor(t): chi_0 is
+    seeded with the plain exp(-x^2/2) where e == 0, as exp2(-x^2/2 log2(e) - e)
+    elsewhere; e is clamped so a far-out x, whose rows are zero anyway, cannot
+    overflow the int32 cast.  Rescaling by exact powers of two keeps the bits
+    of the plain recurrence wherever that one stays in range.  A step grows a
+    mantissa by less than 2**7 at rule nodes and 2**16 wherever the seed is
+    nonzero, so checking every eighth step keeps it far inside double range.
     """
-    t = -0.5 * x * x * _LOG2E
-    e = np.floor(t).astype(np.int32)
-    v0 = math.pi**-0.25 * np.exp2(t - e)
-    v1 = _SQRT2 * x * v0
-    for k in range(2, n + 1):
+    s = -0.5 * x * x
+    e = np.fmax(np.floor(t), -(2.0**30)).astype(np.int32)  # fmax sends NaN to the clamp
+    v1 = math.pi**-0.25 * np.where(e == 0, np.exp(s), np.exp2(s * _LOG2E - e))
+    v0 = np.zeros_like(v1)
+    yield v0, v1, e
+    for k in range(1, nmax + 1):
         v0, v1 = v1, x * math.sqrt(2.0 / k) * v1 - math.sqrt((k - 1.0) / k) * v0
-        m = np.maximum(np.abs(v0), np.abs(v1))
-        wild = (m > 2.0**500) | ((m > 0.0) & (m < 2.0**-500))
-        if wild.any():
-            shift = np.where(wild, np.frexp(m)[1], np.int32(0))
-            v0 = np.ldexp(v0, -shift)
-            v1 = np.ldexp(v1, -shift)
-            e += shift
-    return v0, v1, e
+        if k % 8 == 0:
+            m = np.maximum(np.abs(v0), np.abs(v1))
+            wild = (m > 2.0**500) | ((m > 0.0) & (m < 2.0**-500))
+            if wild.any():
+                shift = np.where(wild, np.frexp(m)[1], np.int32(0))
+                v0 = np.ldexp(v0, -shift)
+                v1 = np.ldexp(v1, -shift)
+                e = e + shift
+        yield v0, v1, e
 
 
 @dataclass(frozen=True)
@@ -74,38 +82,18 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
-def hermite_function(n: int, x: float) -> float:
-    """Normalized Hermite function chi_n(x), orthonormal on the line.
-
-    chi_0(x) = pi**-0.25 * exp(-x**2/2) and the three-term recurrence
-
-        chi_{n+1}(x) = x*sqrt(2/(n+1))*chi_n(x) - sqrt(n/(n+1))*chi_{n-1}(x)
-
-    never forms the Hermite polynomial or a factorial, so it is stable for
-    large n and decays with the Gaussian built in.
-    """
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
-    h0 = math.pi**-0.25 * math.exp(-0.5 * x * x)
-    if n == 0:
-        return h0
-    h1 = _SQRT2 * x * h0
-    for k in range(2, n + 1):
-        h0, h1 = h1, x * math.sqrt(2.0 / k) * h1 - math.sqrt((k - 1.0) / k) * h0
-    return h1
-
-
 def hermite_batch(nmax: int, x) -> np.ndarray:
     """All chi_0(x), ..., chi_nmax(x) as rows, for scalar or array x."""
     if nmax < 0:
         raise ValueError(f"order must be >= 0, got {nmax}")
     x = np.asarray(x, dtype=float)
+    s = -0.5 * x * x
+    # exponent 0 wherever the plain seed is a normal double: those rows are
+    # the plain recurrence bit for bit; elsewhere the exponent carries them
+    t = np.where(np.exp(s) >= _TINY, 0.0, s * _LOG2E)
     out = np.empty((nmax + 1,) + x.shape)
-    out[0] = math.pi**-0.25 * np.exp(-0.5 * x * x)
-    if nmax >= 1:
-        out[1] = _SQRT2 * x * out[0]
-    for k in range(2, nmax + 1):
-        out[k] = x * math.sqrt(2.0 / k) * out[k - 1] - math.sqrt((k - 1.0) / k) * out[k - 2]
+    for k, (_, v, e) in enumerate(_chi_rows(nmax, x, t)):
+        out[k] = np.ldexp(v, e)
     return out
 
 
@@ -133,15 +121,16 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
     x = eigh_tridiagonal(diag, off, eigvals_only=True)
     x = 0.5 * (x - x[::-1])  # enforce exact symmetry about 0
     if n > 1:
-        # one Newton step on chi_n; chi_n'(x) = sqrt(2n) chi_{n-1}(x) - x chi_n(x)
-        v0, v1, _ = _chi_pair(n, x)
+        # one Newton step on chi_n; chi_n'(x) = sqrt(2n) chi_{n-1}(x) - x chi_n(x);
+        # the loop's last pair is chi_{n-1}, chi_n, and maxlen=1 keeps no other row
+        v0, v1, _ = deque(_chi_rows(n, x, -0.5 * x * x * _LOG2E), maxlen=1)[0]
         deriv = math.sqrt(2.0 * n) * v0 - x * v1
         x = x - np.divide(v1, deriv, out=np.zeros_like(x), where=deriv != 0.0)
         x = 0.5 * (x - x[::-1])
     if np.any(np.diff(x) <= 0.0):
         bad = int(np.argmax(np.diff(x) <= 0.0))
         raise RuntimeError(f"node refinement failed between nodes {bad} and {bad + 1} for n={n}")
-    v0, _, e = _chi_pair(n, x)
+    v0, _, e = deque(_chi_rows(n, x, -0.5 * x * x * _LOG2E), maxlen=1)[0]
     chi_last = np.ldexp(v0, e)  # chi_{n-1} at the nodes is always representable
     scaled = 1.0 / (n * chi_last**2)
     weights = scaled * np.exp(-x * x)

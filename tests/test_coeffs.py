@@ -80,6 +80,13 @@ def test_two_minus_cos_against_trapezoid():
         assert abs(b - sym.table[(k,)]) < 1e-12
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_two_minus_cos_rejects_non_positive_tol(tol):
+    # r**k underflows to 0, never below such a tol: the table would grow forever
+    with pytest.raises(ValueError, match="tol"):
+        FourierSymbol.inverse_two_minus_cos(tol)
+
+
 def test_two_minus_cos_decay_metadata():
     sym = FourierSymbol.inverse_two_minus_cos()
     amp, rho = sym.decay
@@ -100,6 +107,25 @@ def test_triple_product_closed_forms():
 @pytest.mark.parametrize("key,want", sorted(QUAD_ORACLE.items()))
 def test_product_integrals_match_adaptive_quadrature(key, want):
     assert abs(hermite_product_integral(key) - want) < 5e-8
+
+
+def test_product_integral_at_the_degree_limit():
+    assert abs(hermite_product_integral((1016, 1016)) - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="1016"):
+        hermite_product_integral((1017, 1017))
+
+
+@pytest.mark.parametrize("q,limit", [(3, 677), (4, 508)])
+def test_product_integral_names_the_degree_limit(q, limit):
+    hermite_product_integral((limit,) * 2 + (0,) * (q - 2))
+    with pytest.raises(ValueError, match=f"exceeds {limit}"):
+        hermite_product_integral((limit + 1,) + (1,) * (q - 1))
+
+
+def test_product_integral_rejects_negative_indices():
+    # chi[-1] would wrap around to the top row
+    with pytest.raises(ValueError, match=">= 0"):
+        hermite_product_integral((3, -1))
 
 
 def test_node_policy_self_consistency():

@@ -98,6 +98,15 @@ def test_dense_hermite_parity():
         assert abs(got.get((ell,), 0j)) < 1e-12
 
 
+def test_dense_hermite_projects_high_degrees():
+    # near the rule's edge exp(-x^2/2) underflows while chi_900 is O(1) there
+    u = SpectralVector(HERMITE, {(900,): 1.0})
+    got = dense_oracle_hermite((u,), 1000, 900)
+    assert abs(got.get((900,), 0j) - 1.0) < 1e-12
+    for ell in range(900):
+        assert abs(got.get((ell,), 0j)) < 1e-12
+
+
 def test_dense_hermite_rejects_underresolved_rules():
     u = SpectralVector(HERMITE, {(30,): 1.0})
     with pytest.raises(ValueError, match="nodes"):

@@ -1,15 +1,12 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma
 
-from spspec.quadrature import (
-    MAX_NODES,
-    gauss_hermite_rule,
-    hermite_batch,
-    hermite_function,
-)
+from spspec.quadrature import MAX_NODES, gauss_hermite_rule, hermite_batch
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -98,10 +95,12 @@ def test_rules_are_cached_and_read_only():
 # ---------------------------------------------------------------- functions
 
 def test_hermite_function_values_at_zero():
-    assert abs(hermite_function(0, 0.0) - math.pi**-0.25) < 1e-16
-    assert hermite_function(0, 0.0) == pytest.approx(0.7511255444649425, abs=1e-15)
-    assert hermite_function(1, 0.0) == 0.0
-    assert abs(hermite_function(2, 0.0) + math.pi**-0.25 / math.sqrt(2)) < 1e-15
+    col = hermite_batch(2, 0.0)
+    assert col.shape == (3,)
+    assert abs(col[0] - math.pi**-0.25) < 1e-16
+    assert col[0] == pytest.approx(0.7511255444649425, abs=1e-15)
+    assert col[1] == 0.0
+    assert abs(col[2] + math.pi**-0.25 / math.sqrt(2)) < 1e-15
 
 
 def test_hermite_batch_examples():
@@ -114,16 +113,35 @@ def test_hermite_batch_examples():
     )
 
 
+def chi_reference(n: int, x: float) -> float:
+    """chi_n(x) = H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)) at 40 digits,
+    from mpmath's Hermite polynomial: no code shared with the recurrence."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        norm = mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+        return float(mpmath.hermite(n, x) * mpmath.exp(-x * x / 2) / norm)
+
+
 def test_batch_agrees_with_scalar_on_a_grid():
     xs = np.linspace(-5.0, 5.0, 21)
     table = hermite_batch(60, xs)
     for n in range(0, 61, 5):
         for i, x in enumerate(xs):
-            assert abs(table[n, i] - hermite_function(n, float(x))) < 1e-14
+            assert abs(table[n, i] - chi_reference(n, float(x))) < 1e-14
 
 
 def test_functions_decay_at_large_argument():
-    assert hermite_function(40, 30.0) < 1e-100
+    assert hermite_batch(40, 30.0)[40] < 1e-100
+
+
+@pytest.mark.parametrize("x", [1e6, 1e20])
+def test_far_arguments_give_zero_rows_quietly(x):
+    # the seed's exponent there is far below any int32; it must be clamped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = hermite_batch(40, x)
+    assert rows.shape == (41,)
+    assert not rows.any()
 
 
 def test_orthonormality():
@@ -138,6 +156,15 @@ def test_orthonormality():
             assert abs(got - want) < 1e-10
 
 
+def test_orthonormal_up_to_the_cap_degree():
+    # 1016 is the largest degree a product of two reaches under the node cap;
+    # where exp(-x^2/2) underflows, the rows carry a power-of-two exponent
+    rule = gauss_hermite_rule(MAX_NODES)
+    table = hermite_batch(MAX_NODES - 8, rule.nodes)
+    norms = (table * table) @ rule.scaled_weights
+    assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
 def test_negative_order_rejected():
     with pytest.raises(ValueError):
-        hermite_function(-1, 0.0)
+        hermite_batch(-1, 0.0)
