@@ -257,6 +257,45 @@ def test_count_with_output_index_needs_a_box_at_alpha_zero():
     assert count_sparse(boxed, include_ell=True) == brute
 
 
+def enumerated_count(spec: SparseSetSpec, include_ell: bool) -> int:
+    """count_sparse by enumeration: tuples at one ell, or summed over every ell admitted."""
+    origin = (0,) * spec.lattice.dim
+    if not include_ell:
+        return sum(1 for _ in enumerate_sparse(spec, origin))
+    # at alpha = 1 an ell of size above N leaves no budget; at alpha = 0 only the box bounds ell
+    cap = spec.level if spec.alpha == 1 else spec.box
+    if spec.box is not None:
+        cap = min(cap, spec.box)
+    return sum(
+        sum(1 for _ in enumerate_sparse(spec, ell))
+        for ell in indices_up_to(spec.lattice, spec.size, cap)
+    )
+
+
+BOXED_GRID = [
+    (p, d, size, kind)
+    for p in (1, 2, 3)
+    for d in (1, 2)
+    for size in SizeFunction
+    for kind in LatticeKind
+]
+
+
+@pytest.mark.parametrize("p,d,size,kind", BOXED_GRID)
+def test_count_matches_enumeration_under_a_box(p, d, size, kind):
+    # budgets above the box must keep their own sub-budgets b // k
+    levels = (4, 9) if (p, d) == (3, 2) else (4, 9, 16)
+    lattice = Lattice(kind, d)
+    for n in levels:
+        for box in (None, 1, 2, 3, 4, 5, 6, n + 3):
+            for alpha in (0, 1):
+                spec = SparseSetSpec(p, n, alpha, size, lattice, box)
+                assert count_sparse(spec) == enumerated_count(spec, False), (spec, False)
+                if alpha == 1 or box is not None:
+                    got = count_sparse(spec, include_ell=True)
+                    assert got == enumerated_count(spec, True), (spec, True)
+
+
 def test_count_is_a_python_int():
     # cardinalities must never wrap; arbitrary-precision int is the contract
     big = count_sparse(SparseSetSpec(4, 1024, 1, SizeFunction.MAX, integers(1)))
