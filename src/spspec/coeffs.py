@@ -10,6 +10,7 @@ integral is symmetric in all of its indices.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -29,9 +30,12 @@ SELF_CHECK_TOL = 1e-11
 CACHE_MAGIC = "SPSPEC-HERMITE"
 CACHE_VERSION = "v1"
 
-# chi tables at substituted nodes, keyed by (n_nodes, q, max_degree);
-# recomputation is idempotent so plain dict caching is safe under the GIL.
-_chi_tables: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+# chi tables at substituted nodes by (n_nodes, q, max_degree), least recently
+# used first.  build_cache cycles the largest degree 0..jmax in its inner
+# loop, so the bound is on bytes, not on a count of tables: its working set
+# is about 1.5 MB at jmax 64, while one degree-1000 table at q = 2 takes 8 MB.
+CHI_TABLE_BYTES = 32 * 2**20
+_chi_tables: OrderedDict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
 
 def _radius(k: Index) -> int:
@@ -122,19 +126,31 @@ def hermite_product_integral(indices: tuple[int, ...], node_factor: int = 1) -> 
             f"degree {deg} exceeds {limit}, the largest a product of {q} Hermite functions"
             f" supports within the {MAX_NODES}-node rule cap"
         )
-    key = (n, q, deg)
-    cached = _chi_tables.get(key)
-    if cached is None:
-        rule = gauss_hermite_rule(n)
-        c = math.sqrt(q / 2.0)
-        chi = hermite_batch(deg, rule.nodes / c)
-        weights = rule.scaled_weights / c
-        _chi_tables[key] = cached = (weights, chi)
-    weights, chi = cached
+    weights, chi = _chi_table(n, q, deg)
     prod = chi[indices[0]].copy()
     for i in indices[1:]:
         prod *= chi[i]
     return float(np.dot(weights, prod))
+
+
+def _chi_table(n: int, q: int, deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled weights and chi_0..chi_deg at the n-node rule's nodes / sqrt(q/2).
+
+    A table dropped to keep the others under CHI_TABLE_BYTES is rebuilt bit
+    for bit on its next use; the newest table is always kept.
+    """
+    key = (n, q, deg)
+    table = _chi_tables.pop(key, None)
+    if table is None:
+        rule = gauss_hermite_rule(n)
+        c = math.sqrt(q / 2.0)
+        table = (rule.scaled_weights / c, hermite_batch(deg, rule.nodes / c))
+        kept = sum(w.nbytes + chi.nbytes for w, chi in _chi_tables.values())
+        while _chi_tables and kept + table[0].nbytes + table[1].nbytes > CHI_TABLE_BYTES:
+            w, chi = _chi_tables.popitem(last=False)[1]
+            kept -= w.nbytes + chi.nbytes
+    _chi_tables[key] = table
+    return table
 
 
 class HermiteCache:

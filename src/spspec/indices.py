@@ -8,14 +8,27 @@ are cut out of the p-fold lattice product by bounding
 where the size of an index is either its max-norm floored at 1 or the
 product of (1 + |coordinate|) over coordinates.  Enumeration is always in
 lexicographic order and counting never materializes the set.
+
+Counting is a block recursion over the budgets a descent reaches, which
+are only the O(sqrt N) values N // m.  The number of q-tuples within
+budget b sums, over blocks [k1, k2] of constant b // k, the indices of
+size in [k1, k2] times the (q - 1)-tuples within b // k1.  The blocks are
+summed by parts (the Dirichlet hyperbola method), so a budget b costs
+sqrt(b) terms and one level of the recursion O(N^(3/4)), evaluated as
+numpy arrays of exact Python ints.  The product norm's per-index count
+is the same recursion over coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
+
+import numpy as np
 
 Index = tuple[int, ...]
 
@@ -187,35 +200,75 @@ def _descend(
             yield from _descend(spec, slot + 1, budget // spec.size.of(j), prefix + (j,))
 
 
+class _Budgets:
+    """The budgets n // m (m >= 1) in ascending order, with their hyperbola terms.
+
+    A descent from budget n reaches no other budget, since (n // a) // b is
+    n // (a*b).  There are at most 2*sqrt(n) of them: every b <= sqrt(n)
+    and n // m for m <= sqrt(n).  Tables over them are numpy object arrays
+    of Python ints, so counts stay exact.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.root = r = math.isqrt(n)
+        large = n // np.arange(n // (r + 1), 0, -1, dtype=np.int64)
+        self.keys = np.concatenate([np.arange(1, r + 1, dtype=np.int64), large])
+
+    @functools.cached_property
+    def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # budget b has the terms k = 1..isqrt(b), which read tables at y = b // k;
+        # y sits at y - 1 when y <= root, and at len - n // y above it
+        roots = np.array([math.isqrt(b) for b in self.keys.tolist()], dtype=np.int64)
+        starts = np.cumsum(roots) - roots
+        k = np.arange(int(roots.sum())) - np.repeat(starts, roots) + 1
+        read = np.repeat(self.keys, roots) // k
+        at = np.where(read <= self.root, read - 1, len(self.keys) - self.n // read)
+        return starts, k - 1, at, roots - 1
+
+    def convolve(self, big_f: np.ndarray, big_g: np.ndarray, first: int = 0) -> np.ndarray:
+        """H(b) = sum of f(k) g(v) over k*v <= b, at the budgets keys[first:].
+
+        big_f and big_g are the running sums F(b) = f(1) + ... + f(b) and G
+        at every key.  Grouping k by the value of b // k turns the sum into
+        blocks (F(k2) - F(k1 - 1)) * G(b // k1); the blocks with k > sqrt(b)
+        are summed by parts, which is the Dirichlet hyperbola method:
+        H(b) = sum over k <= s of f(k) G(b // k) + g(k) F(b // k), minus
+        F(s) G(s), for s = isqrt(b).  That is isqrt(b) terms per budget.
+        """
+        starts, k_pos, at, root_pos = self._terms
+        f = np.diff(big_f[: self.root], prepend=0)
+        g = np.diff(big_g[: self.root], prepend=0)
+        lo = starts[first]
+        k_pos, at = k_pos[lo:], at[lo:]
+        terms = f[k_pos] * big_g[at] + g[k_pos] * big_f[at]
+        root_pos = root_pos[first:]
+        return np.add.reduceat(terms, starts[first:] - lo) - big_f[root_pos] * big_g[root_pos]
+
+
+def _index_counts(lattice: Lattice, size: SizeFunction, budgets: _Budgets) -> np.ndarray:
+    """C(b) = #{j : size(j) <= b} at every budget b.
+
+    The max norm has a closed form.  Under the product norm Z^d's indices
+    are d-tuples of Z^1 indices under a product budget, so C is the d-fold
+    hyperbola convolution of the line count C1(b) = 2b - 1 (b on N).
+    """
+    b = budgets.keys.astype(object)
+    integers = lattice.kind is LatticeKind.INTEGERS
+    if size is SizeFunction.MAX:
+        return (2 * b + 1 if integers else b + 1) ** lattice.dim
+    line = 2 * b - 1 if integers else b
+    total = line
+    for _ in range(lattice.dim - 1):
+        total = budgets.convolve(line, total)
+    return total
+
+
 def count_indices_up_to(lattice: Lattice, size: SizeFunction, cap: int) -> int:
     """Cardinality of {j : size(j) <= cap} without enumerating it."""
     if cap < 1:
         return 0
-    if size is SizeFunction.MAX:
-        if lattice.kind is LatticeKind.INTEGERS:
-            return (2 * cap + 1) ** lattice.dim
-        return (cap + 1) ** lattice.dim
-    return _prod_norm_cumulative(lattice.kind, lattice.dim, cap, {})
-
-
-def _prod_norm_cumulative(kind: LatticeKind, dim: int, cap: int, memo: dict) -> int:
-    if cap < 1:
-        return 0
-    if dim == 0:
-        return 1
-    key = (dim, cap)
-    if key in memo:
-        return memo[key]
-    total = 0
-    for t in range(1, cap + 1):
-        c1 = 1 if (t == 1 or kind is LatticeKind.NATURALS) else 2
-        total += c1 * _prod_norm_cumulative(kind, dim - 1, cap // t, memo)
-    memo[key] = total
-    return total
-
-
-def count_indices_of_size(lattice: Lattice, size: SizeFunction, k: int) -> int:
-    return count_indices_up_to(lattice, size, k) - count_indices_up_to(lattice, size, k - 1)
+    return int(_index_counts(lattice, size, _Budgets(cap))[-1])
 
 
 def count_sparse(spec: SparseSetSpec, include_ell: bool = False) -> int:
@@ -223,38 +276,27 @@ def count_sparse(spec: SparseSetSpec, include_ell: bool = False) -> int:
 
     With include_ell the count is over pairs (ell, tuple); ell then ranges
     over the lattice, which is only finite when alpha = 1 or a box cap is
-    present.  Python integers do not overflow, so large counts are exact.
+    present.  At alpha = 1 ell is one more slot of the product budget.
+
+    tuples(q, b), the number of q-tuples with size product <= b and every
+    size <= box, is tabulated at every budget b = N // m: tuples(1, b) =
+    C(min(b, box)), and tuples(q, b) is the hyperbola convolution of the
+    box-capped C with tuples(q - 1, .).  A level costs sum of sqrt(b) over
+    the O(sqrt(N)) budgets, O(N^(3/4)), and the last one is needed at N
+    alone.  Python integers do not overflow, so large counts are exact.
     """
-    per_size: dict[int, int] = {}
-
-    def size_count(k: int) -> int:
-        if k not in per_size:
-            per_size[k] = count_indices_of_size(spec.lattice, spec.size, k)
-        return per_size[k]
-
-    memo: dict[tuple[int, int], int] = {}
-
-    def tuples(q: int, budget: int) -> int:
-        if budget < 1:
-            return 0
-        if q == 0:
-            return 1
-        cap = budget if spec.box is None else min(budget, spec.box)
-        key = (q, cap)
-        if key in memo:
-            return memo[key]
-        total = 0
-        for k in range(1, cap + 1):
-            cnt = size_count(k)
-            if cnt:
-                total += cnt * tuples(q - 1, budget // k)
-        memo[key] = total
-        return total
-
-    if not include_ell:
-        return tuples(spec.p, spec.level)
-    if spec.alpha == 1:
-        return tuples(spec.p + 1, spec.level)
-    if spec.box is None:
+    if include_ell and spec.alpha == 0 and spec.box is None:
         raise ValueError("count over unconstrained ell is infinite for alpha = 0")
-    return count_indices_up_to(spec.lattice, spec.size, spec.box) * tuples(spec.p, spec.level)
+    slots = spec.p + (include_ell and spec.alpha == 1)
+    budgets = _Budgets(spec.level)
+    capped = _index_counts(spec.lattice, spec.size, budgets)
+    if spec.box is not None and spec.box < spec.level:
+        at_box = count_indices_up_to(spec.lattice, spec.size, spec.box)
+        capped = np.where(budgets.keys <= spec.box, capped, at_box)
+    tuples = capped
+    for q in range(2, slots + 1):
+        tuples = budgets.convolve(capped, tuples, len(budgets.keys) - 1 if q == slots else 0)
+    count = int(tuples[-1])
+    if include_ell and spec.alpha == 0:
+        count *= count_indices_up_to(spec.lattice, spec.size, spec.box)
+    return count

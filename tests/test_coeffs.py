@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -126,6 +127,24 @@ def test_product_integral_rejects_negative_indices():
     # chi[-1] would wrap around to the top row
     with pytest.raises(ValueError, match=">= 0"):
         hermite_product_integral((3, -1))
+
+
+def resident_mb() -> float:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_chi_tables_stay_bounded_over_high_degrees():
+    # each degree d at q = 2 has its own (d + 1) x (d + 8) table, 8 MB near
+    # d = 1000; kept for the life of the process, 17 of them took 136 MB
+    first = hermite_product_integral((1000, 1000))
+    before = resident_mb()
+    for d in range(1000, 1017):
+        hermite_product_integral((d, d))
+    assert resident_mb() - before < 64
+    # the degree-1000 table was dropped on the way and is rebuilt bit for bit
+    assert hermite_product_integral((1000, 1000)) == first
 
 
 def test_node_policy_self_consistency():

@@ -10,7 +10,6 @@ from spspec.indices import (
     LatticeKind,
     SizeFunction,
     SparseSetSpec,
-    count_indices_of_size,
     count_indices_up_to,
     count_sparse,
     enumerate_sparse,
@@ -109,19 +108,13 @@ def test_lattice_dimension_validation():
 def test_indices_up_to_matches_count():
     for lattice in (integers(1), naturals(1), integers(2), naturals(2)):
         for size in SizeFunction:
-            for cap in (1, 2, 3, 7, 12):
+            # product-norm caps 60 and 97 have blocks of constant cap // k longer than one entry
+            for cap in (1, 2, 3, 7, 12) + ((60, 97) if size is SizeFunction.PROD else ()):
                 listed = list(indices_up_to(lattice, size, cap))
                 assert listed == sorted(listed)
                 assert len(listed) == len(set(listed))
                 assert all(weight(size, j) <= cap for j in listed)
                 assert count_indices_up_to(lattice, size, cap) == len(listed)
-
-
-def test_count_indices_of_size_partitions_the_ball():
-    for lattice in (integers(1), naturals(2)):
-        for size in SizeFunction:
-            total = sum(count_indices_of_size(lattice, size, k) for k in range(1, 9))
-            assert total == count_indices_up_to(lattice, size, 8)
 
 
 # ---------------------------------------------------------------- enumeration
@@ -258,14 +251,14 @@ def test_count_with_output_index_needs_a_box_at_alpha_zero():
 
 
 def enumerated_count(spec: SparseSetSpec, include_ell: bool) -> int:
-    """count_sparse by enumeration: tuples at one ell, or summed over every ell admitted."""
-    origin = (0,) * spec.lattice.dim
+    """count_sparse by enumeration: tuples at one ell, or over every ell admitted."""
+    at_origin = sum(1 for _ in enumerate_sparse(spec, (0,) * spec.lattice.dim))
     if not include_ell:
-        return sum(1 for _ in enumerate_sparse(spec, origin))
-    # at alpha = 1 an ell of size above N leaves no budget; at alpha = 0 only the box bounds ell
-    cap = spec.level if spec.alpha == 1 else spec.box
-    if spec.box is not None:
-        cap = min(cap, spec.box)
+        return at_origin
+    if spec.alpha == 0:  # every ell in the box admits the same tuples
+        return at_origin * sum(1 for _ in indices_up_to(spec.lattice, spec.size, spec.box))
+    # at alpha = 1 an ell of size above N leaves no budget
+    cap = spec.level if spec.box is None else min(spec.level, spec.box)
     return sum(
         sum(1 for _ in enumerate_sparse(spec, ell))
         for ell in indices_up_to(spec.lattice, spec.size, cap)
@@ -283,8 +276,9 @@ BOXED_GRID = [
 
 @pytest.mark.parametrize("p,d,size,kind", BOXED_GRID)
 def test_count_matches_enumeration_under_a_box(p, d, size, kind):
-    # budgets above the box must keep their own sub-budgets b // k
-    levels = (4, 9) if (p, d) == (3, 2) else (4, 9, 16)
+    # budgets above the box must keep their own sub-budgets b // k; N = 4
+    # already puts budgets above boxes 1..3, and enumeration grows fast with d
+    levels = (4, 9, 16) if d == 1 else (4, 9) if p < 3 else (4,)
     lattice = Lattice(kind, d)
     for n in levels:
         for box in (None, 1, 2, 3, 4, 5, 6, n + 3):
@@ -301,6 +295,44 @@ def test_count_is_a_python_int():
     big = count_sparse(SparseSetSpec(4, 1024, 1, SizeFunction.MAX, integers(1)))
     assert type(big) is int
     assert big > 0
+
+
+def test_count_above_int64_is_exact():
+    # p = 40 slots on Z^1 under the max norm: at N = 1 every slot is one of
+    # {-1, 0, 1}; N = 2 also lets one slot be +-2
+    spec_of = lambda n: SparseSetSpec(40, n, 0, SizeFunction.MAX, integers(1))
+    assert count_sparse(spec_of(1)) == 3**40 > 2**63
+    assert count_sparse(spec_of(2)) == 3**40 + 80 * 3**39
+
+
+@pytest.mark.parametrize("size", SizeFunction)
+def test_cumulative_counts_are_read_at_sqrt_n_budgets(size, monkeypatch):
+    # C(b) = #{j : size(j) <= b} is needed only at the budgets N // m, about
+    # 2 sqrt(N) of them; a loop over every k <= N reads it 2N times
+    import spspec.indices as indices
+
+    reads = [0]
+
+    def counted(name, budgets_read):
+        real = getattr(indices, name, None)
+
+        def wrapper(*args):
+            reads[0] += budgets_read(*args)
+            return real(*args)
+
+        if real is not None:
+            monkeypatch.setattr(indices, name, wrapper)
+
+    counted("count_indices_up_to", lambda lattice, size, cap: 1)
+    counted("_index_counts", lambda lattice, size, budgets: len(budgets.keys))
+    per_level = []
+    for n in (2**10, 2**12, 2**14):
+        reads[0] = 0
+        count_sparse(SparseSetSpec(3, n, 1, size, integers(1)), include_ell=True)
+        per_level.append(reads[0])
+    assert per_level[1] <= 2.1 * per_level[0]
+    assert per_level[2] <= 2.1 * per_level[1]
+    assert per_level[2] <= 2 * math.isqrt(2**14)
 
 
 def test_normalized_count_stays_bounded():
