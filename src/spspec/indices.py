@@ -200,6 +200,9 @@ def _descend(
             yield from _descend(spec, slot + 1, budget // spec.size.of(j), prefix + (j,))
 
 
+_CHUNK_TERMS = 2**16
+
+
 class _Budgets:
     """The budgets n // m (m >= 1) in ascending order, with their hyperbola terms.
 
@@ -239,11 +242,16 @@ class _Budgets:
         starts, k_pos, at, root_pos = self._terms
         f = np.diff(big_f[: self.root], prepend=0)
         g = np.diff(big_g[: self.root], prepend=0)
-        lo = starts[first]
-        k_pos, at = k_pos[lo:], at[lo:]
-        terms = f[k_pos] * big_g[at] + g[k_pos] * big_f[at]
+        out = np.empty(len(self.keys) - first, dtype=object)
+        # a budget has at most root terms; chunks of keys bound the Python
+        # ints alive at once to about _CHUNK_TERMS
+        step = max(1, _CHUNK_TERMS // self.root)
+        for i in range(first, len(self.keys), step):
+            lo, hi = starts[i], starts[i + step] if i + step < len(starts) else len(at)
+            terms = f[k_pos[lo:hi]] * big_g[at[lo:hi]] + g[k_pos[lo:hi]] * big_f[at[lo:hi]]
+            out[i - first : i - first + step] = np.add.reduceat(terms, starts[i : i + step] - lo)
         root_pos = root_pos[first:]
-        return np.add.reduceat(terms, starts[first:] - lo) - big_f[root_pos] * big_g[root_pos]
+        return out - big_f[root_pos] * big_g[root_pos]
 
 
 def _index_counts(lattice: Lattice, size: SizeFunction, budgets: _Budgets) -> np.ndarray:
