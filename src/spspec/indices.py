@@ -262,20 +262,26 @@ def _index_counts(lattice: Lattice, size: SizeFunction, budgets: _Budgets) -> np
     hyperbola convolution of the line count C1(b) = 2b - 1 (b on N).
     """
     b = budgets.keys.astype(object)
-    integers = lattice.kind is LatticeKind.INTEGERS
     if size is SizeFunction.MAX:
-        return (2 * b + 1 if integers else b + 1) ** lattice.dim
-    line = 2 * b - 1 if integers else b
+        return _max_norm_count(lattice, b)
+    line = 2 * b - 1 if lattice.kind is LatticeKind.INTEGERS else b
     total = line
     for _ in range(lattice.dim - 1):
         total = budgets.convolve(line, total)
     return total
 
 
+def _max_norm_count(lattice: Lattice, b):
+    """#{j : max_norm(j) <= b} for an int or an object array of them."""
+    return (2 * b + 1 if lattice.kind is LatticeKind.INTEGERS else b + 1) ** lattice.dim
+
+
 def count_indices_up_to(lattice: Lattice, size: SizeFunction, cap: int) -> int:
     """Cardinality of {j : size(j) <= cap} without enumerating it."""
     if cap < 1:
         return 0
+    if size is SizeFunction.MAX:  # no budget table, so any cap is O(1)
+        return _max_norm_count(lattice, cap)
     return int(_index_counts(lattice, size, _Budgets(cap))[-1])
 
 
@@ -296,9 +302,12 @@ def count_sparse(spec: SparseSetSpec, include_ell: bool = False) -> int:
     if include_ell and spec.alpha == 0 and spec.box is None:
         raise ValueError("count over unconstrained ell is infinite for alpha = 0")
     slots = spec.p + (include_ell and spec.alpha == 1)
-    budgets = _Budgets(spec.level)
+    level = spec.level
+    if spec.box is not None:  # a budget of box**slots already admits every boxed tuple
+        level = min(level, spec.box**slots)
+    budgets = _Budgets(level)
     capped = _index_counts(spec.lattice, spec.size, budgets)
-    if spec.box is not None and spec.box < spec.level:
+    if spec.box is not None and spec.box < level:
         at_box = count_indices_up_to(spec.lattice, spec.size, spec.box)
         capped = np.where(budgets.keys <= spec.box, capped, at_box)
     tuples = capped

@@ -290,6 +290,12 @@ def test_count_matches_enumeration_under_a_box(p, d, size, kind):
                     assert got == enumerated_count(spec, True), (spec, True)
 
 
+def test_count_with_a_box_far_below_the_budget():
+    # five indices of Z^2 have product-norm size <= 2, and any four of them fit in N
+    spec = SparseSetSpec(3, 10**18, 1, SizeFunction.PROD, integers(2), box=2)
+    assert count_sparse(spec, include_ell=True) == 5**4
+
+
 def test_count_is_a_python_int():
     # cardinalities must never wrap; arbitrary-precision int is the contract
     big = count_sparse(SparseSetSpec(4, 1024, 1, SizeFunction.MAX, integers(1)))
