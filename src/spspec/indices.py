@@ -21,7 +21,6 @@ is the same recursion over coordinates.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -204,7 +203,7 @@ _CHUNK_TERMS = 2**16
 
 
 class _Budgets:
-    """The budgets n // m (m >= 1) in ascending order, with their hyperbola terms.
+    """The budgets n // m (m >= 1) in ascending order, and convolutions over them.
 
     A descent from budget n reaches no other budget, since (n // a) // b is
     n // (a*b).  There are at most 2*sqrt(n) of them: every b <= sqrt(n)
@@ -217,17 +216,7 @@ class _Budgets:
         self.root = r = math.isqrt(n)
         large = n // np.arange(n // (r + 1), 0, -1, dtype=np.int64)
         self.keys = np.concatenate([np.arange(1, r + 1, dtype=np.int64), large])
-
-    @functools.cached_property
-    def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # budget b has the terms k = 1..isqrt(b), which read tables at y = b // k;
-        # y sits at y - 1 when y <= root, and at len - n // y above it
-        roots = np.array([math.isqrt(b) for b in self.keys.tolist()], dtype=np.int64)
-        starts = np.cumsum(roots) - roots
-        k = np.arange(int(roots.sum())) - np.repeat(starts, roots) + 1
-        read = np.repeat(self.keys, roots) // k
-        at = np.where(read <= self.root, read - 1, len(self.keys) - self.n // read)
-        return starts, k - 1, at, roots - 1
+        self.roots = np.array([math.isqrt(b) for b in self.keys.tolist()], dtype=np.int64)
 
     def convolve(self, big_f: np.ndarray, big_g: np.ndarray, first: int = 0) -> np.ndarray:
         """H(b) = sum of f(k) g(v) over k*v <= b, at the budgets keys[first:].
@@ -239,19 +228,24 @@ class _Budgets:
         H(b) = sum over k <= s of f(k) G(b // k) + g(k) F(b // k), minus
         F(s) G(s), for s = isqrt(b).  That is isqrt(b) terms per budget.
         """
-        starts, k_pos, at, root_pos = self._terms
         f = np.diff(big_f[: self.root], prepend=0)
         g = np.diff(big_g[: self.root], prepend=0)
         out = np.empty(len(self.keys) - first, dtype=object)
-        # a budget has at most root terms; chunks of keys bound the Python
-        # ints alive at once to about _CHUNK_TERMS
+        # a budget has at most root terms; chunks of keys bound the terms
+        # alive at once to about _CHUNK_TERMS
         step = max(1, _CHUNK_TERMS // self.root)
         for i in range(first, len(self.keys), step):
-            lo, hi = starts[i], starts[i + step] if i + step < len(starts) else len(at)
-            terms = f[k_pos[lo:hi]] * big_g[at[lo:hi]] + g[k_pos[lo:hi]] * big_f[at[lo:hi]]
-            out[i - first : i - first + step] = np.add.reduceat(terms, starts[i : i + step] - lo)
-        root_pos = root_pos[first:]
-        return out - big_f[root_pos] * big_g[root_pos]
+            keys, roots = self.keys[i : i + step], self.roots[i : i + step]
+            starts = np.cumsum(roots) - roots
+            k_pos = np.arange(int(roots.sum())) - np.repeat(starts, roots)
+            # the terms of b read tables at y = b // k, which sits at y - 1
+            # when y <= root and at len - n // y above it
+            read = np.repeat(keys, roots) // (k_pos + 1)
+            at = np.where(read <= self.root, read - 1, len(self.keys) - self.n // read)
+            terms = f[k_pos] * big_g[at] + g[k_pos] * big_f[at]
+            out[i - first : i - first + len(keys)] = np.add.reduceat(terms, starts)
+        at_root = self.roots[first:] - 1
+        return out - big_f[at_root] * big_g[at_root]
 
 
 def _index_counts(lattice: Lattice, size: SizeFunction, budgets: _Budgets) -> np.ndarray:
