@@ -13,7 +13,7 @@ pair back to back with the same seconds, and alternate which side goes
 first, so that a slow phase of the host lands on both.
 
 For every workload the output holds each side's environment (Python, numpy,
-nproc, commit), every pair's end-to-end metrics with the side that ran
+nproc, thread pins, commit), every pair's end-to-end metrics with the side that ran
 first (the older record), and per metric: each side's median, the parent's
 quartiles, the change/parent ratio of the medians, the pairs the change
 won, whether the change stays within the bound BENCHMARK.json sets, and
@@ -82,10 +82,6 @@ def summarize(metric: dict, pairs: list[dict]) -> dict:
     }
 
 
-def environment(record: dict) -> dict:
-    return {k: v for k, v in record["environment"].items() if k != "thread_pins"}
-
-
 def compare(parent: dict, change: dict, benchmark: dict) -> dict:
     metrics = benchmark["end_to_end"]
     out = {"command": benchmark["command"], "run_seconds": None, "workloads": {}}
@@ -107,7 +103,7 @@ def compare(parent: dict, change: dict, benchmark: dict) -> dict:
             })
         first = parent[workload, seeds[0]], change[workload, seeds[0]]
         out["workloads"][workload] = {
-            "environment": {"parent": environment(first[0]), "change": environment(first[1])},
+            "environment": {"parent": first[0]["environment"], "change": first[1]["environment"]},
             "pairs": pairs,
             "metrics": {m["name"]: summarize(m, pairs) for m in metrics},
         }
