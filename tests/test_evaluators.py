@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from spspec.coeffs import FourierSymbol, HermiteCache
+from spspec.coeffs import FourierSymbol, HermiteCache, hermite_product_integral
 from spspec.evaluators import (
     EvalRequest,
     EvalResult,
@@ -499,3 +499,94 @@ def test_direct_fourier_ignores_indices_far_beyond_the_budget(size):
     want = direct_sparse_eval(EvalRequest(unit, (SpectralVector(basis, near),) * 2, spec))
     got = direct_sparse_eval(EvalRequest(unit, (SpectralVector(basis, far),) * 2, spec))
     assert got == want
+
+
+# ------------------------------------------------------- Hermite brute force
+#
+# Reference: for every ell, math.fsum over enumerate_sparse(spec, ell) of
+# hermite_product_integral(ell, js) * prod u_j, over the tuples whose every
+# j is stored.  Every such tuple counts as a term, as in the evaluator; an
+# ell is in the output when one of its terms has even degree sum, the
+# others vanishing by parity.  A term's coefficient is an integral of
+# functions bounded by pi**-0.25, so quadrature roundoff is absolute in it:
+# an ell's term mass, the fsum of |prod u_j| over its nonvanishing terms,
+# is the scale of its rounding error.
+
+HERMITE_GUARD_INPUTS = {
+    "power": power_law_vector(2.0, 10, HERMITE),
+    "even": SpectralVector(HERMITE, {(j,): (-0.5) ** (j // 2) for j in range(0, 13, 2)}),
+    "odd": SpectralVector(HERMITE, {(j,): 1.5 / j for j in range(1, 12, 2)}),
+    "sparse": SpectralVector(HERMITE, {(0,): 1.0, (1,): -0.6, (40,): 0.3}),
+}
+HERMITE_GUARD_LEVEL = 42  # the sparse input's 40 enters under either norm
+HERMITE_GUARD_DOMAIN = tuple((ell,) for ell in (0, 1, 2, 3, 5, 8, 13, 21, 40, 44))
+
+
+def _hermite_coefficient(key, memo={}):
+    key = tuple(sorted(key))
+    if key not in memo:
+        memo[key] = hermite_product_integral(key)
+    return memo[key]
+
+
+def _hermite_brute_sums(input_sets, spec: SparseSetSpec, ells):
+    """(values, terms, term mass per ell) of the budgeted sum for each input tuple."""
+    out = [({}, {}, [0]) for _ in input_sets]
+    for ell in ells:
+        tuples = list(enumerate_sparse(spec, ell))
+        for inputs, (values, mass, terms) in zip(input_sets, out):
+            parts, sizes = [], []
+            for js in tuples:
+                if not all(j in u for j, u in zip(js, inputs)):
+                    continue
+                terms[0] += 1
+                if (ell[0] + sum(j[0] for j in js)) % 2:
+                    continue
+                prod = math.prod(u[j] for j, u in zip(js, inputs))
+                parts.append(_hermite_coefficient((ell[0], *(j[0] for j in js))) * prod)
+                sizes.append(abs(prod))
+            if parts:
+                values[ell] = complex(math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts))
+                mass[ell] = math.fsum(sizes)
+    return [(values, terms[0], mass) for values, mass, terms in out]
+
+
+def _assert_close_to_brute(got: EvalResult, want):
+    values, terms, mass = want
+    assert got.terms == terms
+    assert set(got.vector) == set(values)
+    for ell, v in values.items():
+        assert abs(got.vector[ell] - v) <= 1e-14 * mass[ell], ell
+
+
+@pytest.mark.parametrize("p,alpha,size,box", [
+    (p, alpha, size, box)
+    for p in (1, 2, 3, 4)
+    for alpha in (0, 1)
+    for size in SizeFunction
+    for box in (None, 3, HERMITE_GUARD_LEVEL + 3)
+])
+def test_direct_hermite_matches_brute_force(p, alpha, size, box):
+    spec = SparseSetSpec(p, HERMITE_GUARD_LEVEL, alpha, size, naturals(1), box=box)
+    domain = HERMITE_GUARD_DOMAIN if alpha == 0 else None
+    ells = domain or [(ell,) for ell in range(HERMITE_GUARD_LEVEL + 1)]
+    # each input in the first slot, power-law entries in the others
+    input_sets = [(u,) + (HERMITE_GUARD_INPUTS["power"],) * (p - 1) for u in HERMITE_GUARD_INPUTS.values()]
+    for inputs, want in zip(input_sets, _hermite_brute_sums(input_sets, spec, ells)):
+        got = direct_sparse_eval(EvalRequest(HermiteCache(p), inputs, spec, output_domain=domain))
+        _assert_close_to_brute(got, want)
+
+
+@pytest.mark.parametrize("alpha", [0, 1])
+def test_iterative_hermite_matches_brute_force(alpha):
+    inputs = tuple(HERMITE_GUARD_INPUTS[name] for name in ("power", "odd", "sparse"))
+    level, cap = 12, 14
+    ells = [(ell,) for ell in range(cap + 1 if alpha == 0 else level + 1)]
+    got = iterative_eval(HermiteCache(2), inputs, level, alpha, ell_cap=cap)
+    acc, terms = inputs[0], 0
+    for u in inputs[1:]:
+        spec = SparseSetSpec(2, level, alpha, SizeFunction.MAX, naturals(1))
+        [(values, step_terms, mass)] = _hermite_brute_sums([(acc, u)], spec, ells)
+        terms += step_terms
+        acc = SpectralVector(HERMITE, values)
+    _assert_close_to_brute(got, (values, terms, mass))
