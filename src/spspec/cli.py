@@ -88,10 +88,11 @@ def _setup(u, p, alpha, method, norm, cache_path, jmax, ell_cap):
     """run(n) -> EvalResult: the p-fold product of u with itself at budget n.
 
     The basis comes from u.  Fourier runs use the unit symbol.  Hermite
-    runs load the cache only for the methods that read it (arity 2 for
-    iterative, p for direct), gate alpha = 0 outputs to 0..ell_cap
-    (default jmax), and send transform to the pointwise route with
-    min(n - 1, jmax) projected coefficients.
+    runs give direct and iterative a cache of the arity they need (2 for
+    iterative, p for direct; a --cache file is loaded only to check that
+    arity), gate alpha = 0 outputs to 0..ell_cap (default jmax), and send
+    transform to the pointwise route with min(n - 1, jmax) projected
+    coefficients.
     """
     if ell_cap is not None and ell_cap < 0:
         raise CliError(f"--ell-cap must be >= 0, got {ell_cap}")

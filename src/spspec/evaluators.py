@@ -18,9 +18,12 @@ with the tuples admitted by a SparseSetSpec budget.  Two strategies are used:
   gated out.  Term counts ride through the same convolutions as 0/1
   indicator arrays.  Cost and memory follow the span of the input supports
   (largest minus smallest coordinate), not the number of entries.
-* Hermite coefficients have no such locality, so the evaluator gathers
-  per output index over the budgeted tuples restricted to the input
-  supports, ordered by size and then lexicographically.
+* A Hermite coefficient is the integral of chi_ell chi_j1 ... chi_jp, so X
+  is the projection onto chi_ell of a budgeted sum of products of
+  functions.  The same budget-class recursion builds those sums pointwise,
+  at the nodes of one Gauss-Hermite rule that integrates every term
+  exactly, with a block's functions summed once and multiplied once by the
+  later slots' sum.  No coefficient is looked up.
 
 Both are deterministic: every sum is accumulated in a fixed order.
 """
@@ -29,15 +32,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .coeffs import FourierSymbol, HermiteCache
-from .indices import Index, SizeFunction, SparseSetSpec, indices_up_to
-from .quadrature import gauss_hermite_rule, hermite_batch
+from .indices import Index, SizeFunction, SparseSetSpec
+from .quadrature import MAX_NODES, gauss_hermite_rule, hermite_batch
 from .spectral import Basis, BasisKind, SpectralVector
 
 
@@ -69,19 +71,6 @@ class EvalRequest:
 class EvalResult:
     vector: SpectralVector
     terms: int
-
-
-def _support_by_size(u: SpectralVector, size: SizeFunction):
-    """Support split into parallel lists sorted by (size, index).
-
-    A budget b then admits exactly a prefix, located by bisecting the size
-    list; iterating that prefix is the evaluator's deterministic term order.
-    """
-    items = sorted(u.items(), key=lambda kv: (size.of(kv[0]), kv[0]))
-    sizes = [size.of(j) for j, _ in items]
-    keys = [j for j, _ in items]
-    vals = [v for _, v in items]
-    return sizes, keys, vals
 
 
 class _Line(NamedTuple):
@@ -315,48 +304,175 @@ def _fourier_sum(
     return entries, int(round(cnts[keep].sum()))
 
 
-def _gather(
-    provider,
-    inputs: Sequence[SpectralVector],
-    spec: SparseSetSpec,
-    ells: Sequence[Index],
+class _Tally(NamedTuple):
+    """The tuples of slots s..p-1 within one budget, and their blocks.
+
+    even and odd count the tuples by the parity of their degree sum and deg
+    is the largest degree sum.  The slot-s entries [:hi] of the size order
+    are admitted; the block starting at starts[k] leaves budget budgets[k]
+    to the next slot (0 past the last slot, where nothing is left to spend).
+    """
+
+    even: int
+    odd: int
+    deg: int
+    hi: int
+    starts: np.ndarray | None
+    budgets: list[int]
+
+
+_UNIT = _Tally(1, 0, 0, 0, None, [])  # the empty product past the last slot
+_EMPTY = _Tally(0, 0, -1, 0, None, [])  # a budget below every tuple
+
+
+class _HermiteClasses:
+    """Budgeted sums over tuples of Hermite inputs, pointwise at quadrature nodes.
+
+    P(s, b)(x) is the sum over the tuples of slots s..p-1 with size product
+    <= b (box-capped) of prod u_j chi_j(x).  By orthonormality X_ell is the
+    integral of chi_ell * P(0, budget(ell)), and one Gauss-Hermite rule
+    makes every such integral exact (see project).  As in _BudgetClasses
+    the budgets reached are N // m, and the slot-s entries j that leave the
+    same budget c = b // size(j) form a block: the block's rows u_j chi_j
+    are summed once and multiplied once by P(s + 1, c).
+
+    chi_j(-x) = (-1)**j chi_j(x), so P is kept as an even part (tuples of
+    even degree sum) and an odd part, each at the rule's nonnegative nodes
+    only; chi_ell meets the part of its own parity, and the other part
+    integrates to zero exactly.  tally runs the same recursion on integers
+    first: it counts the tuples of either parity and finds the largest
+    degree, which sizes the rule before any row is evaluated.
+    """
+
+    def __init__(self, inputs: Sequence[SpectralVector], spec: SparseSetSpec):
+        cap = spec.level if spec.box is None else min(spec.level, spec.box)
+        trimmed = {}  # per distinct input: sizes, keys, values, sorted by size then key
+        for u in inputs:
+            if id(u) not in trimmed:
+                coords, vals = u.as_arrays()
+                sizes = _sizes(coords, spec.size, cap)
+                order = np.flatnonzero(sizes <= cap)
+                order = order[np.argsort(sizes[order], kind="stable")]
+                trimmed[id(u)] = sizes[order], coords[order, 0], vals[order]
+        self.slots = [trimmed[id(u)] for u in inputs]
+        self.empty = any(len(keys) == 0 for _, keys, _ in self.slots)
+        if self.empty:
+            return
+        least = [int(sizes[0]) for sizes, _, _ in self.slots]
+        # need[s]: the least budget that admits a tuple of slots s..p-1
+        self.need = [math.prod(least[s:]) for s in range(len(least) + 1)]
+        self.tallies = {(len(self.slots), 0): _UNIT}
+
+    def tally(self, s: int, b: int) -> _Tally:
+        key = (s, b)
+        if key not in self.tallies:
+            out = _EMPTY
+            if b >= self.need[s]:
+                sizes, keys, _ = self.slots[s]
+                hi = int(np.searchsorted(sizes, b // self.need[s + 1], side="right"))
+                last = s == len(self.slots) - 1
+                cs = np.zeros(hi, dtype=np.int64) if last else b // sizes[:hi]
+                starts = np.flatnonzero(np.diff(cs, prepend=-1))
+                budgets = cs[starts].tolist()
+                odd = np.add.reduceat(keys[:hi] & 1, starts).tolist()
+                lens = np.diff(starts, append=hi).tolist()
+                tops = np.maximum.reduceat(keys[:hi], starts).tolist()
+                even_n = odd_n = 0
+                deg = -1
+                for c, o, n, k in zip(budgets, odd, lens, tops):
+                    sub = self.tally(s + 1, c)
+                    even_n += (n - o) * sub.even + o * sub.odd
+                    odd_n += (n - o) * sub.odd + o * sub.even
+                    deg = max(deg, k + sub.deg)
+                out = _Tally(even_n, odd_n, deg, hi, starts, budgets)
+            self.tallies[key] = out
+        return self.tallies[key]
+
+    def project(self, ells: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+        """X_ell for each ell; every ell must have a term of its parity.
+
+        The integrand chi_ell * prod chi_j is a polynomial of degree
+        D = ell + sum(js) times exp(-(p+1) x^2 / 2).  Substituting y = c x
+        with c = sqrt((p+1)/2) turns that into exp(-y^2), which a rule of
+        ceil((D + 1) / 2) nodes integrates exactly.
+        """
+        deg = max(ell + self.tally(0, b).deg for ell, b in zip(ells.tolist(), budgets.tolist()))
+        n = deg // 2 + 1
+        if n > MAX_NODES:
+            raise ValueError(
+                f"the terms reach degree {deg} (ell + j_1 + ... + j_p); a {MAX_NODES}-node"
+                f" Gauss-Hermite rule integrates degree {2 * MAX_NODES - 1} at most"
+            )
+        rule = gauss_hermite_rule(n)
+        c = math.sqrt((len(self.slots) + 1) / 2.0)
+        half = n // 2  # nodes[half:] are the nonnegative nodes
+        weights = rule.scaled_weights[half:] * (2.0 / c)
+        if n % 2:
+            weights[0] /= 2.0  # the node at 0 has no mirror image
+        chi = hermite_batch(deg, rule.nodes[half:] / c)
+        self.rows = {}
+        for _, keys, vals in self.slots:
+            if id(keys) not in self.rows:
+                # no term of these ells holds a key past deg; keys ascend with
+                # size on the Hermite lattice, so the rest is a prefix
+                held = keys <= deg
+                rows = vals[held, None] * chi[keys[held]]
+                odd = (keys[held] & 1).astype(bool)[:, None]
+                self.rows[id(keys)] = np.where(odd, 0.0, rows), np.where(odd, rows, 0.0)
+        unit = np.ones(len(weights), dtype=complex), np.zeros(len(weights), dtype=complex)
+        self.parts = {(len(self.slots), 0): unit}
+        out = np.empty(len(ells), dtype=complex)
+        for b in np.unique(budgets).tolist():
+            at = np.flatnonzero(budgets == b)
+            even, odd = self._part(0, b)
+            own = np.where((ells[at] & 1).astype(bool)[:, None], odd, even)
+            out[at] = (chi[ells[at]] * own) @ weights
+        return out
+
+    def _part(self, s: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Even and odd parts of P(s, b) at the nonnegative nodes."""
+        key = (s, b)
+        if key not in self.parts:
+            t = self.tally(s, b)
+            even_rows, odd_rows = self.rows[id(self.slots[s][1])]
+            be = np.add.reduceat(even_rows[: t.hi], t.starts, axis=0)
+            bo = np.add.reduceat(odd_rows[: t.hi], t.starts, axis=0)
+            se, so = (np.array(x) for x in zip(*(self._part(s + 1, c) for c in t.budgets)))
+            self.parts[key] = (be * se + bo * so).sum(axis=0), (be * so + bo * se).sum(axis=0)
+        return self.parts[key]
+
+
+def _hermite_sum(
+    inputs: Sequence[SpectralVector], spec: SparseSetSpec, domain: Sequence[Index] | None
 ):
-    p, level, size, box = spec.p, spec.level, spec.size, spec.box
-    supports = [_support_by_size(u, size) for u in inputs]
-    out: dict[Index, complex] = {}
-    terms = 0
-    js: list[Index] = [()] * p
-
-    for ell in ells:
-        sz_ell = size.of(ell)
-        if box is not None and sz_ell > box:
-            continue
-        budget = level // sz_ell**spec.alpha
-        if budget < 1:
-            continue
-        acc = 0j
-
-        def walk(slot: int, budget: int, pprod: complex):
-            nonlocal acc, terms
-            sizes, keys, vals = supports[slot]
-            cap = budget if box is None else min(budget, box)
-            hi = bisect_right(sizes, cap)
-            if slot == p - 1:
-                for i in range(hi):
-                    js[slot] = keys[i]
-                    terms += 1
-                    c = provider.coefficient(ell, tuple(js))
-                    if c:
-                        acc += c * (pprod * vals[i])
-            else:
-                for i in range(hi):
-                    js[slot] = keys[i]
-                    walk(slot + 1, budget // sizes[i], pprod * vals[i])
-
-        walk(0, budget, 1.0 + 0j)
-        if acc != 0j:
-            out[ell] = acc
-    return out, terms
+    cap = spec.level if spec.box is None else min(spec.level, spec.box)
+    if domain is None:
+        ells = np.arange(cap + 1, dtype=np.int64)
+    else:
+        ells = np.array(sorted(set(domain)), dtype=np.int64).reshape(-1)
+    if spec.alpha == 1:
+        sizes = _sizes(ells[:, None], spec.size, cap)
+        ells, budgets = ells[sizes <= cap], spec.level // sizes[sizes <= cap]
+    else:
+        if spec.box is not None:
+            ells = ells[_sizes(ells[:, None], spec.size, spec.box) <= spec.box]
+        budgets = np.full(len(ells), spec.level, dtype=np.int64)
+    if not len(ells):
+        return {}, 0
+    kernel = _HermiteClasses(inputs, spec)
+    if kernel.empty:
+        return {}, 0
+    tallies = [kernel.tally(0, b) for b in budgets.tolist()]
+    terms = sum(t.even + t.odd for t in tallies)
+    # the terms of the other parity integrate to zero: an ell with no term
+    # of its own parity stays out, as does one with no term at all
+    own = [t.odd if ell & 1 else t.even for ell, t in zip(ells.tolist(), tallies)]
+    present = np.array([n > 0 for n in own], dtype=bool)
+    if not present.any():
+        return {}, terms
+    ells, budgets = ells[present], budgets[present]
+    vals = kernel.project(ells, budgets)
+    return dict(zip(((ell,) for ell in ells.tolist()), vals.tolist())), terms
 
 
 def direct_sparse_eval(request: EvalRequest) -> EvalResult:
@@ -366,7 +482,8 @@ def direct_sparse_eval(request: EvalRequest) -> EvalResult:
     closure of the admitted tuples; for Hermite, alpha = 1 defaults to
     {ell : size(ell) <= N} and alpha = 0 requires an explicit domain since
     nothing else bounds the output range.  An explicit domain must hold
-    indices of the provider's lattice.
+    indices of the provider's lattice.  A Hermite provider fixes only the
+    basis and the arity; its table is never read.
     """
     spec = request.spec
     domain = request.output_domain
@@ -375,13 +492,9 @@ def direct_sparse_eval(request: EvalRequest) -> EvalResult:
     if isinstance(request.provider, FourierSymbol):
         entries, terms = _fourier_sum(request.provider, request.inputs, spec, domain)
     else:
-        if domain is not None:
-            ells = domain
-        elif spec.alpha == 1:
-            ells = list(indices_up_to(spec.lattice, spec.size, min(spec.level, spec.box or spec.level)))
-        else:
+        if domain is None and spec.alpha == 0:
             raise ValueError("alpha = 0 with a Hermite provider needs an explicit output domain")
-        entries, terms = _gather(request.provider, request.inputs, spec, ells)
+        entries, terms = _hermite_sum(request.inputs, spec, domain)
     basis = request.provider.basis
     return EvalResult(SpectralVector(basis, entries), terms)
 
@@ -401,7 +514,7 @@ def iterative_eval(
     symbol is applied on the first fold only and the remaining folds use the
     plain product, which keeps the composition equal to the direct p-ary sum
     when the symbol is b = 1 and matches it bit for bit at p = 2.  A Hermite
-    provider must be an arity-2 cache, reused by every fold.
+    provider must be an arity-2 cache, passed to every fold.
     """
     if not inputs:
         raise ValueError("need at least one input")

@@ -17,6 +17,7 @@ from spspec.evaluators import (
     predicted_rate_iterative,
 )
 from spspec.indices import SizeFunction, SparseSetSpec, enumerate_sparse, integers, naturals
+from spspec.quadrature import gauss_hermite_rule, hermite_batch
 from spspec.spectral import Basis, SpectralVector, l1s_norm, power_law_vector
 
 FOURIER = Basis.fourier()
@@ -532,21 +533,28 @@ def _hermite_coefficient(key, memo={}):
 def _hermite_brute_sums(input_sets, spec: SparseSetSpec, ells):
     """(values, terms, term mass per ell) of the budgeted sum for each input tuple."""
     out = [({}, {}, [0]) for _ in input_sets]
+    stored = {}  # the tuples over stored entries per input tuple, by what they depend on
     for ell in ells:
-        tuples = list(enumerate_sparse(spec, ell))
-        for inputs, (values, mass, terms) in zip(input_sets, out):
+        size = spec.size.of(ell)
+        key = (spec.level // size**spec.alpha, spec.box is None or size <= spec.box)
+        if key not in stored:
+            tuples = list(enumerate_sparse(spec, ell))
+            stored[key] = [
+                [js for js in tuples if all(j in u for j, u in zip(js, inputs))]
+                for inputs in input_sets
+            ]
+        for inputs, kept, (values, mass, terms) in zip(input_sets, stored[key], out):
+            terms[0] += len(kept)
             parts, sizes = [], []
-            for js in tuples:
-                if not all(j in u for j, u in zip(js, inputs)):
-                    continue
-                terms[0] += 1
+            for js in kept:
                 if (ell[0] + sum(j[0] for j in js)) % 2:
                     continue
                 prod = math.prod(u[j] for j, u in zip(js, inputs))
                 parts.append(_hermite_coefficient((ell[0], *(j[0] for j in js))) * prod)
                 sizes.append(abs(prod))
             if parts:
-                values[ell] = complex(math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts))
+                values[ell] = complex(math.fsum(v.real for v in parts),
+                                      math.fsum(v.imag for v in parts))
                 mass[ell] = math.fsum(sizes)
     return [(values, terms[0], mass) for values, mass, terms in out]
 
@@ -571,7 +579,8 @@ def test_direct_hermite_matches_brute_force(p, alpha, size, box):
     domain = HERMITE_GUARD_DOMAIN if alpha == 0 else None
     ells = domain or [(ell,) for ell in range(HERMITE_GUARD_LEVEL + 1)]
     # each input in the first slot, power-law entries in the others
-    input_sets = [(u,) + (HERMITE_GUARD_INPUTS["power"],) * (p - 1) for u in HERMITE_GUARD_INPUTS.values()]
+    rest = (HERMITE_GUARD_INPUTS["power"],) * (p - 1)
+    input_sets = [(u,) + rest for u in HERMITE_GUARD_INPUTS.values()]
     for inputs, want in zip(input_sets, _hermite_brute_sums(input_sets, spec, ells)):
         got = direct_sparse_eval(EvalRequest(HermiteCache(p), inputs, spec, output_domain=domain))
         _assert_close_to_brute(got, want)
@@ -590,3 +599,39 @@ def test_iterative_hermite_matches_brute_force(alpha):
         terms += step_terms
         acc = SpectralVector(HERMITE, values)
     _assert_close_to_brute(got, (values, terms, mass))
+
+
+def _budgeted_projection(u: SpectralVector, p: int, level: int, ell: int) -> float:
+    """The transform route on the budgeted sum at alpha = 1: the admitted
+    tuples' products prod chi_j evaluated at the nodes of a rule large
+    enough for them, summed, and projected onto chi_ell."""
+    spec = SparseSetSpec(p, level, 1, SizeFunction.MAX, naturals(1))
+    tuples = [js for js in enumerate_sparse(spec, (ell,)) if all(j in u for j in js)]
+    top = max(max(j[0] for j in js) for js in tuples)
+    n = (ell + p * top) // 2 + 8
+    rule = gauss_hermite_rule(n)
+    c = math.sqrt((p + 1) / 2.0)
+    chi = hermite_batch(max(ell, top), rule.nodes / c)
+    values = sum(math.prod(u[j].real * chi[j[0]] for j in js) for js in tuples)
+    return float(chi[ell] * values @ rule.scaled_weights) / c
+
+
+def test_direct_hermite_reaches_past_the_per_coefficient_limit():
+    # each coefficient of degree 509 alone needs a rule over the node cap
+    u = power_law_vector(10.0, 64, HERMITE)
+    spec = SparseSetSpec(3, 600, 1, SizeFunction.MAX, naturals(1))
+    got = direct_sparse_eval(EvalRequest(HermiteCache(3), (u,) * 3, spec))
+    assert set(got.vector) == {(ell,) for ell in range(601)}
+    for ell in (0, 7, 150, 509, 600):
+        want = _budgeted_projection(u, 3, 600, ell)
+        assert abs(got.vector[(ell,)].real - want) <= 1e-13 * max(1.0, abs(want)), ell
+
+
+def test_direct_hermite_names_the_degree_limit():
+    # at alpha = 1 the largest degree is ell + 3 with ell = N, over {0, 1}
+    u = SpectralVector(HERMITE, {(0,): 1.0, (1,): 0.5})
+    at_limit = SparseSetSpec(3, 2044, 1, SizeFunction.MAX, naturals(1))
+    assert direct_sparse_eval(EvalRequest(HermiteCache(3), (u,) * 3, at_limit)).vector
+    past = SparseSetSpec(3, 2045, 1, SizeFunction.MAX, naturals(1))
+    with pytest.raises(ValueError, match=r"degree 2048 .* integrates degree 2047 at most"):
+        direct_sparse_eval(EvalRequest(HermiteCache(3), (u,) * 3, past))
