@@ -403,17 +403,24 @@ GUARD_SYMBOLS = {
 }
 
 
-def _guard_inputs(d: int, p: int, seed: int) -> tuple[SpectralVector, ...]:
-    """Random complex entries on the origin plus a random handful of cells."""
+def _guard_inputs(d: int, p: int, seed: int, wide: bool = False) -> tuple[SpectralVector, ...]:
+    """Random complex entries on the origin plus a random handful of cells.
+
+    With wide=True the origin is left out and every cell has a coordinate of
+    magnitude 2 or more, so no entry has size 1 under either norm and the
+    least admissible budget of a slot suffix exceeds 1.
+    """
     rng = random.Random(seed)
     reach = 3 if d == 1 else 2
-    cells = [j for j in itertools.product(range(-reach, reach + 1), repeat=d) if any(j)]
+    least = 2 if wide else 1
+    cells = [j for j in itertools.product(range(-reach, reach + 1), repeat=d)
+             if max(map(abs, j)) >= least]
     return tuple(
         SpectralVector(
             Basis.fourier(d),
             {
                 j: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                for j in [(0,) * d] + rng.sample(cells, 4 if d == 1 else 8)
+                for j in [(0,) * d] * (not wide) + rng.sample(cells, 4 if d == 1 else 8)
             },
         )
         for _ in range(p)
@@ -422,11 +429,17 @@ def _guard_inputs(d: int, p: int, seed: int) -> tuple[SpectralVector, ...]:
 
 def _brute_sum(symbol: FourierSymbol, inputs, spec: SparseSetSpec, ells):
     values, terms = {}, 0
+    stored = {}  # the tuples over stored entries, by what enumerate_sparse reads of ell
     for ell in ells:
+        size = spec.size.of(ell)
+        key = (spec.level // size**spec.alpha, spec.box is None or size <= spec.box)
+        if key not in stored:
+            stored[key] = [js for js in enumerate_sparse(spec, ell)
+                           if all(j in u for j, u in zip(js, inputs))]
         acc, hits = 0j, 0
-        for js in enumerate_sparse(spec, ell):
+        for js in stored[key]:
             m = tuple(e - sum(c) for e, c in zip(ell, zip(*js)))
-            if m in symbol.table and all(j in u for j, u in zip(js, inputs)):
+            if m in symbol.table:
                 acc += symbol.table[m] * math.prod(u[j] for j, u in zip(js, inputs))
                 hits += 1
         if hits:
@@ -455,18 +468,22 @@ def _candidate_ells(symbol: FourierSymbol, inputs, d: int):
 ])
 def test_direct_fourier_matches_brute_force(d, size, alpha, box, sym):
     p, level = (3, 8) if d == 1 else (2, 6)
-    inputs = _guard_inputs(d, p, seed=17 * d + 3 * alpha + (box or 0))
+    seed = 17 * d + 3 * alpha + (box or 0)
     symbol = FourierSymbol(GUARD_SYMBOLS[sym](d), d)
-    spec = SparseSetSpec(p, level, alpha, size, integers(d), box=box)
-    ells = _candidate_ells(symbol, inputs, d)
-    domain = tuple(ells[::3]) + ((40,) * d,)
-    scale = math.prod(l1s_norm(u, 0.0) for u in inputs) * sum(abs(v) for v in symbol.table.values())
-    for dom in (None, domain):
-        want, want_terms = _brute_sum(symbol, inputs, spec, ells if dom is None else dom)
-        got = direct_sparse_eval(EvalRequest(symbol, inputs, spec, output_domain=dom))
-        assert got.terms == want_terms
-        assert set(got.vector) == set(want)
-        assert all(abs(got.vector[ell] - v) <= 1e-14 * scale for ell, v in want.items())
+    # the wide inputs need a larger budget before the product norm admits a tuple
+    for inputs, n in ((_guard_inputs(d, p, seed), level),
+                      (_guard_inputs(d, p, seed, wide=True), 4 * level)):
+        spec = SparseSetSpec(p, n, alpha, size, integers(d), box=box)
+        ells = _candidate_ells(symbol, inputs, d)
+        domain = tuple(ells[::3]) + ((40,) * d,)
+        scale = (math.prod(l1s_norm(u, 0.0) for u in inputs)
+                 * sum(abs(v) for v in symbol.table.values()))
+        for dom in (None, domain):
+            want, want_terms = _brute_sum(symbol, inputs, spec, ells if dom is None else dom)
+            got = direct_sparse_eval(EvalRequest(symbol, inputs, spec, output_domain=dom))
+            assert got.terms == want_terms
+            assert set(got.vector) == set(want)
+            assert all(abs(got.vector[ell] - v) <= 1e-14 * scale for ell, v in want.items())
 
 
 @pytest.mark.parametrize("size", list(SizeFunction))
@@ -519,6 +536,8 @@ HERMITE_GUARD_INPUTS = {
     "even": SpectralVector(HERMITE, {(j,): (-0.5) ** (j // 2) for j in range(0, 13, 2)}),
     "odd": SpectralVector(HERMITE, {(j,): 1.5 / j for j in range(1, 12, 2)}),
     "sparse": SpectralVector(HERMITE, {(0,): 1.0, (1,): -0.6, (40,): 0.3}),
+    # no entry of size 1 under either norm
+    "wide": SpectralVector(HERMITE, {(2,): 1.0, (3,): -0.6, (7,): 0.3}),
 }
 HERMITE_GUARD_LEVEL = 42  # the sparse input's 40 enters under either norm
 HERMITE_GUARD_DOMAIN = tuple((ell,) for ell in (0, 1, 2, 3, 5, 8, 13, 21, 40, 44))
@@ -578,9 +597,11 @@ def test_direct_hermite_matches_brute_force(p, alpha, size, box):
     spec = SparseSetSpec(p, HERMITE_GUARD_LEVEL, alpha, size, naturals(1), box=box)
     domain = HERMITE_GUARD_DOMAIN if alpha == 0 else None
     ells = domain or [(ell,) for ell in range(HERMITE_GUARD_LEVEL + 1)]
-    # each input in the first slot, power-law entries in the others
+    # each input in the first slot, power-law entries in the others; and the
+    # wide input in every slot, so that every slot suffix needs a budget above 1
     rest = (HERMITE_GUARD_INPUTS["power"],) * (p - 1)
     input_sets = [(u,) + rest for u in HERMITE_GUARD_INPUTS.values()]
+    input_sets.append((HERMITE_GUARD_INPUTS["wide"],) * p)
     for inputs, want in zip(input_sets, _hermite_brute_sums(input_sets, spec, ells)):
         got = direct_sparse_eval(EvalRequest(HermiteCache(p), inputs, spec, output_domain=domain))
         _assert_close_to_brute(got, want)
