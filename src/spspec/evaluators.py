@@ -4,26 +4,26 @@ The target quantity per output index ell is
 
     X_ell = sum over admitted (j_1, ..., j_p) of a_{ell;js} * u^1_{j_1} * ... * u^p_{j_p}
 
-with the tuples admitted by a SparseSetSpec budget.  Two strategies are used:
+with the tuples admitted by a SparseSetSpec budget.  Both bases run one
+budget-class recursion (_Slots): the budget a slot leaves to the next only
+takes the values N // m, O(sqrt(N)) of them, so the entries of a slot that
+leave the same budget form one block, combined as a whole with the memoized
+sum of the later slots at that budget.  Each basis supplies what a block
+combine computes:
 
 * A Fourier coefficient is a symbol entry b_{ell - sum(js)}, so X is b
-  convolved with a budgeted sum over the inputs.  The budget one slot
-  leaves to the next only takes the values N // m, O(sqrt(N)) of them, so
-  the sum regroups by budget class: the entries j of a slot that leave the
-  same budget c = b // size(j) form one block, convolved in one numpy call
-  with the memoized sum of the later slots at budget c, over arrays trimmed
-  to their own span.  At alpha = 1, size(ell) * prod size(j) <= N exactly
-  when prod size(j) <= N // size(ell), so X_ell is the alpha = 0 sum at
-  budget N // size(ell), read at ell, and no tuple is formed only to be
-  gated out.  Term counts ride through the same convolutions as 0/1
-  indicator arrays.  Cost and memory follow the span of the input supports
-  (largest minus smallest coordinate), not the number of entries.
+  convolved with the budgeted sum, and a block is one numpy convolution over
+  lines trimmed to their own span.  At alpha = 1, size(ell) * prod size(j)
+  <= N exactly when prod size(j) <= N // size(ell), so X_ell is the alpha =
+  0 sum at budget N // size(ell), read at ell.  Term counts ride through
+  the same convolutions as 0/1 indicator arrays.  Cost and memory follow the
+  span of the input supports, not the number of entries.
 * A Hermite coefficient is the integral of chi_ell chi_j1 ... chi_jp, so X
   is the projection onto chi_ell of a budgeted sum of products of
-  functions.  The same budget-class recursion builds those sums pointwise,
-  at the nodes of one Gauss-Hermite rule that integrates every term
-  exactly, with a block's functions summed once and multiplied once by the
-  later slots' sum.  No coefficient is looked up.
+  functions, and a block is a sum of rows multiplied once by the later
+  slots' sum, at the nodes of one Gauss-Hermite rule that integrates every
+  term exactly.  The same blocks tally the terms on integers first.  No
+  coefficient is looked up.
 
 Both are deterministic: every sum is accumulated in a fixed order.
 """
@@ -110,82 +110,124 @@ def _sizes(coords: np.ndarray, size: SizeFunction, cap: int) -> np.ndarray:
     return out.astype(np.int64)
 
 
+class _Slots:
+    """The budget-class recursion over p inputs, apart from what is summed.
+
+    A tuple (j_1, ..., j_p) is admitted at budget b when the product of the
+    sizes is <= b (box-capped).  Slot s at budget b leaves b // size(j) to
+    slot s + 1, and (b // x) // y is b // (x y), so only the budgets N // m
+    are reached, about 2 sqrt(N) per slot.  Each input is trimmed to its
+    entries of admissible size and sorted by size once.  need[s] is the least
+    budget that admits a tuple of slots s..p-1; a slot-s entry that leaves
+    less than need[s + 1] heads no tuple and is cut.  The remaining entries
+    that leave the same budget c form one block, combined as a whole with
+    the next slot's fold at budget c.  The kernels supply the combine.
+    """
+
+    def __init__(self, inputs: Sequence[SpectralVector], spec: SparseSetSpec):
+        self.cap = spec.level if spec.box is None else min(spec.level, spec.box)
+        trimmed = {}  # per distinct input: sizes, coordinates, values, sorted by size then key
+        for u in inputs:
+            if id(u) not in trimmed:
+                coords, vals = u.as_arrays()
+                sizes = _sizes(coords, spec.size, self.cap)
+                order = np.flatnonzero(sizes <= self.cap)
+                order = order[np.argsort(sizes[order], kind="stable")]
+                trimmed[id(u)] = sizes[order], coords[order], vals[order]
+        self.slots = [trimmed[id(u)] for u in inputs]
+        self.empty = any(len(sizes) == 0 for sizes, _, _ in self.slots)
+        if not self.empty:
+            least = [int(sizes[0]) for sizes, _, _ in self.slots]
+            self.need = [math.prod(least[s:]) for s in range(len(least) + 1)]
+        self.plans: dict[tuple[int, int], tuple[int, np.ndarray, list[int]]] = {}
+
+    def plan(self, s: int, b: int) -> tuple[int, np.ndarray, list[int]]:
+        """(hi, starts, budgets) of slot s at budget b >= need[s].
+
+        The entries [:hi] of the size order are admitted; the block starting
+        at starts[k] leaves budgets[k] to the next slot (0 past the last
+        slot, where the one block leaves nothing to spend).
+        """
+        key = (s, b)
+        if key not in self.plans:
+            sizes = self.slots[s][0]
+            hi = int(np.searchsorted(sizes, b // self.need[s + 1], side="right"))
+            last = s == len(self.slots) - 1
+            cs = np.zeros(hi, dtype=np.int64) if last else b // sizes[:hi]
+            starts = np.flatnonzero(np.diff(cs, prepend=-1))
+            self.plans[key] = hi, starts, cs[starts].tolist()
+        return self.plans[key]
+
+    def fold(self, memo: dict, combine, s: int, b: int):
+        """memo[s, b] = combine(s, hi, starts, subs), for b >= need[s].
+
+        (hi, starts, budgets) is plan(s, b) and subs[k] the fold of the next
+        slot at budgets[k]; memo holds the empty product at (p, 0).
+        """
+        key = (s, b)
+        if key not in memo:
+            hi, starts, budgets = self.plan(s, b)
+            subs = [self.fold(memo, combine, s + 1, c) for c in budgets]
+            memo[key] = combine(s, hi, starts, subs)
+        return memo[key]
+
+
 # A hole between two entries of a block is filled with zeros when that costs
 # fewer multiply-adds than one more np.convolve call (about a microsecond).
 _HOLE_MACS = 1024
 
 
-class _BudgetClasses:
+class _BudgetClasses(_Slots):
     """Budgeted sums over tuples of Fourier inputs, as dense convolutions.
 
     Multi-indices are flattened to one integer each, key(j) = sum_c j_c *
     stride_c, with strides wider than the output extent in every coordinate:
     the key of a sum is the sum of the keys and no two outputs share a key.
-    partial(s, b) is the sum over the tuples of slots s..p-1 with size
-    product <= b (box-capped) of prod u, placed at the key of sum(js), with
-    the number of such tuples beside it.  The budgets reached are N // m,
-    about 2 sqrt(N) values per slot, and the slot-s entries that share the
-    remaining budget c = b // size(j) form a block convolved with
-    partial(s + 1, c) as a whole.
+    partial(s, b) is the sum over the tuples of slots s..p-1 within budget b
+    of prod u, placed at the key of sum(js), with the number of such tuples
+    beside it.  A block of slot-s entries is convolved with partial(s + 1, c)
+    as a whole.
     """
 
     def __init__(
         self, inputs: Sequence[SpectralVector], symbol: FourierSymbol, spec: SparseSetSpec
     ):
+        super().__init__(inputs, spec)
         self.level = spec.level
-        cap = spec.level if spec.box is None else min(spec.level, spec.box)
-        trimmed = {}  # per distinct input: coordinates, sizes, values, sorted by size then key
-        for u in inputs:
-            if id(u) not in trimmed:
-                coords, vals = u.as_arrays()
-                sizes = _sizes(coords, spec.size, cap)
-                order = np.flatnonzero(sizes <= cap)
-                order = order[np.argsort(sizes[order], kind="stable")]
-                trimmed[id(u)] = coords[order], sizes[order], vals[order]
-        self.empty = not symbol.table or any(len(c) == 0 for c, _, _ in trimmed.values())
+        self.empty = self.empty or not symbol.table
         if self.empty:
             return
         bcoords = np.array(list(symbol.table), dtype=np.int64)
         bvals = np.array(list(symbol.table.values()))
-        picked = [trimmed[id(u)][0] for u in inputs]
+        picked = [coords for _, coords, _ in self.slots]
         self.lo = sum(c.min(axis=0) for c in picked) + bcoords.min(axis=0)
         self.hi = sum(c.max(axis=0) for c in picked) + bcoords.max(axis=0)
         width = self.hi - self.lo + 1
         self.strides = np.append(np.cumprod(width[:0:-1])[::-1], 1).astype(np.int64)
-        self.slots = [(sz, c @ self.strides, v) for c, sz, v in (trimmed[id(u)] for u in inputs)]
+        self.keys = [c @ self.strides for c in picked]
         self.symbol = _line(bcoords @ self.strides, bvals)
-        self.memo: dict[tuple[int, int], _Line | None] = {}
+        self.lines = {(len(self.slots), 0): _Line(0, np.ones(1, dtype=complex), np.ones(1))}
 
     def partial(self, s: int, b: int) -> _Line | None:
-        key = (s, b)
-        if key not in self.memo:
-            sizes, keys, vals = self.slots[s]
-            hi = int(np.searchsorted(sizes, b, side="right"))
-            out = None
-            if hi and s == len(self.slots) - 1:
-                out = _line(keys[:hi], vals[:hi])
-            elif hi:
-                out = self._blocks(keys[:hi], vals[:hi], b // sizes[:hi], s + 1)
-            self.memo[key] = out
-        return self.memo[key]
+        """None when no tuple of slots s..p-1 fits in budget b."""
+        return self.fold(self.lines, self._blocks, s, b) if b >= self.need[s] else None
 
-    def _blocks(
-        self, keys: np.ndarray, vals: np.ndarray, budgets: np.ndarray, s: int
-    ) -> _Line | None:
-        """Sum over entries j of u_j * partial(s, budgets_j) shifted by key(j).
+    def _blocks(self, s: int, hi: int, starts: np.ndarray, subs: list[_Line]) -> _Line:
+        """Sum over the admitted slot-s entries j of u_j * subs[block of j] shifted by key(j).
 
-        Entries sharing a budget form one block; a block is cut into runs of
-        nearby keys, each run one np.convolve and a lone key a scaled copy.
+        A block is cut into runs of nearby keys, each run one np.convolve and
+        a lone key a scaled copy.  The last slot's one block meets the unit
+        line, so its entries are placed as they are.
         """
-        first_of_block = np.diff(budgets, prepend=0) != 0
+        keys, vals = self.keys[s][:hi], self.slots[s][2][:hi]
+        if s == len(self.slots) - 1:
+            return _line(keys, vals)
+        first_of_block = np.zeros(hi, dtype=bool)
+        first_of_block[starts] = True
         group = np.cumsum(first_of_block) - 1
-        subs = [self.partial(s, c) for c in budgets[first_of_block].tolist()]
-        sub_lo = np.array([0 if x is None else x.lo for x in subs], dtype=np.int64)
-        sub_len = np.array([0 if x is None else len(x.vals) for x in subs], dtype=np.int64)
+        sub_lo = np.array([x.lo for x in subs], dtype=np.int64)
+        sub_len = np.array([len(x.vals) for x in subs], dtype=np.int64)
         order = np.lexsort((keys, group))
-        order = order[sub_len[group[order]] > 0]
-        if not len(order):
-            return None
         keys, vals, group = keys[order], vals[order], group[order]
         width = sub_len[group]
         cut = np.ones(len(keys), dtype=bool)
@@ -242,13 +284,14 @@ class _BudgetClasses:
         one gather per class reads those from the rows stored back to back.
         Returns (values, term counts) at coords.
         """
-        sizes0, keys0, vals0 = self.slots[0]
+        sizes0, _, vals0 = self.slots[0]
+        keys0 = self.keys[0]
         targets = coords @ self.strides
         budgets = self.level // sizes
         classes = np.unique(budgets)
         his = np.searchsorted(sizes0, classes, side="right")
-        need = np.unique(np.concatenate([c // sizes0[:h] for c, h in zip(classes, his)]))
-        rows = [self._row(c) for c in need.tolist()]
+        wanted = np.unique(np.concatenate([c // sizes0[:h] for c, h in zip(classes, his)]))
+        rows = [self._row(c) for c in wanted.tolist()]
         lens = np.array([0 if r is None else len(r.vals) for r in rows], dtype=np.int64)
         los = np.array([0 if r is None else r.lo for r in rows], dtype=np.int64)
         starts = np.cumsum(lens) - lens
@@ -259,7 +302,7 @@ class _BudgetClasses:
         cnts = np.zeros(len(coords))
         for c, h in zip(classes.tolist(), his.tolist()):
             sel = np.flatnonzero(budgets == c)
-            r = np.searchsorted(need, c // sizes0[:h])
+            r = np.searchsorted(wanted, c // sizes0[:h])
             pos = targets[sel, None] - keys0[:h] - los[r]
             ok = (pos >= 0) & (pos < lens[r])
             idx = np.where(ok, starts[r] + pos, 0)
@@ -278,7 +321,7 @@ def _fourier_sum(
     if kernel.empty:
         return {}, 0
     dim = spec.lattice.dim
-    cap = spec.level if spec.box is None else min(spec.level, spec.box)
+    cap = kernel.cap
     coords = None
     if domain is not None:
         # outside the reachable box a flat key could alias one inside it
@@ -305,88 +348,51 @@ def _fourier_sum(
 
 
 class _Tally(NamedTuple):
-    """The tuples of slots s..p-1 within one budget, and their blocks.
-
-    even and odd count the tuples by the parity of their degree sum and deg
-    is the largest degree sum.  The slot-s entries [:hi] of the size order
-    are admitted; the block starting at starts[k] leaves budget budgets[k]
-    to the next slot (0 past the last slot, where nothing is left to spend).
-    """
+    """The tuples within one budget: counted by the parity of their degree
+    sum, and the largest degree sum."""
 
     even: int
     odd: int
     deg: int
-    hi: int
-    starts: np.ndarray | None
-    budgets: list[int]
 
 
-_UNIT = _Tally(1, 0, 0, 0, None, [])  # the empty product past the last slot
-_EMPTY = _Tally(0, 0, -1, 0, None, [])  # a budget below every tuple
-
-
-class _HermiteClasses:
+class _HermiteClasses(_Slots):
     """Budgeted sums over tuples of Hermite inputs, pointwise at quadrature nodes.
 
-    P(s, b)(x) is the sum over the tuples of slots s..p-1 with size product
-    <= b (box-capped) of prod u_j chi_j(x).  By orthonormality X_ell is the
-    integral of chi_ell * P(0, budget(ell)), and one Gauss-Hermite rule
-    makes every such integral exact (see project).  As in _BudgetClasses
-    the budgets reached are N // m, and the slot-s entries j that leave the
-    same budget c = b // size(j) form a block: the block's rows u_j chi_j
-    are summed once and multiplied once by P(s + 1, c).
+    P(s, b)(x) is the sum over the tuples of slots s..p-1 within budget b of
+    prod u_j chi_j(x).  By orthonormality X_ell is the integral of chi_ell *
+    P(0, budget(ell)), and one Gauss-Hermite rule makes every such integral
+    exact (see project).  A block's rows u_j chi_j are summed once and
+    multiplied once by P(s + 1, c).
 
     chi_j(-x) = (-1)**j chi_j(x), so P is kept as an even part (tuples of
     even degree sum) and an odd part, each at the rule's nonnegative nodes
     only; chi_ell meets the part of its own parity, and the other part
-    integrates to zero exactly.  tally runs the same recursion on integers
+    integrates to zero exactly.  tally folds the same blocks on integers
     first: it counts the tuples of either parity and finds the largest
     degree, which sizes the rule before any row is evaluated.
     """
 
     def __init__(self, inputs: Sequence[SpectralVector], spec: SparseSetSpec):
-        cap = spec.level if spec.box is None else min(spec.level, spec.box)
-        trimmed = {}  # per distinct input: sizes, keys, values, sorted by size then key
-        for u in inputs:
-            if id(u) not in trimmed:
-                coords, vals = u.as_arrays()
-                sizes = _sizes(coords, spec.size, cap)
-                order = np.flatnonzero(sizes <= cap)
-                order = order[np.argsort(sizes[order], kind="stable")]
-                trimmed[id(u)] = sizes[order], coords[order, 0], vals[order]
-        self.slots = [trimmed[id(u)] for u in inputs]
-        self.empty = any(len(keys) == 0 for _, keys, _ in self.slots)
-        if self.empty:
-            return
-        least = [int(sizes[0]) for sizes, _, _ in self.slots]
-        # need[s]: the least budget that admits a tuple of slots s..p-1
-        self.need = [math.prod(least[s:]) for s in range(len(least) + 1)]
-        self.tallies = {(len(self.slots), 0): _UNIT}
+        super().__init__(inputs, spec)
+        self.tallies = {(len(self.slots), 0): _Tally(1, 0, 0)}
 
-    def tally(self, s: int, b: int) -> _Tally:
-        key = (s, b)
-        if key not in self.tallies:
-            out = _EMPTY
-            if b >= self.need[s]:
-                sizes, keys, _ = self.slots[s]
-                hi = int(np.searchsorted(sizes, b // self.need[s + 1], side="right"))
-                last = s == len(self.slots) - 1
-                cs = np.zeros(hi, dtype=np.int64) if last else b // sizes[:hi]
-                starts = np.flatnonzero(np.diff(cs, prepend=-1))
-                budgets = cs[starts].tolist()
-                odd = np.add.reduceat(keys[:hi] & 1, starts).tolist()
-                lens = np.diff(starts, append=hi).tolist()
-                tops = np.maximum.reduceat(keys[:hi], starts).tolist()
-                even_n = odd_n = 0
-                deg = -1
-                for c, o, n, k in zip(budgets, odd, lens, tops):
-                    sub = self.tally(s + 1, c)
-                    even_n += (n - o) * sub.even + o * sub.odd
-                    odd_n += (n - o) * sub.odd + o * sub.even
-                    deg = max(deg, k + sub.deg)
-                out = _Tally(even_n, odd_n, deg, hi, starts, budgets)
-            self.tallies[key] = out
-        return self.tallies[key]
+    def tally(self, b: int) -> _Tally:
+        """The tuples of all slots within budget b >= need[0]."""
+        return self.fold(self.tallies, self._count, 0, b)
+
+    def _count(self, s: int, hi: int, starts: np.ndarray, subs: list[_Tally]) -> _Tally:
+        keys = self.slots[s][1][:hi, 0]
+        odd = np.add.reduceat(keys & 1, starts).tolist()
+        lens = np.diff(starts, append=hi).tolist()
+        tops = np.maximum.reduceat(keys, starts).tolist()
+        even_n = odd_n = 0
+        deg = -1
+        for o, n, k, sub in zip(odd, lens, tops, subs):
+            even_n += (n - o) * sub.even + o * sub.odd
+            odd_n += (n - o) * sub.odd + o * sub.even
+            deg = max(deg, k + sub.deg)
+        return _Tally(even_n, odd_n, deg)
 
     def project(self, ells: np.ndarray, budgets: np.ndarray) -> np.ndarray:
         """X_ell for each ell; every ell must have a term of its parity.
@@ -396,7 +402,7 @@ class _HermiteClasses:
         with c = sqrt((p+1)/2) turns that into exp(-y^2), which a rule of
         ceil((D + 1) / 2) nodes integrates exactly.
         """
-        deg = max(ell + self.tally(0, b).deg for ell, b in zip(ells.tolist(), budgets.tolist()))
+        deg = max(ell + self.tally(b).deg for ell, b in zip(ells.tolist(), budgets.tolist()))
         n = deg // 2 + 1
         if n > MAX_NODES:
             raise ValueError(
@@ -411,35 +417,32 @@ class _HermiteClasses:
             weights[0] /= 2.0  # the node at 0 has no mirror image
         chi = hermite_batch(deg, rule.nodes[half:] / c)
         self.rows = {}
-        for _, keys, vals in self.slots:
-            if id(keys) not in self.rows:
+        for _, coords, vals in self.slots:
+            if id(coords) not in self.rows:
                 # no term of these ells holds a key past deg; keys ascend with
                 # size on the Hermite lattice, so the rest is a prefix
+                keys = coords[:, 0]
                 held = keys <= deg
                 rows = vals[held, None] * chi[keys[held]]
                 odd = (keys[held] & 1).astype(bool)[:, None]
-                self.rows[id(keys)] = np.where(odd, 0.0, rows), np.where(odd, rows, 0.0)
+                self.rows[id(coords)] = np.where(odd, 0.0, rows), np.where(odd, rows, 0.0)
         unit = np.ones(len(weights), dtype=complex), np.zeros(len(weights), dtype=complex)
-        self.parts = {(len(self.slots), 0): unit}
+        parts = {(len(self.slots), 0): unit}
         out = np.empty(len(ells), dtype=complex)
         for b in np.unique(budgets).tolist():
             at = np.flatnonzero(budgets == b)
-            even, odd = self._part(0, b)
+            even, odd = self.fold(parts, self._product, 0, b)
             own = np.where((ells[at] & 1).astype(bool)[:, None], odd, even)
             out[at] = (chi[ells[at]] * own) @ weights
         return out
 
-    def _part(self, s: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    def _product(self, s: int, hi: int, starts: np.ndarray, subs: list) -> tuple:
         """Even and odd parts of P(s, b) at the nonnegative nodes."""
-        key = (s, b)
-        if key not in self.parts:
-            t = self.tally(s, b)
-            even_rows, odd_rows = self.rows[id(self.slots[s][1])]
-            be = np.add.reduceat(even_rows[: t.hi], t.starts, axis=0)
-            bo = np.add.reduceat(odd_rows[: t.hi], t.starts, axis=0)
-            se, so = (np.array(x) for x in zip(*(self._part(s + 1, c) for c in t.budgets)))
-            self.parts[key] = (be * se + bo * so).sum(axis=0), (be * so + bo * se).sum(axis=0)
-        return self.parts[key]
+        even_rows, odd_rows = self.rows[id(self.slots[s][1])]
+        be = np.add.reduceat(even_rows[:hi], starts, axis=0)
+        bo = np.add.reduceat(odd_rows[:hi], starts, axis=0)
+        se, so = (np.array(x) for x in zip(*subs))
+        return (be * se + bo * so).sum(axis=0), (be * so + bo * se).sum(axis=0)
 
 
 def _hermite_sum(
@@ -462,7 +465,10 @@ def _hermite_sum(
     kernel = _HermiteClasses(inputs, spec)
     if kernel.empty:
         return {}, 0
-    tallies = [kernel.tally(0, b) for b in budgets.tolist()]
+    # an ell whose budget admits no tuple has no term
+    fits = budgets >= kernel.need[0]
+    ells, budgets = ells[fits], budgets[fits]
+    tallies = [kernel.tally(b) for b in budgets.tolist()]
     terms = sum(t.even + t.odd for t in tallies)
     # the terms of the other parity integrate to zero: an ell with no term
     # of its own parity stays out, as does one with no term at all
