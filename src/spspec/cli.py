@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import FourierSymbol, HermiteCache, build_cache, load_cache, save_cache
+from .coeffs import FourierSymbol, HermiteCache, build_cache, save_cache
 from .evaluators import (
     EvalRequest,
     EvalResult,
@@ -84,15 +84,14 @@ def _basis(name: str) -> Basis:
     raise CliError(f"unknown basis {name!r}")
 
 
-def _setup(u, p, alpha, method, norm, cache_path, jmax, ell_cap):
+def _setup(u, p, alpha, method, norm, jmax, ell_cap):
     """run(n) -> EvalResult: the p-fold product of u with itself at budget n.
 
     The basis comes from u.  Fourier runs use the unit symbol.  Hermite
-    runs give direct and iterative a cache of the arity they need (2 for
-    iterative, p for direct; a --cache file is loaded only to check that
-    arity), gate alpha = 0 outputs to 0..ell_cap (default jmax), and send
-    transform to the pointwise route with min(n - 1, jmax) projected
-    coefficients.
+    runs give direct and iterative an empty cache of the arity they need
+    (2 for iterative, p for direct), gate alpha = 0 outputs to 0..ell_cap
+    (default jmax), and send transform to the pointwise route with
+    min(n - 1, jmax) projected coefficients.
     """
     if ell_cap is not None and ell_cap < 0:
         raise CliError(f"--ell-cap must be >= 0, got {ell_cap}")
@@ -103,10 +102,7 @@ def _setup(u, p, alpha, method, norm, cache_path, jmax, ell_cap):
         provider = FourierSymbol.unit(1)
         domain = None
     elif method != "transform":
-        arity = 2 if method == "iterative" else p
-        provider = load_cache(cache_path) if cache_path is not None else HermiteCache(arity)
-        if provider.arity != arity:
-            raise CliError(f"cache {cache_path} has arity {provider.arity}, this run needs {arity}")
+        provider = HermiteCache(2 if method == "iterative" else p)
         ell_cap = ell_cap if ell_cap is not None else jmax
         domain = tuple((l,) for l in range(ell_cap + 1)) if alpha == 0 else None
 
@@ -138,7 +134,6 @@ def cmd_converge(
     ref_nodes: int = 500,
     ref_jmax: int | None = None,
     ell_cap: int | None = None,
-    cache_path=None,
     fit_window: tuple[int, int] | None = None,
 ):
     """Error against a dominating dense reference, one record per N.
@@ -173,7 +168,7 @@ def cmd_converge(
             reference = dense_oracle_hermite([u] * p, ref_nodes, jmax, strict=True)
         except ValueError as exc:
             raise CliError(f"reference weaker than test: {exc}") from None
-    run = _setup(u, p, alpha, method, norm, cache_path, jmax, ell_cap)
+    run = _setup(u, p, alpha, method, norm, jmax, ell_cap)
 
     records = []
     for n in n_list:
@@ -236,7 +231,6 @@ def cmd_bench(
     repeats: int = 3,
     *,
     norm: SizeFunction = SizeFunction.MAX,
-    cache_path=None,
     ell_cap: int | None = None,
 ):
     """Median-of-repeats timings; error column is nan (no reference here).
@@ -248,7 +242,7 @@ def cmd_bench(
         raise CliError(f"need at least 3 repeats for a stable median, got {repeats}")
     n_max = max(n_list)
     u = power_law_vector(sigma, n_max, _basis(basis))
-    run = _setup(u, p, alpha, method, norm, cache_path, p * n_max, ell_cap)
+    run = _setup(u, p, alpha, method, norm, p * n_max, ell_cap)
     records = []
     for n in n_list:
         times = []
@@ -283,13 +277,12 @@ def cmd_eval(
     method: str,
     *,
     norm: SizeFunction = SizeFunction.MAX,
-    cache_path=None,
     ell_cap: int | None = None,
 ):
     """Evaluate the p-fold product of one serialized vector with itself."""
     u = read_vector(in_path, _basis(basis))
     jmax = ell_cap if ell_cap is not None else p * n
-    run = _setup(u, p, alpha, method, norm, cache_path, jmax, ell_cap)
+    run = _setup(u, p, alpha, method, norm, jmax, ell_cap)
     if basis == "hermite" and alpha == 0 and method != "transform" and ell_cap is None:
         raise CliError("alpha = 0 on the Hermite basis needs --ell-cap")
     res = run(n)
@@ -319,7 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--N", required=True, **n_args)
         sp.add_argument("--norm", choices=("max", "prod"), default="max")
         sp.add_argument("--method", choices=("direct", "iterative", "transform"), default="direct")
-        sp.add_argument("--cache", default=None, help="Hermite coefficient cache file")
 
     def sweep(sp):
         common(sp, help="comma-separated budget list")
@@ -401,7 +393,6 @@ def main(argv=None) -> int:
                 ref_nodes=args.ref_nodes,
                 ref_jmax=args.ref_jmax,
                 ell_cap=args.ell_cap,
-                cache_path=args.cache,
                 fit_window=_parse_fit_window(args.fit_window),
             )
             _write_csv([CSV_HEADER] + [r.row() for r in records], args.out)
@@ -432,7 +423,6 @@ def main(argv=None) -> int:
                 args.method,
                 args.repeats,
                 norm=SizeFunction(args.norm),
-                cache_path=args.cache,
                 ell_cap=args.ell_cap,
             )
             _write_csv([CSV_HEADER] + [r.row() for r in records], args.out)
@@ -449,7 +439,6 @@ def main(argv=None) -> int:
                 args.alpha,
                 args.method,
                 norm=SizeFunction(args.norm),
-                cache_path=args.cache,
                 ell_cap=args.ell_cap,
             )
             print(f"evaluated {terms} terms", file=sys.stderr)

@@ -209,15 +209,13 @@ def test_main_eval_round_trip(tmp_path):
 
 
 def test_main_eval_hermite_with_cache(tmp_path):
-    cache = tmp_path / "h.cache"
-    assert run_main(["coeffs", "--p", "2", "--jmax", "8", "--out", str(cache)]) == 0
     u = SpectralVector(Basis.hermite(), {(0,): 1.0, (1,): 0.5})
     vec = tmp_path / "u.tsv"
     write_vector(u, vec)
     out = tmp_path / "x.tsv"
     code = run_main(
         ["eval", str(vec), "--basis", "hermite", "--p", "2", "--alpha", "1",
-         "--N", "4", "--cache", str(cache), "--out", str(out)]
+         "--N", "4", "--out", str(out)]
     )
     assert code == 0
     got = read_vector(out, Basis.hermite())
@@ -258,24 +256,14 @@ GUARD_CASES = {
     "converge-f-transform": f"converge {FOURIER} --p 2 --alpha 0 --N 4,8 --method transform",
     "converge-h-direct-a0": f"converge {HERMITE} --p 2 --alpha 0 --N 2,4",
     "converge-h-direct-a0-cap": f"converge {HERMITE} --p 2 --alpha 0 --N 2,4 --ell-cap 3",
-    "converge-h-direct-a1-cache": (
-        f"converge {HERMITE} --p 2 --alpha 1 --N 2,4,8 --cache {{dir}}/h2.cache"
-    ),
-    "converge-h-direct-a1-wrong-cache": (
-        f"converge {HERMITE} --p 2 --alpha 1 --N 2,4 --cache {{dir}}/h3.cache"
-    ),
-    "converge-h-direct-a1-p3-cache": (
-        f"converge {HERMITE} --p 3 --alpha 1 --N 2,4 --cache {{dir}}/h3.cache"
-    ),
+    "converge-h-direct-a1-cache": f"converge {HERMITE} --p 2 --alpha 1 --N 2,4,8",
+    "converge-h-direct-a1-p3-cache": f"converge {HERMITE} --p 3 --alpha 1 --N 2,4",
     "converge-h-direct-a1-prod": f"converge {HERMITE} --p 2 --alpha 1 --N 2,4 --norm prod",
     "converge-h-iterative-a1-cache": (
-        f"converge {HERMITE} --p 3 --alpha 1 --N 2,4 --method iterative --cache {{dir}}/h2.cache"
+        f"converge {HERMITE} --p 3 --alpha 1 --N 2,4 --method iterative"
     ),
     "converge-h-iterative-a0-cap": (
         f"converge {HERMITE} --p 3 --alpha 0 --N 2,4 --method iterative --ell-cap 5"
-    ),
-    "converge-h-iterative-wrong-cache": (
-        f"converge {HERMITE} --p 3 --alpha 1 --N 2,4 --method iterative --cache {{dir}}/h3.cache"
     ),
     "converge-h-iterative-prod": (
         f"converge {HERMITE} --p 2 --alpha 1 --N 2,4 --method iterative --norm prod"
@@ -291,20 +279,13 @@ GUARD_CASES = {
     "bench-f-transform": f"bench {FOURIER} --p 2 --alpha 0 --N 4 --method transform",
     "bench-h-direct-a0": f"bench {HERMITE} --p 2 --alpha 0 --N 2,4",
     "bench-h-direct-a0-cap": f"bench {HERMITE} --p 2 --alpha 0 --N 2,4 --ell-cap 3",
-    "bench-h-direct-a1-cache": f"bench {HERMITE} --p 2 --alpha 1 --N 2,4 --cache {{dir}}/h2.cache",
-    "bench-h-direct-a1-wrong-cache": (
-        f"bench {HERMITE} --p 2 --alpha 1 --N 2,4 --cache {{dir}}/h3.cache"
-    ),
-    "bench-h-iterative-a1-cache": (
-        f"bench {HERMITE} --p 3 --alpha 1 --N 2,4 --method iterative --cache {{dir}}/h2.cache"
-    ),
+    "bench-h-direct-a1-cache": f"bench {HERMITE} --p 2 --alpha 1 --N 2,4",
+    "bench-h-iterative-a1-cache": f"bench {HERMITE} --p 3 --alpha 1 --N 2,4 --method iterative",
     "bench-h-iterative-a0-cap": (
         f"bench {HERMITE} --p 2 --alpha 0 --N 2,4 --method iterative --ell-cap 4"
     ),
     "bench-h-transform-a0": f"bench {HERMITE} --p 2 --alpha 0 --N 2,4 --method transform",
-    "bench-h-transform-a1-cache": (
-        f"bench {HERMITE} --p 2 --alpha 1 --N 2,4 --method transform --cache {{dir}}/h3.cache"
-    ),
+    "bench-h-transform-a1-cache": f"bench {HERMITE} --p 2 --alpha 1 --N 2,4 --method transform",
     "eval-f-direct-a0": f"{EVAL_F} --p 2 --alpha 0 --N 4",
     "eval-f-direct-a1": f"{EVAL_F} --p 3 --alpha 1 --N 8",
     "eval-f-direct-a1-prod": f"{EVAL_F} --p 2 --alpha 1 --N 6 --norm prod",
@@ -314,22 +295,14 @@ GUARD_CASES = {
     "--out {dir}/out.vec",
     "eval-h-direct-a0-cap": f"{EVAL_H} --p 2 --alpha 0 --N 4 --ell-cap 5",
     "eval-h-direct-a0-no-cap": f"{EVAL_H} --p 2 --alpha 0 --N 4",
-    "eval-h-direct-a1-cache": f"{EVAL_H} --p 2 --alpha 1 --N 4 --cache {{dir}}/h2.cache",
-    "eval-h-direct-a1-wrong-cache": f"{EVAL_H} --p 2 --alpha 1 --N 4 --cache {{dir}}/h3.cache",
+    "eval-h-direct-a1-cache": f"{EVAL_H} --p 2 --alpha 1 --N 4",
     "eval-h-direct-a1-prod": f"{EVAL_H} --p 3 --alpha 1 --N 6 --norm prod",
     "eval-h-direct-a1-cap": f"{EVAL_H} --p 2 --alpha 1 --N 4 --ell-cap 2",
-    "eval-h-iterative-a1-cache": (
-        f"{EVAL_H} --p 3 --alpha 1 --N 4 --method iterative --cache {{dir}}/h2.cache"
-    ),
+    "eval-h-iterative-a1-cache": f"{EVAL_H} --p 3 --alpha 1 --N 4 --method iterative",
     "eval-h-iterative-a0-cap": f"{EVAL_H} --p 3 --alpha 0 --N 4 --method iterative --ell-cap 6",
-    "eval-h-iterative-wrong-cache": (
-        f"{EVAL_H} --p 3 --alpha 1 --N 4 --method iterative --cache {{dir}}/h3.cache"
-    ),
     "eval-h-transform-a0": f"{EVAL_H} --p 2 --alpha 0 --N 6 --method transform",
     "eval-h-transform-a0-cap": f"{EVAL_H} --p 2 --alpha 0 --N 6 --method transform --ell-cap 2",
-    "eval-h-transform-a1-cache": (
-        f"{EVAL_H} --p 2 --alpha 1 --N 4 --method transform --cache {{dir}}/h3.cache"
-    ),
+    "eval-h-transform-a1-cache": f"{EVAL_H} --p 2 --alpha 1 --N 4 --method transform",
     "count-z": "count --p 2 --alpha 0 --N 1,2,4,8",
     "count-prod-d2": "count --p 2 --alpha 1 --N 4,8 --norm prod --d 2",
     "count-momentum": "count --p 3 --alpha 0 --N 8,16 --q 1",
@@ -339,14 +312,11 @@ GUARD_CASES = {
 
 
 def guard_inputs(root: Path) -> None:
-    """Input vectors and coefficient caches shared by the guard cases."""
+    """Input vectors shared by the guard cases."""
     fourier = {(-2,): 0.25, (-1,): 0.5, (0,): 1.0, (1,): -0.5 + 0.25j, (3,): 0.125}
     write_vector(SpectralVector(Basis.fourier(1), fourier), root / "f.vec")
     hermite = {(0,): 1.0, (1,): 0.5, (2,): -0.25, (4,): 0.125}
     write_vector(SpectralVector(Basis.hermite(), hermite), root / "h.vec")
-    for p, jmax in ((2, 8), (3, 6)):
-        assert main(["coeffs", "--p", str(p), "--jmax", str(jmax),
-                     "--out", str(root / f"h{p}.cache")]) == 0
 
 
 def guard_outcome(argv: str, root: Path) -> dict:
@@ -379,12 +349,19 @@ def test_cli_outcomes_match_recorded(name, guard_dir):
     assert guard_outcome(GUARD_CASES[name], guard_dir) == golden[name]
 
 
-def test_transform_ignores_the_cache(guard_dir):
-    # transform never reads coefficients, so a cache of any arity is unused
-    argv = f"converge {HERMITE} --p 2 --alpha 1 --N 2,4 --method transform"
-    plain = guard_outcome(argv, guard_dir)
-    assert plain["code"] == 0
-    assert guard_outcome(argv + " --cache {dir}/h3.cache", guard_dir) == plain
+@pytest.mark.parametrize("argv", [
+    f"converge {HERMITE} --p 2 --alpha 1 --N 2,4",
+    f"bench {HERMITE} --p 2 --alpha 1 --N 2,4",
+    f"{EVAL_H} --p 2 --alpha 1 --N 4",
+], ids=["converge", "bench", "eval"])
+def test_cache_flag_is_rejected(argv, guard_dir, tmp_path):
+    # no evaluator reads coefficient values, so no evaluating command takes a cache file
+    cache = tmp_path / "h2.cache"
+    assert main(["coeffs", "--p", "2", "--jmax", "8", "--out", str(cache)]) == 0
+    outcome = guard_outcome(f"{argv} --cache {cache}", guard_dir)
+    assert outcome["code"] == 2
+    assert outcome["stdout"] == [] and outcome["eval_out"] is None
+    assert any("unrecognized arguments: --cache" in line for line in outcome["stderr"])
 
 
 @pytest.mark.parametrize("argv", [
