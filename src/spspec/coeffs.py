@@ -25,7 +25,6 @@ from .spectral import Basis
 # the substituted integrand is a polynomial of degree <= q*D, integrated
 # exactly with ceil(q*D/2) nodes; the +8 margin absorbs roundoff.
 POLICY_ID = "halfdeg8"
-SELF_CHECK_TOL = 1e-11
 
 CACHE_MAGIC = "SPSPEC-HERMITE"
 CACHE_VERSION = "v1"
