@@ -14,10 +14,13 @@ first, so that a slow phase of the host lands on both.
 
 For every workload the output holds each side's environment (Python, numpy,
 nproc, thread pins, commit), every pair's end-to-end metrics with the side that ran
-first (the older record), and per metric: each side's median, the parent's
-quartiles, the change/parent ratio of the medians, the pairs the change
-won, whether the change stays within the bound BENCHMARK.json sets, and
-whether it clears the gain rule (at least 10 pairs, of which the change
+first (the older record), the operations failed and attempted on each side
+in total, and per metric: each side's median, the parent's quartiles, the
+change/parent ratio of the medians, the pairs the change won, whether the
+change stays within the bound BENCHMARK.json sets, whether the metric is
+unresolved (the parent's interquartile range is wider than the bound,
+relative to its median, and not every change run beats every parent run),
+and whether it clears the gain rule (at least 10 pairs, of which the change
 wins 9 in 10, and a median moved by more than the parent's interquartile
 range).  Only the standard library is used.
 """
@@ -62,6 +65,7 @@ def summarize(metric: dict, pairs: list[dict]) -> dict:
     else:
         q1 = q3 = parent[0]
     wins = sum(better(metric, c, p) for p, c in zip(parent, change))
+    separated = all(better(metric, c, p) for p in parent for c in change)
     if metric["better"] == "lower":
         within = c_med <= p_med * (1 + metric["bound"])
     else:
@@ -76,6 +80,7 @@ def summarize(metric: dict, pairs: list[dict]) -> dict:
         "ratio": c_med / p_med if p_med else None,
         "change_won": wins,
         "within_bound": within,
+        "unresolved": q3 - q1 > metric["bound"] * abs(p_med) and not separated,
         "clears_gain_rule": len(pairs) >= 10
         and wins >= 0.9 * len(pairs)
         and abs(c_med - p_med) > q3 - q1,
@@ -104,6 +109,10 @@ def compare(parent: dict, change: dict, benchmark: dict) -> dict:
         first = parent[workload, seeds[0]], change[workload, seeds[0]]
         out["workloads"][workload] = {
             "environment": {"parent": first[0]["environment"], "change": first[1]["environment"]},
+            "operations": {
+                side: {key: sum(p[key][side] for p in pairs) for key in ("failed", "attempted")}
+                for side in ("parent", "change")
+            },
             "pairs": pairs,
             "metrics": {m["name"]: summarize(m, pairs) for m in metrics},
         }
@@ -128,12 +137,18 @@ def main(argv=None) -> int:
         return 2
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
-        print(f"{workload}: {len(entry['pairs'])} pairs")
+        ops = entry["operations"]
+        print(
+            f"{workload}: {len(entry['pairs'])} pairs; failed/attempted operations:"
+            f" parent {ops['parent']['failed']}/{ops['parent']['attempted']},"
+            f" change {ops['change']['failed']}/{ops['change']['attempted']}"
+        )
         for name, m in entry["metrics"].items():
             print(
                 f"  {name:12s} {m['parent_median']:.6g} -> {m['change_median']:.6g} {m['unit']}"
                 f"  (x{m['ratio']:.3f}, change won {m['change_won']}/{len(entry['pairs'])},"
-                f" within bound: {m['within_bound']}, gain rule: {m['clears_gain_rule']})"
+                f" within bound: {m['within_bound']}, unresolved: {m['unresolved']},"
+                f" gain rule: {m['clears_gain_rule']})"
             )
     return 0
 
