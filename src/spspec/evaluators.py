@@ -152,10 +152,12 @@ class _Slots:
         if key not in self.plans:
             sizes = self.slots[s][0]
             hi = int(np.searchsorted(sizes, b // self.need[s + 1], side="right"))
-            last = s == len(self.slots) - 1
-            cs = np.zeros(hi, dtype=np.int64) if last else b // sizes[:hi]
-            starts = np.flatnonzero(np.diff(cs, prepend=-1))
-            self.plans[key] = hi, starts, cs[starts].tolist()
+            if s == len(self.slots) - 1:
+                self.plans[key] = hi, np.zeros(1, dtype=np.intp), [0]
+            else:
+                cs = b // sizes[:hi]
+                starts = np.flatnonzero(np.diff(cs, prepend=-1))
+                self.plans[key] = hi, starts, cs[starts].tolist()
         return self.plans[key]
 
     def fold(self, memo: dict, combine, s: int, b: int):
