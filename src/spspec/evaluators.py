@@ -156,7 +156,9 @@ class _Slots:
                 self.plans[key] = hi, np.zeros(1, dtype=np.intp), [0]
             else:
                 cs = b // sizes[:hi]
-                starts = np.flatnonzero(np.diff(cs, prepend=-1))
+                first = np.ones(hi, dtype=bool)
+                first[1:] = cs[1:] != cs[:-1]
+                starts = first.nonzero()[0]
                 self.plans[key] = hi, starts, cs[starts].tolist()
         return self.plans[key]
 
