@@ -277,6 +277,8 @@ def test_iterative_hermite_uses_pair_cache():
     assert abs(res.vector.get((0,), 0j) - ref.get((0,), 0j)) < 0.05
     with pytest.raises(ValueError):
         iterative_eval(HermiteCache(3), (u, u, u), 6, 1)
+    with pytest.raises(ValueError, match="needs ell_cap"):
+        iterative_eval(HermiteCache(2), (u, u, u), 6, 0)
 
 
 def test_iterative_convergence_shape():
@@ -470,10 +472,13 @@ def test_direct_fourier_matches_brute_force(d, size, alpha, box, sym):
     p, level = (3, 8) if d == 1 else (2, 6)
     seed = 17 * d + 3 * alpha + (box or 0)
     symbol = FourierSymbol(GUARD_SYMBOLS[sym](d), d)
-    # the wide inputs need a larger budget before the product norm admits a tuple
+    # the wide inputs need a larger budget before the product norm admits a
+    # tuple: at the plain level that norm leaves them no term at all
     for inputs, n in ((_guard_inputs(d, p, seed), level),
+                      (_guard_inputs(d, 1, seed), level),
+                      (_guard_inputs(d, p, seed, wide=True), level),
                       (_guard_inputs(d, p, seed, wide=True), 4 * level)):
-        spec = SparseSetSpec(p, n, alpha, size, integers(d), box=box)
+        spec = SparseSetSpec(len(inputs), n, alpha, size, integers(d), box=box)
         ells = _candidate_ells(symbol, inputs, d)
         domain = tuple(ells[::3]) + ((40,) * d,)
         scale = (math.prod(l1s_norm(u, 0.0) for u in inputs)
@@ -484,6 +489,12 @@ def test_direct_fourier_matches_brute_force(d, size, alpha, box, sym):
             assert got.terms == want_terms
             assert set(got.vector) == set(want)
             assert all(abs(got.vector[ell] - v) <= 1e-14 * scale for ell, v in want.items())
+    # an empty input or an empty symbol table has no term anywhere
+    empty = SpectralVector(Basis.fourier(d), {})
+    for provider, inputs in ((symbol, (empty,) + inputs[1:]), (FourierSymbol({}, d), inputs)):
+        for dom in (None, domain):
+            got = direct_sparse_eval(EvalRequest(provider, inputs, spec, output_domain=dom))
+            assert not got.vector and got.terms == 0
 
 
 @pytest.mark.parametrize("size", list(SizeFunction))
@@ -538,6 +549,7 @@ HERMITE_GUARD_INPUTS = {
     "sparse": SpectralVector(HERMITE, {(0,): 1.0, (1,): -0.6, (40,): 0.3}),
     # no entry of size 1 under either norm
     "wide": SpectralVector(HERMITE, {(2,): 1.0, (3,): -0.6, (7,): 0.3}),
+    "empty": SpectralVector(HERMITE, {}),
 }
 HERMITE_GUARD_LEVEL = 42  # the sparse input's 40 enters under either norm
 HERMITE_GUARD_DOMAIN = tuple((ell,) for ell in (0, 1, 2, 3, 5, 8, 13, 21, 40, 44))
@@ -595,16 +607,18 @@ def _assert_close_to_brute(got: EvalResult, want):
 ])
 def test_direct_hermite_matches_brute_force(p, alpha, size, box):
     spec = SparseSetSpec(p, HERMITE_GUARD_LEVEL, alpha, size, naturals(1), box=box)
-    domain = HERMITE_GUARD_DOMAIN if alpha == 0 else None
-    ells = domain or [(ell,) for ell in range(HERMITE_GUARD_LEVEL + 1)]
     # each input in the first slot, power-law entries in the others; and the
     # wide input in every slot, so that every slot suffix needs a budget above 1
     rest = (HERMITE_GUARD_INPUTS["power"],) * (p - 1)
     input_sets = [(u,) + rest for u in HERMITE_GUARD_INPUTS.values()]
     input_sets.append((HERMITE_GUARD_INPUTS["wide"],) * p)
-    for inputs, want in zip(input_sets, _hermite_brute_sums(input_sets, spec, ells)):
-        got = direct_sparse_eval(EvalRequest(HermiteCache(p), inputs, spec, output_domain=domain))
-        _assert_close_to_brute(got, want)
+    # the second domain lies past the budget at alpha = 1 and past the box of 3
+    beyond = ((HERMITE_GUARD_LEVEL + 2,),)
+    for domain in (HERMITE_GUARD_DOMAIN if alpha == 0 else None, beyond):
+        ells = domain or [(ell,) for ell in range(HERMITE_GUARD_LEVEL + 1)]
+        for inputs, want in zip(input_sets, _hermite_brute_sums(input_sets, spec, ells)):
+            request = EvalRequest(HermiteCache(p), inputs, spec, output_domain=domain)
+            _assert_close_to_brute(direct_sparse_eval(request), want)
 
 
 @pytest.mark.parametrize("alpha", [0, 1])
