@@ -32,6 +32,7 @@ from .spectral import Basis, BasisKind, l1s_norm, power_law_vector, read_vector,
 
 CSV_HEADER = "method,basis,p,sigma,alpha,N,terms,error_l1,wall_time_s"
 ERROR_FLOOR = 1e-13  # rows at or below this are saturated and excluded from fits
+REF_MULT = 4  # the Fourier reference cutoff is REF_MULT * max N unless --cutoff sets it
 
 
 class CliError(ValueError):
@@ -130,7 +131,6 @@ def cmd_converge(
     *,
     norm: SizeFunction = SizeFunction.MAX,
     cutoff: int | None = None,
-    ref_mult: int = 4,
     ref_nodes: int = 500,
     ref_jmax: int | None = None,
     ell_cap: int | None = None,
@@ -150,7 +150,7 @@ def cmd_converge(
     jmax = None
     input_basis = _basis(basis)
     if input_basis.kind is BasisKind.FOURIER:
-        cut = cutoff if cutoff is not None else ref_mult * n_max
+        cut = cutoff if cutoff is not None else REF_MULT * n_max
         if cut < n_max:
             raise CliError(f"reference weaker than test: cutoff {cut} < max N {n_max}")
         u = power_law_vector(sigma, cut, input_basis)
@@ -320,8 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     con = sub.add_parser("converge", help="error sweep against a dense reference")
     sweep(con)
     con.add_argument("--sigma", type=float, default=3.0, help="power-law decay exponent")
-    con.add_argument("--cutoff", type=int, default=None, help="input truncation")
-    con.add_argument("--ref-mult", type=int, default=4, help="Fourier reference cutoff = mult * max N")
+    con.add_argument("--cutoff", type=int, help=f"input truncation (default {REF_MULT} * max N)")
     con.add_argument("--ref-nodes", type=int, default=500, help="Hermite reference transform nodes")
     con.add_argument("--ref-jmax", type=int, default=None, help="Hermite reference output range")
     con.add_argument("--ell-cap", type=int, default=None, help="output cap for Hermite alpha=0")
@@ -389,7 +388,6 @@ def main(argv=None) -> int:
                 args.method,
                 norm=SizeFunction(args.norm),
                 cutoff=args.cutoff,
-                ref_mult=args.ref_mult,
                 ref_nodes=args.ref_nodes,
                 ref_jmax=args.ref_jmax,
                 ell_cap=args.ell_cap,

@@ -69,10 +69,6 @@ class FourierSymbol:
     def basis(self) -> Basis:
         return Basis.fourier(self.dim)
 
-    @property
-    def momentum_support(self) -> tuple[Index, ...]:
-        return tuple(self.table)
-
     def coefficient(self, ell: Index, js: Sequence[Index]) -> complex:
         return self.table.get(momentum(ell, js), 0j)
 

@@ -4,12 +4,16 @@ The target quantity per output index ell is
 
     X_ell = sum over admitted (j_1, ..., j_p) of a_{ell;js} * u^1_{j_1} * ... * u^p_{j_p}
 
-with the tuples admitted by a SparseSetSpec budget.  Both bases run one
-budget-class recursion (_Slots): the budget a slot leaves to the next only
-takes the values N // m, O(sqrt(N)) of them, so the entries of a slot that
-leave the same budget form one block, combined as a whole with the memoized
-sum of the later slots at that budget.  Each basis supplies what a block
-combine computes:
+with the tuples admitted by a SparseSetSpec budget.  Both bases plan their
+outputs in one place (_outputs): of the candidate indices, an explicit
+domain or the default range, they keep each ell that can have a term, with
+the budget N // size(ell)**alpha it leaves to the inputs; at alpha = 1 no
+ell past min(N, box) has a term, at alpha = 0 none past the box.  Both run
+one budget-class recursion (_Slots): the budget a slot leaves to the next
+only takes the values N // m, O(sqrt(N)) of them, so the entries of a slot
+that leave the same budget form one block, combined as a whole with the
+memoized sum of the later slots at that budget.  Each basis supplies what a
+block combine computes:
 
 * A Fourier coefficient is a symbol entry b_{ell - sum(js)}, so X is b
   convolved with the budgeted sum, and a block is one numpy convolution over
@@ -94,6 +98,38 @@ def _convolve(a: _Line, b: _Line) -> _Line:
     return _Line(a.lo + b.lo, np.convolve(a.vals, b.vals), np.convolve(a.cnts, b.cnts))
 
 
+def _cap(spec: SparseSetSpec, alpha: int = 1) -> int | None:
+    """The largest size of an index in a term (None: no bound).
+
+    The sizes of the inputs, and of the output at alpha = 1, count against
+    N, so none exceeds min(N, box); at alpha = 0 only the box bounds the
+    output's.
+    """
+    if alpha == 0:
+        return spec.box
+    return spec.level if spec.box is None else min(spec.level, spec.box)
+
+
+def _grid(spec: SparseSetSpec, lo, hi) -> np.ndarray:
+    """The indices of the box [lo, hi] as an (n, d) array, less those with a
+    coordinate past the output cap: no size is below a coordinate's magnitude."""
+    top = _cap(spec, spec.alpha)
+    if top is not None:
+        lo, hi = np.maximum(lo, -top), np.minimum(hi, top)
+    axes = [np.arange(a, b + 1) for a, b in zip(lo.tolist(), hi.tolist())]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _outputs(spec: SparseSetSpec, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate outputs, rows of an (n, d) array, that can have a term,
+    and the budget N // size(ell)**alpha that each leaves to the inputs."""
+    top = _cap(spec, spec.alpha)
+    if top is None:
+        return ells, np.full(len(ells), spec.level, dtype=np.int64)
+    sizes = _sizes(ells, spec.size, top)
+    return ells[sizes <= top], spec.level // sizes[sizes <= top] ** spec.alpha
+
+
 def _sizes(coords: np.ndarray, size: SizeFunction, cap: int) -> np.ndarray:
     """min(size(j), cap + 1) for each row j of an (n, d) coordinate array.
 
@@ -125,13 +161,13 @@ class _Slots:
     """
 
     def __init__(self, inputs: Sequence[SpectralVector], spec: SparseSetSpec):
-        self.cap = spec.level if spec.box is None else min(spec.level, spec.box)
+        cap = _cap(spec)
         trimmed = {}  # per distinct input: sizes, coordinates, values, sorted by size then key
         for u in inputs:
             if id(u) not in trimmed:
                 coords, vals = u.as_arrays()
-                sizes = _sizes(coords, spec.size, self.cap)
-                order = np.flatnonzero(sizes <= self.cap)
+                sizes = _sizes(coords, spec.size, cap)
+                order = np.flatnonzero(sizes <= cap)
                 order = order[np.argsort(sizes[order], kind="stable")]
                 trimmed[id(u)] = sizes[order], coords[order], vals[order]
         self.slots = [trimmed[id(u)] for u in inputs]
@@ -254,24 +290,18 @@ class _BudgetClasses(_Slots):
             out.cnts[at] += part.cnts
         return out
 
-    def at_level(self, coords: np.ndarray | None):
-        """alpha = 0: symbol * partial(0, N), at coords or wherever a term lands.
+    def at_level(self, coords: np.ndarray):
+        """alpha = 0: (symbol * partial(0, N))[ell] for each row ell of coords.
 
-        Returns (coords, values, term counts)."""
+        Returns (values, term counts)."""
+        vals, cnts = np.zeros(len(coords), dtype=complex), np.zeros(len(coords))
         total = self.partial(0, self.level)
-        if total is None:
-            coords = np.empty((0, len(self.lo)), dtype=np.int64)
-            return coords, np.empty(0, dtype=complex), np.empty(0)
-        total = _convolve(total, self.symbol)
-        if coords is None:
-            pos = np.flatnonzero(total.cnts)
-            digits = (total.lo + pos - self.lo @ self.strides)[:, None] // self.strides
-            coords = self.lo + digits % (self.hi - self.lo + 1)
-        else:
+        if total is not None:
+            total = _convolve(total, self.symbol)
             pos = coords @ self.strides - total.lo
-            inside = (pos >= 0) & (pos < len(total.vals))
-            coords, pos = coords[inside], pos[inside]
-        return coords, total.vals[pos], total.cnts[pos]
+            at = (pos >= 0) & (pos < len(total.vals))
+            vals[at], cnts[at] = total.vals[pos[at]], total.cnts[pos[at]]
+        return vals, cnts
 
     def _row(self, c: int) -> _Line | None:
         """symbol * partial(1, c): every slot but the first, at budget c."""
@@ -280,8 +310,8 @@ class _BudgetClasses(_Slots):
         sub = self.partial(1, c)
         return None if sub is None else _convolve(sub, self.symbol)
 
-    def at_own_budget(self, coords: np.ndarray, sizes: np.ndarray):
-        """alpha = 1: X_ell = (symbol * partial(0, N // size(ell)))[ell].
+    def at_own_budget(self, coords: np.ndarray, budgets: np.ndarray):
+        """alpha = 1: X_ell = (symbol * partial(0, budget(ell)))[ell].
 
         partial(0, c) is never formed whole: an ell of class c reads
         sum over slot-0 entries j of u_j * row(c // size(j))[ell - j], and
@@ -291,7 +321,6 @@ class _BudgetClasses(_Slots):
         sizes0, _, vals0 = self.slots[0]
         keys0 = self.keys[0]
         targets = coords @ self.strides
-        budgets = self.level // sizes
         classes = np.unique(budgets)
         his = np.searchsorted(sizes0, classes, side="right")
         wanted = np.unique(np.concatenate([c // sizes0[:h] for c, h in zip(classes, his)]))
@@ -319,35 +348,22 @@ def _fourier_sum(
     symbol: FourierSymbol,
     inputs: Sequence[SpectralVector],
     spec: SparseSetSpec,
-    domain: Sequence[Index] | None,
+    ells: np.ndarray | None,
 ):
     kernel = _BudgetClasses(inputs, symbol, spec)
     if kernel.empty:
         return {}, 0
-    dim = spec.lattice.dim
-    cap = kernel.cap
-    coords = None
-    if domain is not None:
-        # outside the reachable box a flat key could alias one inside it
-        coords = np.array(list(set(domain)), dtype=np.int64).reshape(-1, dim)
-        coords = coords[np.all((coords >= kernel.lo) & (coords <= kernel.hi), axis=1)]
-    if spec.alpha == 0:
-        coords, vals, cnts = kernel.at_level(coords)
-        keep = cnts > 0
-        if spec.box is not None:
-            keep &= _sizes(coords, spec.size, spec.box) <= spec.box
+    if ells is None:
+        ells = _grid(spec, kernel.lo, kernel.hi)
     else:
-        if coords is None:
-            bounds = zip(kernel.lo.tolist(), kernel.hi.tolist())
-            axes = [np.arange(max(a, -cap), min(b, cap) + 1) for a, b in bounds]
-            coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-        sizes = _sizes(coords, spec.size, cap)
-        coords, sizes = coords[sizes <= cap], sizes[sizes <= cap]
-        if not len(coords):
-            return {}, 0
-        vals, cnts = kernel.at_own_budget(coords, sizes)
-        keep = cnts > 0
-    entries = dict(zip(map(tuple, coords[keep].tolist()), vals[keep].tolist()))
+        # outside the reachable box a flat key could alias one inside it
+        ells = ells[np.all((ells >= kernel.lo) & (ells <= kernel.hi), axis=1)]
+    ells, budgets = _outputs(spec, ells)
+    if not len(ells):
+        return {}, 0
+    vals, cnts = kernel.at_own_budget(ells, budgets) if spec.alpha else kernel.at_level(ells)
+    keep = cnts > 0
+    entries = dict(zip(map(tuple, ells[keep].tolist()), vals[keep].tolist()))
     return entries, int(round(cnts[keep].sum()))
 
 
@@ -449,21 +465,11 @@ class _HermiteClasses(_Slots):
         return (be * se + bo * so).sum(axis=0), (be * so + bo * se).sum(axis=0)
 
 
-def _hermite_sum(
-    inputs: Sequence[SpectralVector], spec: SparseSetSpec, domain: Sequence[Index] | None
-):
-    cap = spec.level if spec.box is None else min(spec.level, spec.box)
-    if domain is None:
-        ells = np.arange(cap + 1, dtype=np.int64)
-    else:
-        ells = np.array(sorted(set(domain)), dtype=np.int64).reshape(-1)
-    if spec.alpha == 1:
-        sizes = _sizes(ells[:, None], spec.size, cap)
-        ells, budgets = ells[sizes <= cap], spec.level // sizes[sizes <= cap]
-    else:
-        if spec.box is not None:
-            ells = ells[_sizes(ells[:, None], spec.size, spec.box) <= spec.box]
-        budgets = np.full(len(ells), spec.level, dtype=np.int64)
+def _hermite_sum(inputs: Sequence[SpectralVector], spec: SparseSetSpec, ells: np.ndarray | None):
+    if ells is None:  # alpha = 1 here
+        ells = np.arange(_cap(spec) + 1)[:, None]
+    ells, budgets = _outputs(spec, ells)
+    ells = ells[:, 0]
     if not len(ells):
         return {}, 0
     kernel = _HermiteClasses(inputs, spec)
@@ -496,15 +502,16 @@ def direct_sparse_eval(request: EvalRequest) -> EvalResult:
     basis and the arity; its table is never read.
     """
     spec = request.spec
-    domain = request.output_domain
-    if domain is not None:
-        domain = [spec.lattice.validate(ell) for ell in domain]
+    ells = None
+    if request.output_domain is not None:
+        domain = {spec.lattice.validate(ell) for ell in request.output_domain}
+        ells = np.array(sorted(domain), dtype=np.int64).reshape(-1, spec.lattice.dim)
     if isinstance(request.provider, FourierSymbol):
-        entries, terms = _fourier_sum(request.provider, request.inputs, spec, domain)
+        entries, terms = _fourier_sum(request.provider, request.inputs, spec, ells)
     else:
-        if domain is None and spec.alpha == 0:
+        if ells is None and spec.alpha == 0:
             raise ValueError("alpha = 0 with a Hermite provider needs an explicit output domain")
-        entries, terms = _hermite_sum(request.inputs, spec, domain)
+        entries, terms = _hermite_sum(request.inputs, spec, ells)
     basis = request.provider.basis
     return EvalResult(SpectralVector(basis, entries), terms)
 

@@ -129,21 +129,6 @@ class SparseSetSpec:
         if self.box is not None and self.box < 1:
             raise ValueError(f"box cap must be >= 1, got {self.box}")
 
-    def admits(self, ell: Index, js: Sequence[Index]) -> bool:
-        """Membership predicate for the pair (ell, js)."""
-        if len(js) != self.p:
-            return False
-        sz_ell = self.size.of(ell)
-        if self.box is not None and sz_ell > self.box:
-            return False
-        prod = 1
-        for j in js:
-            sz = self.size.of(j)
-            if self.box is not None and sz > self.box:
-                return False
-            prod *= sz
-        return sz_ell**self.alpha * prod <= self.level
-
 
 def indices_up_to(lattice: Lattice, size: SizeFunction, cap: int) -> Iterator[Index]:
     """All lattice indices with size <= cap, in lexicographic order."""

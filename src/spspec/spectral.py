@@ -104,9 +104,6 @@ class SpectralVector(Mapping):
     def __repr__(self) -> str:
         return f"SpectralVector({self.basis.kind.value}, {len(self)} entries)"
 
-    def support(self) -> tuple[Index, ...]:
-        return tuple(self._entries)
-
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Keys as an (n, dim) int64 array and values as complex, in key order."""
         n, dim = len(self._entries), self.basis.dim

@@ -364,6 +364,14 @@ def test_cache_flag_is_rejected(argv, guard_dir, tmp_path):
     assert any("unrecognized arguments: --cache" in line for line in outcome["stderr"])
 
 
+def test_ref_mult_flag_is_rejected(guard_dir):
+    # the reference cutoff multiplier is fixed; --cutoff sets the cutoff itself
+    outcome = guard_outcome(f"converge {FOURIER} --p 2 --alpha 0 --N 4,8 --ref-mult 4", guard_dir)
+    assert outcome["code"] == 2
+    assert outcome["stdout"] == [] and outcome["eval_out"] is None
+    assert any("unrecognized arguments: --ref-mult" in line for line in outcome["stderr"])
+
+
 @pytest.mark.parametrize("argv", [
     f"converge {HERMITE} --p 2 --alpha 0 --N 2,4",
     f"bench {HERMITE} --p 2 --alpha 0 --N 2,4",

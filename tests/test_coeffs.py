@@ -54,11 +54,6 @@ def test_table_symbol_lookup():
     assert sym.coefficient((4,), ((1,), (1,))) == 0.0
 
 
-def test_momentum_support_is_the_table():
-    sym = FourierSymbol({(0,): 1.0, (2,): 0.5})
-    assert set(sym.momentum_support) == {(0,), (2,)}
-
-
 def test_two_minus_cos_symbol_closed_form():
     # 1/(2-cos x) has coefficients (2-sqrt3)^{|k|}/sqrt3
     sym = FourierSymbol.inverse_two_minus_cos()

@@ -26,10 +26,11 @@ def brute_tuples(spec: SparseSetSpec, ell):
     """Filter the boxed p-fold product set; the reference for enumerate_sparse.
 
     Any admitted index satisfies size(j) <= N, so coordinates beyond N can
-    never appear and the box [-N..N]^d is exhaustive.  The inequality of
-    SparseSetSpec.admits is applied to the whole p-fold product of sizes at
-    once, and np.nonzero reads the admitted tuples in C order, which is the
-    order of itertools.product.
+    never appear and the box [-N..N]^d is exhaustive.  The inequality
+    size(ell)**alpha * size(j_1) * ... * size(j_p) <= N, with every size at
+    most the box, is applied to the whole p-fold product of sizes at once,
+    and np.nonzero reads the admitted tuples in C order, which is the order
+    of itertools.product.
     """
     if spec.lattice.kind is LatticeKind.INTEGERS:
         coords = range(-spec.level, spec.level + 1)

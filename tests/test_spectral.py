@@ -69,9 +69,8 @@ def test_mapping_interface_is_read_only():
         u[(1,)] = 2.0  # type: ignore[index]
 
 
-def test_support_and_max_degree():
+def test_max_degree():
     u = SpectralVector(FOURIER, {(-4,): 1.0, (2,): 1.0})
-    assert u.support() == ((-4,), (2,))
     assert u.max_degree() == 4
     assert SpectralVector(FOURIER, {}).max_degree() == 0
 
