@@ -34,7 +34,6 @@ Both are deterministic: every sum is accumulated in a fixed order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -344,15 +343,21 @@ class _BudgetClasses(_Slots):
         return vals, cnts
 
 
+def _nothing(spec: SparseSetSpec, terms: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
+    """No output index, with the given number of terms."""
+    return np.empty((0, spec.lattice.dim), dtype=np.int64), np.empty(0, dtype=complex), terms
+
+
 def _fourier_sum(
     symbol: FourierSymbol,
     inputs: Sequence[SpectralVector],
     spec: SparseSetSpec,
     ells: np.ndarray | None,
 ):
+    """(ells, values, terms): the outputs that have a term, in key order."""
     kernel = _BudgetClasses(inputs, symbol, spec)
     if kernel.empty:
-        return {}, 0
+        return _nothing(spec)
     if ells is None:
         ells = _grid(spec, kernel.lo, kernel.hi)
     else:
@@ -360,11 +365,10 @@ def _fourier_sum(
         ells = ells[np.all((ells >= kernel.lo) & (ells <= kernel.hi), axis=1)]
     ells, budgets = _outputs(spec, ells)
     if not len(ells):
-        return {}, 0
+        return _nothing(spec)
     vals, cnts = kernel.at_own_budget(ells, budgets) if spec.alpha else kernel.at_level(ells)
     keep = cnts > 0
-    entries = dict(zip(map(tuple, ells[keep].tolist()), vals[keep].tolist()))
-    return entries, int(round(cnts[keep].sum()))
+    return ells[keep], vals[keep], int(round(cnts[keep].sum()))
 
 
 class _Tally(NamedTuple):
@@ -466,15 +470,16 @@ class _HermiteClasses(_Slots):
 
 
 def _hermite_sum(inputs: Sequence[SpectralVector], spec: SparseSetSpec, ells: np.ndarray | None):
+    """(ells, values, terms) as _fourier_sum returns them."""
     if ells is None:  # alpha = 1 here
         ells = np.arange(_cap(spec) + 1)[:, None]
     ells, budgets = _outputs(spec, ells)
     ells = ells[:, 0]
     if not len(ells):
-        return {}, 0
+        return _nothing(spec)
     kernel = _HermiteClasses(inputs, spec)
     if kernel.empty:
-        return {}, 0
+        return _nothing(spec)
     # an ell whose budget admits no tuple has no term
     fits = budgets >= kernel.need[0]
     ells, budgets = ells[fits], budgets[fits]
@@ -485,10 +490,9 @@ def _hermite_sum(inputs: Sequence[SpectralVector], spec: SparseSetSpec, ells: np
     own = [t.odd if ell & 1 else t.even for ell, t in zip(ells.tolist(), tallies)]
     present = np.array([n > 0 for n in own], dtype=bool)
     if not present.any():
-        return {}, terms
+        return _nothing(spec, terms)
     ells, budgets = ells[present], budgets[present]
-    vals = kernel.project(ells, budgets)
-    return dict(zip(((ell,) for ell in ells.tolist()), vals.tolist())), terms
+    return ells[:, None], kernel.project(ells, budgets), terms
 
 
 def direct_sparse_eval(request: EvalRequest) -> EvalResult:
@@ -507,13 +511,12 @@ def direct_sparse_eval(request: EvalRequest) -> EvalResult:
         domain = {spec.lattice.validate(ell) for ell in request.output_domain}
         ells = np.array(sorted(domain), dtype=np.int64).reshape(-1, spec.lattice.dim)
     if isinstance(request.provider, FourierSymbol):
-        entries, terms = _fourier_sum(request.provider, request.inputs, spec, ells)
+        ells, vals, terms = _fourier_sum(request.provider, request.inputs, spec, ells)
     else:
         if ells is None and spec.alpha == 0:
             raise ValueError("alpha = 0 with a Hermite provider needs an explicit output domain")
-        entries, terms = _hermite_sum(request.inputs, spec, ells)
-    basis = request.provider.basis
-    return EvalResult(SpectralVector(basis, entries), terms)
+        ells, vals, terms = _hermite_sum(request.inputs, spec, ells)
+    return EvalResult(SpectralVector._from_arrays(request.provider.basis, ells, vals), terms)
 
 
 def iterative_eval(
@@ -684,12 +687,24 @@ def error_report(
     """Weighted l1 distance over the union of the supports."""
     if approx.basis != reference.basis:
         raise ValueError("cannot compare vectors over different bases")
-    # both iterate in key order, so this sort is a merge of two sorted runs
-    keys = dict.fromkeys(sorted(itertools.chain(approx, reference)))
-    gaps = (abs(approx.get(j, 0j) - reference.get(j, 0j)) for j in keys)
+    a_keys, a_vals = approx.as_arrays()
+    r_keys, r_vals = reference.as_arrays()
+    keys = np.concatenate([a_keys, r_keys])
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    first = np.ones(len(ranked), dtype=bool)  # the first row of each run of equal keys
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    slot = np.empty(len(keys), dtype=np.intp)  # each row's place in the sorted union
+    slot[order] = np.cumsum(first) - 1
+    diff = np.zeros(int(first.sum()), dtype=complex)
+    diff[slot[: len(a_keys)]] = a_vals
+    diff[slot[len(a_keys) :]] -= r_vals
+    # np.abs on complex can round differently from Python's abs; hypot does not
+    gaps = np.hypot(diff.real, diff.imag).tolist()
     if s == 0:  # size(j) ** 0 * x == x exactly; skip the size and the power
         return float(sum(gaps))
-    return float(sum(size.of(j) ** s * g for j, g in zip(keys, gaps)))
+    union = map(tuple, ranked[first].tolist())
+    return float(sum(size.of(j) ** s * g for j, g in zip(union, gaps)))
 
 
 class RatePrediction(NamedTuple):

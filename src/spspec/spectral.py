@@ -61,10 +61,11 @@ class SpectralVector(Mapping):
 
     Keys are lattice multi-indices, values complex.  Entries are stored in
     lexicographic key order so that iteration, serialization and norm
-    accumulation are deterministic.
+    accumulation are deterministic.  The (keys, values) arrays are built once
+    per vector, read-only, and shared by every later as_arrays call.
     """
 
-    __slots__ = ("basis", "_entries")
+    __slots__ = ("basis", "_entries", "_arrays")
 
     def __init__(self, basis: Basis, entries: Mapping | Iterable[tuple[Index, complex]]):
         lattice = basis.lattice
@@ -77,6 +78,23 @@ class SpectralVector(Mapping):
                 clean[j] = v
         self.basis = basis
         self._entries = dict(sorted(clean.items()))
+        self._arrays = None
+
+    @classmethod
+    def _from_arrays(cls, basis: Basis, keys: np.ndarray, vals: np.ndarray) -> "SpectralVector":
+        """The vector of (n, dim) int64 keys, lattice-valid, sorted and unique,
+        and their values, with __init__'s finiteness check and prune."""
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if len(bad):
+            _finite(tuple(keys[bad[0]].tolist()), complex(vals[bad[0]]))
+        keep = np.hypot(vals.real, vals.imag) >= PRUNE_TOL  # abs as Python rounds it
+        keys, vals = keys[keep], vals[keep]
+        keys.flags.writeable = vals.flags.writeable = False
+        self = cls.__new__(cls)
+        self.basis = basis
+        self._entries = dict(zip(map(tuple, keys.tolist()), vals.tolist()))
+        self._arrays = keys, vals
+        return self
 
     def __getitem__(self, j: Index) -> complex:
         return self._entries[j]
@@ -105,20 +123,20 @@ class SpectralVector(Mapping):
         return f"SpectralVector({self.basis.kind.value}, {len(self)} entries)"
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Keys as an (n, dim) int64 array and values as complex, in key order."""
-        n, dim = len(self._entries), self.basis.dim
-        coords = itertools.chain.from_iterable(self._entries)
-        keys = np.fromiter(coords, dtype=np.int64, count=n * dim)
-        return keys.reshape(n, dim), np.fromiter(self._entries.values(), dtype=complex, count=n)
+        """Keys as an (n, dim) int64 array and values as complex, in key
+        order; read-only."""
+        if self._arrays is None:
+            n, dim = len(self._entries), self.basis.dim
+            coords = itertools.chain.from_iterable(self._entries)
+            keys = np.fromiter(coords, dtype=np.int64, count=n * dim)
+            vals = np.fromiter(self._entries.values(), dtype=complex, count=n)
+            keys.flags.writeable = vals.flags.writeable = False
+            self._arrays = keys.reshape(n, dim), vals
+        return self._arrays
 
     def max_degree(self) -> int:
         """Largest raw coordinate magnitude in the support (0 if empty)."""
-        out = 0
-        for j in self._entries:
-            for c in j:
-                if abs(c) > out:
-                    out = abs(c)
-        return out
+        return int(np.abs(self.as_arrays()[0]).max(initial=0))
 
 
 def l1s_norm(u: SpectralVector, s: float, size: SizeFunction = SizeFunction.MAX) -> float:

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from spspec.coeffs import FourierSymbol, HermiteCache, hermite_product_integral
@@ -215,6 +216,99 @@ def test_term_accounting_alpha_one_brute():
             if max(1, abs(ell)) * max(1, abs(j1)) * max(1, abs(j2)) <= 5:
                 brute += 1
     assert res.terms == brute
+
+
+# ---------------------------------------------------------------- output vectors
+
+def test_direct_outputs_are_checked_and_pruned():
+    """A non-finite output raises as SpectralVector does; one below PRUNE_TOL
+    is dropped."""
+    cases = [(UNIT, FOURIER, None), (HermiteCache(2), HERMITE, tuple((l,) for l in range(5)))]
+    for provider, basis, domain in cases:
+        for alpha in (0, 1):
+            huge = SpectralVector(basis, {(0,): 1e200, (1,): 1.0})
+            tiny = SpectralVector(basis, {(0,): 1e-160})
+            spec = SparseSetSpec(2, 4, alpha, SizeFunction.MAX, basis.lattice)
+            # the Hermite products overflow at the quadrature nodes too
+            with np.errstate(all="ignore"):
+                with pytest.raises(ValueError, match=r"index \(0,\) is not finite"):
+                    direct_sparse_eval(EvalRequest(provider, (huge, huge), spec, domain))
+                got = direct_sparse_eval(EvalRequest(provider, (tiny, tiny), spec, domain))
+            assert not got.vector and got.terms  # every value is about 1e-320
+
+
+def _output_cases(seed: int):
+    """(label, evaluate) pairs over both bases, both alphas, explicit domains,
+    the box and the iterative fold, on inputs with entries small enough that
+    some products fall below PRUNE_TOL."""
+    rng = random.Random(seed)
+
+    def vector(basis, cells):
+        return SpectralVector(basis, {
+            j: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * rng.choice((1.0, 1e-160))
+            for j in rng.sample(cells, min(len(cells), 9))
+        })
+
+    for _ in range(40):
+        d = rng.choice((1, 2))
+        basis = Basis.fourier(d)
+        cells = list(itertools.product(range(-4, 5), repeat=d))
+        p, n, alpha = rng.choice((1, 2, 3)), rng.choice((4, 9, 20)), rng.choice((0, 1))
+        inputs = tuple(vector(basis, cells) for _ in range(p))
+        symbol = FourierSymbol(GUARD_SYMBOLS[rng.choice(list(GUARD_SYMBOLS))](d), d)
+        spec = SparseSetSpec(p, n, alpha, rng.choice(list(SizeFunction)), basis.lattice,
+                             box=rng.choice((None, 3)))
+        outs = list(itertools.product(range(-14, 15), repeat=d))
+        domain = rng.choice((None, tuple(rng.sample(outs, 20))))
+        yield "fourier", lambda: direct_sparse_eval(EvalRequest(symbol, inputs, spec, domain))
+        if d == 1 and p > 1:
+            yield "fourier fold", lambda: iterative_eval(symbol, inputs, n, alpha)
+    for _ in range(20):
+        cells = [(j,) for j in range(12)]
+        p, n, alpha = rng.choice((2, 3)), rng.choice((4, 9, 20)), rng.choice((0, 1))
+        inputs = tuple(vector(HERMITE, cells) for _ in range(p))
+        spec = SparseSetSpec(p, n, alpha, rng.choice(list(SizeFunction)), HERMITE.lattice,
+                             box=rng.choice((None, 3)))
+        domain = tuple(rng.sample([(l,) for l in range(30)], 12)) if alpha == 0 else None
+        yield "hermite", lambda: direct_sparse_eval(
+            EvalRequest(HermiteCache(p), inputs, spec, domain))
+        yield "hermite fold", lambda: iterative_eval(HermiteCache(2), inputs, n, alpha, ell_cap=20)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_output_vectors_match_the_mapping_constructor(seed, monkeypatch):
+    """Every vector the evaluators build from arrays is the one
+    SpectralVector(basis, dict) builds from the same keys and values, and its
+    arrays are a read-only copy of a fresh conversion."""
+    built = []
+    from_arrays = SpectralVector._from_arrays
+
+    def spy(basis, keys, vals):
+        u = from_arrays(basis, keys, vals)
+        built.append((u, SpectralVector(basis, dict(zip(map(tuple, keys.tolist()), vals.tolist())))))
+        return u
+
+    monkeypatch.setattr(SpectralVector, "_from_arrays", staticmethod(spy))
+    nonempty = 0
+    for label, evaluate in _output_cases(seed):
+        built.clear()
+        result = evaluate()
+        assert built, label
+        assert result.vector is built[-1][0], label
+        for got, want in built:
+            assert got == want, label
+            assert list(got) == list(want), label
+            assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()], label
+            assert all(type(c) is int for j in got for c in j), label
+            keys, vals = got.as_arrays()
+            assert keys.dtype == np.int64 and keys.shape == (len(want), want.basis.dim), label
+            assert keys.tolist() == [list(j) for j in want], label
+            assert vals.tolist() == list(want.values()), label
+            for a in (keys, vals):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+            nonempty += bool(got)
+    assert nonempty > 50
 
 
 # ------------------------------------------------------- saturation equality

@@ -71,8 +71,9 @@ def test_mapping_interface_is_read_only():
 
 def test_max_degree():
     u = SpectralVector(FOURIER, {(-4,): 1.0, (2,): 1.0})
-    assert u.max_degree() == 4
+    assert u.max_degree() == 4 and type(u.max_degree()) is int
     assert SpectralVector(FOURIER, {}).max_degree() == 0
+    assert SpectralVector(Basis.fourier(2), {(1, -7): 1.0, (3, 2): 1.0}).max_degree() == 7
 
 
 def test_lookup_and_arrays():
@@ -84,6 +85,12 @@ def test_lookup_and_arrays():
     keys, vals = u.as_arrays()
     assert keys.tolist() == [[-3, 0], [1, -2]]
     assert vals.tolist() == [1j, 2.0 + 0j]
+    # converted once, and shared read-only
+    assert u.as_arrays()[0] is keys and u.as_arrays()[1] is vals
+    for a in (keys, vals, keys.base):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    assert SpectralVector(FOURIER, {}).as_arrays()[0].shape == (0, 1)
 
 
 @pytest.mark.parametrize(
