@@ -61,8 +61,7 @@ class SpectralVector(Mapping):
 
     Keys are lattice multi-indices, values complex.  Entries are stored in
     lexicographic key order so that iteration, serialization and norm
-    accumulation are deterministic.  The (keys, values) arrays are built once
-    per vector, read-only, and shared by every later as_arrays call.
+    accumulation are deterministic.
     """
 
     __slots__ = ("basis", "_entries", "_arrays")
@@ -85,7 +84,7 @@ class SpectralVector(Mapping):
         """The vector of (n, dim) int64 keys, lattice-valid, sorted and unique,
         and their values, with __init__'s finiteness check and prune."""
         bad = np.flatnonzero(~np.isfinite(vals))
-        if len(bad):
+        if len(bad):  # raise as __init__ does, at the first in key order
             _finite(tuple(keys[bad[0]].tolist()), complex(vals[bad[0]]))
         keep = np.hypot(vals.real, vals.imag) >= PRUNE_TOL  # abs as Python rounds it
         keys, vals = keys[keep], vals[keep]
@@ -124,7 +123,7 @@ class SpectralVector(Mapping):
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Keys as an (n, dim) int64 array and values as complex, in key
-        order; read-only."""
+        order: converted once per vector, and read-only."""
         if self._arrays is None:
             n, dim = len(self._entries), self.basis.dim
             coords = itertools.chain.from_iterable(self._entries)
