@@ -238,7 +238,7 @@ def test_direct_outputs_are_checked_and_pruned():
 
 
 def _output_cases(seed: int):
-    """(label, evaluate) pairs over both bases, both alphas, explicit domains,
+    """(label, call) pairs over both bases, both alphas, explicit domains,
     the box and the iterative fold, on inputs with entries small enough that
     some products fall below PRUNE_TOL."""
     rng = random.Random(seed)
@@ -260,9 +260,9 @@ def _output_cases(seed: int):
                              box=rng.choice((None, 3)))
         outs = list(itertools.product(range(-14, 15), repeat=d))
         domain = rng.choice((None, tuple(rng.sample(outs, 20))))
-        yield "fourier", lambda: direct_sparse_eval(EvalRequest(symbol, inputs, spec, domain))
+        yield "fourier", functools.partial(direct_sparse_eval, EvalRequest(symbol, inputs, spec, domain))
         if d == 1 and p > 1:
-            yield "fourier fold", lambda: iterative_eval(symbol, inputs, n, alpha)
+            yield "fourier fold", functools.partial(iterative_eval, symbol, inputs, n, alpha)
     for _ in range(20):
         cells = [(j,) for j in range(12)]
         p, n, alpha = rng.choice((2, 3)), rng.choice((4, 9, 20)), rng.choice((0, 1))
@@ -270,9 +270,10 @@ def _output_cases(seed: int):
         spec = SparseSetSpec(p, n, alpha, rng.choice(list(SizeFunction)), HERMITE.lattice,
                              box=rng.choice((None, 3)))
         domain = tuple(rng.sample([(l,) for l in range(30)], 12)) if alpha == 0 else None
-        yield "hermite", lambda: direct_sparse_eval(
-            EvalRequest(HermiteCache(p), inputs, spec, domain))
-        yield "hermite fold", lambda: iterative_eval(HermiteCache(2), inputs, n, alpha, ell_cap=20)
+        yield "hermite", functools.partial(
+            direct_sparse_eval, EvalRequest(HermiteCache(p), inputs, spec, domain))
+        yield "hermite fold", functools.partial(
+            iterative_eval, HermiteCache(2), inputs, n, alpha, ell_cap=20)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -290,9 +291,9 @@ def test_output_vectors_match_the_mapping_constructor(seed, monkeypatch):
 
     monkeypatch.setattr(SpectralVector, "_from_arrays", staticmethod(spy))
     nonempty = 0
-    for label, evaluate in _output_cases(seed):
+    for label, call in _output_cases(seed):
         built.clear()
-        result = evaluate()
+        result = call()
         assert built, label
         assert result.vector is built[-1][0], label
         for got, want in built:
