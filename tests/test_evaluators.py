@@ -1,7 +1,10 @@
 import functools
+import hashlib
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from spspec.evaluators import (
 )
 from spspec.indices import SizeFunction, SparseSetSpec, enumerate_sparse, integers, naturals
 from spspec.quadrature import gauss_hermite_rule, hermite_batch
-from spspec.spectral import Basis, SpectralVector, l1s_norm, power_law_vector
+from spspec.spectral import Basis, SpectralVector, dump_vector, l1s_norm, power_law_vector
 
 FOURIER = Basis.fourier()
 HERMITE = Basis.hermite()
@@ -116,6 +119,80 @@ def test_dense_hermite_rejects_underresolved_rules():
         dense_oracle_hermite((u, u), 20, 30)
     # non-strict mode keeps going; used for fixed-resolution transforms
     dense_oracle_hermite((u, u), 20, 30, strict=False)
+
+
+# ---------------------------------------------------------------- oracle guard
+#
+# Seeded grids of d=1 dense_oracle_fourier and dense_oracle_hermite outputs,
+# compared with digests of their dump_vector text (shortest round-trip reprs)
+# recorded in vector_golden.json from the dict-convolution oracle.  Half of
+# the Fourier inputs carry +-1e-200 entries past both ends of their support
+# and one inside it, so products underflow to exact zeros at the ends and in
+# the middle of the partial convolutions.
+
+GOLDEN = Path(__file__).with_name("vector_golden.json")
+
+
+def digest(*vectors: SpectralVector) -> str:
+    h = hashlib.sha256()
+    for u in vectors:
+        h.update(dump_vector(u).encode())
+    return h.hexdigest()[:16]
+
+
+def guard_fvec(rng: random.Random, tiny: bool) -> SpectralVector:
+    keys = sorted(rng.sample(range(-12, 13), rng.randint(1, 10)))
+    entries = {}
+    for k in keys:
+        im = rng.choice([0.0, -0.0, rng.uniform(-1, 1)])
+        entries[k] = complex(rng.uniform(-1, 1), im) * 10.0 ** rng.randint(-4, 4)
+    if tiny:
+        for k in (keys[0] - 1, keys[-1] + 1, rng.randint(keys[0], keys[-1])):
+            entries[k] = rng.choice([1e-200, -1e-200, 1e-200j])
+    return fvec(entries)
+
+
+def oracle_guard_cases(p: int) -> dict[str, SpectralVector]:
+    out = {}
+    for seed in range(13):
+        rng = random.Random(100 * p + seed)
+        inputs = [guard_fvec(rng, seed % 2 == 0) for _ in range(p)]
+        for cutoff in (None, 4, 9):
+            for sym in (None, FourierSymbol.inverse_two_minus_cos()):
+                name = f"p{p}-cutoff{cutoff}-{'sym' if sym else 'plain'}-seed{seed}"
+                out[name] = dense_oracle_fourier(inputs, cutoff, sym)
+    return out
+
+
+def hermite_guard_cases() -> dict[str, SpectralVector]:
+    out = {}
+    for p in (1, 2, 3):
+        for seed in range(4):
+            rng = random.Random(10 * p + seed)
+            inputs = [
+                SpectralVector(HERMITE, {
+                    (rng.randint(0, 10),): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    for _ in range(rng.randint(1, 6))
+                })
+                for _ in range(p)
+            ]
+            degree = sum(u.max_degree() for u in inputs) + 8
+            out[f"p{p}-seed{seed}"] = dense_oracle_hermite(inputs, degree // 2 + 1, 8)
+            out[f"p{p}-seed{seed}-loose"] = dense_oracle_hermite(inputs, 6, 8, strict=False)
+    return out
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_dense_fourier_keeps_its_bits(p):
+    golden = json.loads(GOLDEN.read_text())["dense_oracle_fourier"]
+    got = {name: digest(u) for name, u in oracle_guard_cases(p).items()}
+    assert len(got) == 78
+    assert {name: golden[name] for name in got} == got
+
+
+def test_dense_hermite_keeps_its_bits():
+    golden = json.loads(GOLDEN.read_text())["dense_oracle_hermite"]
+    assert {name: digest(u) for name, u in hermite_guard_cases().items()} == golden
 
 
 # ---------------------------------------------------------------- direct eval

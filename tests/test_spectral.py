@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from scipy.special import zeta
@@ -173,6 +176,28 @@ def test_power_law_rejects_non_summable_exponent():
         power_law_vector(1.0, 4, FOURIER)
     with pytest.raises(ValueError):
         power_law_vector(0.5, 4, HERMITE)
+
+
+# Digests of the dump_vector text (shortest round-trip reprs) of
+# power_law_vector at every cutoff 0..64 (eight of them at d=2), per basis
+# and exponent, recorded in vector_golden.json.  At sigma = 200 the
+# tail falls below PRUNE_TOL and is dropped.
+POWER_LAW_GRID = {
+    "fourier1": (FOURIER, range(65)),
+    "fourier2": (Basis.fourier(2), [0, 1, 2, 3, 8, 16, 32, 64]),
+    "hermite": (HERMITE, range(65)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_LAW_GRID))
+def test_power_law_keeps_its_bits(name):
+    golden = json.loads(Path(__file__).with_name("vector_golden.json").read_text())
+    basis, cutoffs = POWER_LAW_GRID[name]
+    for sigma in (1.5, 2, 3.0, 6.5, 200.0):
+        h = hashlib.sha256()
+        for cutoff in cutoffs:
+            h.update(dump_vector(power_law_vector(sigma, cutoff, basis)).encode())
+        assert h.hexdigest()[:16] == golden["power_law_vector"][f"{name}-sigma{sigma}"]
 
 
 # ---------------------------------------------------------------- serialization
