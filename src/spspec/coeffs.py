@@ -240,7 +240,7 @@ def load_cache(path) -> HermiteCache:
         raise ValueError(f"{path}: bad cache header {lines[0]!r}") from None
     if fields.get("policy") != POLICY_ID:
         raise ValueError(f"{path}: unsupported node policy {fields.get('policy')!r}")
-    table = {}
+    table, where = {}, {}
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -260,5 +260,7 @@ def load_cache(path) -> HermiteCache:
             raise ValueError(f"{path}:{i}: odd-parity key {key} should not be stored")
         if key and key[-1] > jmax:
             raise ValueError(f"{path}:{i}: key {key} exceeds declared jmax {jmax}")
-        table[key] = value
+        if key in where:
+            raise ValueError(f"{path}:{i}: key {key} repeats line {where[key]}")
+        table[key], where[key] = value, i
     return HermiteCache(arity, table)

@@ -563,32 +563,6 @@ def iterative_eval(
     return EvalResult(acc, terms)
 
 
-def _dense_convolve_pair(a: dict, b: dict) -> dict:
-    out: dict[Index, complex] = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            out[k] = out.get(k, 0j) + va * vb
-    return out
-
-
-def _convolve_line(a: dict, b: dict) -> dict:
-    """Exact 1-d convolution on a contiguous index window via numpy."""
-    alo = min(k[0] for k in a)
-    ahi = max(k[0] for k in a)
-    blo = min(k[0] for k in b)
-    bhi = max(k[0] for k in b)
-    arr_a = np.zeros(ahi - alo + 1, dtype=complex)
-    arr_b = np.zeros(bhi - blo + 1, dtype=complex)
-    for k, v in a.items():
-        arr_a[k[0] - alo] = v
-    for k, v in b.items():
-        arr_b[k[0] - blo] = v
-    conv = np.convolve(arr_a, arr_b)
-    lo = alo + blo
-    return {(lo + i,): v for i, v in enumerate(conv) if v != 0}
-
-
 def dense_oracle_fourier(
     inputs: Sequence[SpectralVector],
     cutoff: int | None = None,
@@ -596,9 +570,13 @@ def dense_oracle_fourier(
 ) -> SpectralVector:
     """Full convolution of the stored entries, with no sparsity at all.
 
-    Desk-scale reference: cost grows with the product of the supports.  An
+    Desk-scale reference, one numpy path in every dimension: each factor's
+    keys, shifted to start at 0, are flattened in the C order of the output
+    box, so the flat key of a sum is the sum of the flat keys, and the
+    factors are folded by np.convolve on dense lines.  Cost and memory
+    follow the span of the inputs' box, not their number of entries.  An
     optional cutoff truncates every input to coordinate magnitudes <= cutoff
-    first; an optional symbol applies b as one more convolution.
+    first; an optional symbol applies b as one more factor.
     """
     if not inputs:
         raise ValueError("need at least one input")
@@ -608,28 +586,39 @@ def dense_oracle_fourier(
     for u in inputs:
         if u.basis != basis:
             raise ValueError("all inputs must share one basis")
-    tables = []
+    factors = []
     for u in inputs:
-        t = {
-            k: v
-            for k, v in u.items()
-            if cutoff is None or max(abs(c) for c in k) <= cutoff
-        }
-        tables.append(t)
+        keys, vals = u.as_arrays()
+        if cutoff is not None:
+            keep = np.abs(keys).max(axis=1) <= cutoff
+            keys, vals = keys[keep], vals[keep]
+        factors.append((keys, vals))
     if symbol is not None:
         if symbol.dim != basis.dim:
             raise ValueError("symbol dimension does not match the inputs")
-        tables.append(dict(symbol.table))
-    acc = tables[0]
-    for t in tables[1:]:
-        if not acc or not t:
-            acc = {}
+        keys = np.array(list(symbol.table), dtype=np.int64).reshape(-1, basis.dim)
+        factors.append((keys, np.array(list(symbol.table.values()), dtype=complex)))
+    if not all(len(vals) for _, vals in factors):
+        return SpectralVector(basis, {})
+    lows = [keys.min(axis=0) for keys, _ in factors]
+    low = sum(lows)
+    box = sum(keys.max(axis=0) for keys, _ in factors) - low + 1
+    line, off = None, 0
+    for (keys, vals), own in zip(factors, lows):
+        flat = np.ravel_multi_index(tuple((keys - own).T), box)
+        start = int(flat.min())
+        factor = np.zeros(int(flat.max()) - start + 1, dtype=complex)
+        factor[flat - start] = vals
+        line = factor if line is None else np.convolve(line, factor)
+        # trim exact zeros from both ends: np.convolve's order of summation,
+        # and so the bits of the d=1 outputs, depend on the operands' lengths
+        nz = np.flatnonzero(line)
+        if not len(nz):
             break
-        if basis.dim == 1:
-            acc = _convolve_line(acc, t)
-        else:
-            acc = _dense_convolve_pair(acc, t)
-    return SpectralVector(basis, acc)
+        line, off = line[nz[0] : nz[-1] + 1], off + start + int(nz[0])
+    nz = np.flatnonzero(line)
+    keys = np.stack(np.unravel_index(nz + off, box), axis=1) + low
+    return SpectralVector._from_arrays(basis, keys, line[nz])
 
 
 def dense_oracle_hermite(
@@ -675,7 +664,7 @@ def dense_oracle_hermite(
             vals += v * chi[j[0]]
         prod *= vals
     proj = chi[: jmax_out + 1] @ prod
-    return SpectralVector(basis, {(l,): proj[l] for l in range(jmax_out + 1)})
+    return SpectralVector._from_arrays(basis, np.arange(jmax_out + 1).reshape(-1, 1), proj)
 
 
 def error_report(

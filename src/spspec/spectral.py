@@ -155,19 +155,17 @@ def power_law_vector(sigma: float, cutoff: int, basis: Basis) -> SpectralVector:
     dimension); for Hermite, |k| = k.  sigma must exceed 1 so the family has
     finite weighted l1 norms below the critical exponent.
     """
-    if sigma <= 1:
+    if not sigma > 1:
         raise ValueError(f"power-law exponent must be > 1, got {sigma}")
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    entries = {}
+    # Python's ** keeps these bits; numpy's power need not
+    mags = np.array([(1.0 + m) ** (-sigma) for m in range(cutoff + 1)], dtype=complex)
     if basis.kind is BasisKind.FOURIER:
-        for k in itertools.product(range(-cutoff, cutoff + 1), repeat=basis.dim):
-            m = max(abs(c) for c in k)
-            entries[k] = (1.0 + m) ** (-sigma)
+        keys = np.indices((2 * cutoff + 1,) * basis.dim).reshape(basis.dim, -1).T - cutoff
     else:
-        for n in range(cutoff + 1):
-            entries[(n,)] = (1.0 + n) ** (-sigma)
-    return SpectralVector(basis, entries)
+        keys = np.arange(cutoff + 1).reshape(-1, 1)
+    return SpectralVector._from_arrays(basis, keys, mags[np.abs(keys).max(axis=1)])
 
 
 def dump_vector(u: SpectralVector) -> str:
@@ -184,7 +182,7 @@ def dump_vector(u: SpectralVector) -> str:
 
 
 def parse_vector(text: str, basis: Basis) -> SpectralVector:
-    entries = {}
+    entries, where = {}, {}
     for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -198,7 +196,9 @@ def parse_vector(text: str, basis: Basis) -> SpectralVector:
             raise ValueError(f"line {i}: {exc}") from None
         if len(j) != basis.dim:
             raise ValueError(f"line {i}: expected {basis.dim} coordinates, got {len(j)}")
-        entries[j] = v
+        if j in where:
+            raise ValueError(f"line {i}: index {j} repeats line {where[j]}")
+        entries[j], where[j] = v, i
     return SpectralVector(basis, entries)
 
 

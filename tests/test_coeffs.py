@@ -264,6 +264,10 @@ def test_load_rejects_tampered_files(tmp_path):
     with pytest.raises(ValueError, match="jmax"):
         load_cache(bad)
 
+    bad.write_text(text + "\n0 0 0\t0.25\n")
+    with pytest.raises(ValueError, match=r"bad.cache:5: key \(0, 0, 0\) repeats line 2"):
+        load_cache(bad)
+
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_load_rejects_non_finite_coefficients(tmp_path, value):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,60 @@ def test_dense_fourier_keeps_its_bits(p):
 def test_dense_hermite_keeps_its_bits():
     golden = json.loads(GOLDEN.read_text())["dense_oracle_hermite"]
     assert {name: digest(u) for name, u in hermite_guard_cases().items()} == golden
+
+
+def dict_oracle(tables: list[dict]) -> dict:
+    """Reference convolution: a dict double loop over every pair of entries."""
+    acc = tables[0]
+    for t in tables[1:]:
+        out = {}
+        for ka, va in acc.items():
+            for kb, vb in t.items():
+                k = tuple(x + y for x, y in zip(ka, kb))
+                out[k] = out.get(k, 0j) + va * vb
+        acc = out
+    return acc
+
+
+@pytest.mark.parametrize("d,p", [(2, 1), (2, 2), (2, 3), (3, 2)])
+def test_dense_fourier_matches_the_dict_double_loop(d, p):
+    # every value within 1e-15 of its term mass, the convolution of the
+    # absolute values, since the two sum in different orders
+    basis = Basis.fourier(d)
+    sizes = []
+    for seed in range(6):
+        rng = random.Random(1000 * d + 100 * p + seed)
+
+        def table(n, r):
+            return {
+                tuple(rng.randint(-r, r) for _ in range(d)):
+                    complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10.0 ** rng.randint(-3, 3)
+                for _ in range(n)
+            }
+
+        inputs = [SpectralVector(basis, table(rng.randint(1, 60), 6)) for _ in range(p)]
+        cutoff = rng.choice([None, 2, 4])
+        symbol = FourierSymbol(table(rng.randint(1, 9), 2), d) if seed % 2 else None
+        tables = [
+            {k: v for k, v in u.items() if cutoff is None or max(map(abs, k)) <= cutoff}
+            for u in inputs
+        ] + ([symbol.table] if symbol else [])
+        want = dict_oracle(tables)
+        mass = dict_oracle([{k: abs(v) for k, v in t.items()} for t in tables])
+        got = dense_oracle_fourier(inputs, cutoff, symbol)
+        assert set(got) <= set(want)
+        for k, m in mass.items():
+            assert abs(got.get(k, 0j) - want[k]) <= 1e-15 * m.real, (seed, k)
+        sizes.append(len(got))
+    assert sum(n > 0 for n in sizes) >= 4
+
+
+def test_dense_fourier_2d_takes_under_a_second():
+    u = power_law_vector(3.0, 32, Basis.fourier(2))
+    start = time.perf_counter()
+    got = dense_oracle_fourier((u, u), cutoff=32)
+    assert time.perf_counter() - start < 1.0
+    assert len(got) == 129**2
 
 
 # ---------------------------------------------------------------- direct eval

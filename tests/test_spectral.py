@@ -176,6 +176,15 @@ def test_power_law_rejects_non_summable_exponent():
         power_law_vector(1.0, 4, FOURIER)
     with pytest.raises(ValueError):
         power_law_vector(0.5, 4, HERMITE)
+    with pytest.raises(ValueError, match="power-law exponent must be > 1, got nan"):
+        power_law_vector(math.nan, 3, FOURIER)
+
+
+@pytest.mark.parametrize("basis", [FOURIER, Basis.fourier(2), HERMITE])
+@pytest.mark.parametrize("cutoff", [3.5, 3.0])
+def test_power_law_rejects_a_non_integer_cutoff(basis, cutoff):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        power_law_vector(3.0, cutoff, basis)
 
 
 # Digests of the dump_vector text (shortest round-trip reprs) of
@@ -229,6 +238,13 @@ def test_parse_errors_carry_line_numbers():
         parse_vector("0\t1.0\t0.0\nx\t1.0\t0.0\n", FOURIER)
     with pytest.raises(ValueError, match="line 1"):
         parse_vector("0 1\t1.0\t0.0\n", FOURIER)
+
+
+def test_parse_rejects_repeated_indices():
+    with pytest.raises(ValueError, match=r"line 4: index \(0,\) repeats line 1"):
+        parse_vector("0\t0.5\t0.0\n\n1\t1.0\t0.0\n-0\t0.25\t0.0\n", FOURIER)
+    with pytest.raises(ValueError, match=r"line 2: index \(1, -2\) repeats line 1"):
+        parse_vector("1 -2\t0.5\t0.0\n1 -2\t0.5\t0.0\n", Basis.fourier(2))
 
 
 @pytest.mark.parametrize("re, im", [("nan", "0.0"), ("1.0", "-inf"), ("inf", "nan")])
