@@ -240,7 +240,7 @@ def load_cache(path) -> HermiteCache:
         raise ValueError(f"{path}: bad cache header {lines[0]!r}") from None
     if fields.get("policy") != POLICY_ID:
         raise ValueError(f"{path}: unsupported node policy {fields.get('policy')!r}")
-    table, where = {}, {}
+    table = {}
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -260,7 +260,8 @@ def load_cache(path) -> HermiteCache:
             raise ValueError(f"{path}:{i}: odd-parity key {key} should not be stored")
         if key and key[-1] > jmax:
             raise ValueError(f"{path}:{i}: key {key} exceeds declared jmax {jmax}")
-        if key in where:
-            raise ValueError(f"{path}:{i}: key {key} repeats line {where[key]}")
-        table[key], where[key] = value, i
+        if key in table:
+            seen = [tuple(map(int, row.split("\t")[0].split())) for row in lines[1 : i - 1]]
+            raise ValueError(f"{path}:{i}: key {key} repeats line {seen.index(key) + 2}")
+        table[key] = value
     return HermiteCache(arity, table)

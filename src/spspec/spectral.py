@@ -182,8 +182,9 @@ def dump_vector(u: SpectralVector) -> str:
 
 
 def parse_vector(text: str, basis: Basis) -> SpectralVector:
-    entries, where = {}, {}
-    for i, line in enumerate(text.splitlines(), start=1):
+    entries = {}
+    lines = text.splitlines()
+    for i, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -196,9 +197,10 @@ def parse_vector(text: str, basis: Basis) -> SpectralVector:
             raise ValueError(f"line {i}: {exc}") from None
         if len(j) != basis.dim:
             raise ValueError(f"line {i}: expected {basis.dim} coordinates, got {len(j)}")
-        if j in where:
-            raise ValueError(f"line {i}: index {j} repeats line {where[j]}")
-        entries[j], where[j] = v, i
+        if j in entries:
+            seen = [tuple(map(int, row.split("\t")[0].split())) for row in lines[: i - 1]]
+            raise ValueError(f"line {i}: index {j} repeats line {seen.index(j) + 1}")
+        entries[j] = v
     return SpectralVector(basis, entries)
 
 
