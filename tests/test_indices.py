@@ -127,27 +127,36 @@ ENVELOPE_1D = [
     for alpha in (0, 1)
     for size in SizeFunction
     for kind in (LatticeKind.INTEGERS, LatticeKind.NATURALS)
+] + [
+    (4, n, alpha, size, kind)
+    for n in (1, 2, 3, 5, 8)
+    for alpha in (0, 1)
+    for size in SizeFunction
+    for kind in (LatticeKind.INTEGERS, LatticeKind.NATURALS)
 ]
 
 
 @pytest.mark.parametrize("p,n,alpha,size,kind", ENVELOPE_1D)
 def test_enumerate_matches_brute_force_1d(p, n, alpha, size, kind):
     lattice = Lattice(kind, 1)
-    spec = SparseSetSpec(p, n, alpha, size, lattice)
-    for ell in ((0,), (2,)):
-        got = list(enumerate_sparse(spec, ell))
-        assert got == sorted(got)
-        assert len(got) == len(set(got))
-        assert got == brute_tuples(spec, ell)
+    # box 1 admits only size-1 indices; box 3 cuts below the budget from N = 5 on
+    for box in (None, 1, 3):
+        spec = SparseSetSpec(p, n, alpha, size, lattice, box)
+        for ell in ((0,), (2,)):
+            got = list(enumerate_sparse(spec, ell))
+            assert got == sorted(got)
+            assert len(got) == len(set(got))
+            assert got == brute_tuples(spec, ell)
 
 
 @pytest.mark.parametrize("p,n", [(1, 20), (2, 20), (3, 6)])
 def test_enumerate_matches_brute_force_2d(p, n):
-    for alpha in (0, 1):
-        for size in SizeFunction:
-            spec = SparseSetSpec(p, n, alpha, size, integers(2))
-            for ell in ((0, 0), (1, -2)):
-                assert list(enumerate_sparse(spec, ell)) == brute_tuples(spec, ell)
+    for lattice, ells in ((integers(2), ((0, 0), (1, -2))), (naturals(2), ((0, 0), (1, 2)))):
+        for alpha in (0, 1):
+            for size in SizeFunction:
+                spec = SparseSetSpec(p, n, alpha, size, lattice)
+                for ell in ells:
+                    assert list(enumerate_sparse(spec, ell)) == brute_tuples(spec, ell)
 
 
 def test_enumerate_ignores_ell_when_alpha_zero():
