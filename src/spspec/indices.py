@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -120,6 +121,12 @@ class SparseSetSpec:
     box: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("p", "level", "alpha") + (("box",) if self.box is not None else ()):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.p < 1:
             raise ValueError(f"arity p must be >= 1, got {self.p}")
         if self.level < 1:
@@ -133,15 +140,14 @@ class SparseSetSpec:
 def indices_up_to(lattice: Lattice, size: SizeFunction, cap: int) -> Iterator[Index]:
     """All lattice indices with size <= cap, in lexicographic order."""
     if cap < 1:
-        return
-    if size is SizeFunction.MAX:
-        if lattice.kind is LatticeKind.INTEGERS:
-            rng = range(-cap, cap + 1)
-        else:
-            rng = range(0, cap + 1)
-        yield from itertools.product(rng, repeat=lattice.dim)
-    else:
-        yield from _prod_norm_indices(lattice.kind, lattice.dim, cap)
+        return iter(())
+    if size is SizeFunction.PROD and lattice.dim > 1:
+        return _prod_norm_indices(lattice.kind, lattice.dim, cap)
+    top = cap if size is SizeFunction.MAX else cap - 1  # on one coordinate 1 + |c| <= cap
+    rng = range(-top if lattice.kind is LatticeKind.INTEGERS else 0, top + 1)
+    if lattice.dim == 1:  # product() copies its pools, so one coordinate streams its range
+        return zip(rng)
+    return itertools.product(rng, repeat=lattice.dim)
 
 
 def _prod_norm_indices(kind: LatticeKind, dim: int, cap: int) -> Iterator[Index]:
@@ -154,6 +160,10 @@ def _prod_norm_indices(kind: LatticeKind, dim: int, cap: int) -> Iterator[Index]
             yield (c,) + rest
 
 
+# indices one enumerate_sparse call may hold in its memo; about 100 bytes each
+ENUM_MEMO_ENTRIES = 2**16
+
+
 def enumerate_sparse(spec: SparseSetSpec, ell: Index) -> Iterator[tuple[Index, ...]]:
     """Stream the p-tuples (j_1, ..., j_p) admitted with this ell.
 
@@ -161,6 +171,12 @@ def enumerate_sparse(spec: SparseSetSpec, ell: Index) -> Iterator[tuple[Index, .
     The descent carries the remaining multiplicative budget, so no full
     p-fold product is ever formed.  Empty stream when ell itself breaks the
     budget or the box cap.
+
+    A descent from budget b reaches only the budgets b // m, so the indices
+    within each budget, and the budgets they leave, are listed once per call
+    and shared by every prefix that reaches it.  The memo holds at most
+    ENUM_MEMO_ENTRIES indices; a budget whose max-norm count (an upper bound
+    under either norm) would pass that is streamed afresh at every visit.
     """
     ell = spec.lattice.validate(ell)
     sz_ell = spec.size.of(ell)
@@ -169,19 +185,37 @@ def enumerate_sparse(spec: SparseSetSpec, ell: Index) -> Iterator[tuple[Index, .
     budget = spec.level // sz_ell**spec.alpha
     if budget < 1:
         return
-    yield from _descend(spec, 0, budget, ())
+    listed: dict[int, list[Index]] = {}
+    leftovers: dict[int, list[int]] = {}
+    room = ENUM_MEMO_ENTRIES
 
+    def indices(b: int) -> Sequence[Index] | Iterator[Index]:
+        nonlocal room
+        js = listed.get(b)
+        if js is None:
+            cap = b if spec.box is None else min(b, spec.box)
+            if _max_norm_count(spec.lattice, cap) > room:
+                return indices_up_to(spec.lattice, spec.size, cap)
+            js = listed[b] = list(indices_up_to(spec.lattice, spec.size, cap))
+            room -= len(js)
+        return js
 
-def _descend(
-    spec: SparseSetSpec, slot: int, budget: int, prefix: tuple[Index, ...]
-) -> Iterator[tuple[Index, ...]]:
-    cap = budget if spec.box is None else min(budget, spec.box)
-    if slot == spec.p - 1:
-        for j in indices_up_to(spec.lattice, spec.size, cap):
-            yield prefix + (j,)
-    else:
-        for j in indices_up_to(spec.lattice, spec.size, cap):
-            yield from _descend(spec, slot + 1, budget // spec.size.of(j), prefix + (j,))
+    def left(b: int) -> Sequence[int] | Iterator[int]:
+        """b // size(j) for the indices j within b, in their order."""
+        rest = leftovers.get(b)
+        if rest is None:
+            rest = map(b.__floordiv__, map(spec.size.of, indices(b)))
+            if b in listed:
+                rest = leftovers[b] = list(rest)
+        return rest
+
+    def walk(slots: int, b: int, prefix: tuple[Index, ...]) -> Iterator[tuple[Index, ...]]:
+        prefixes = map(prefix.__add__, zip(indices(b)))
+        if slots == 1:
+            return prefixes
+        return itertools.chain.from_iterable(map(walk, itertools.repeat(slots - 1), left(b), prefixes))
+
+    yield from walk(spec.p, budget, ())
 
 
 _CHUNK_TERMS = 2**16

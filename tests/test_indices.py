@@ -1,10 +1,12 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spspec import indices
 from spspec.indices import (
     Lattice,
     LatticeKind,
@@ -224,6 +226,62 @@ def test_spec_validation():
         SparseSetSpec(2, 0, 0, SizeFunction.MAX, integers(1))
     with pytest.raises(ValueError):
         SparseSetSpec(2, 4, 2, SizeFunction.MAX, integers(1))
+
+
+@pytest.mark.parametrize(
+    "field,value", [("p", 2.0), ("level", 8.5), ("level", 8.0), ("level", "8"), ("alpha", 1.0), ("box", 3.0)]
+)
+def test_spec_rejects_non_integer_fields(field, value):
+    fields = {"p": 2, "level": 8, "alpha": 0, "box": None, field: value}
+    with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+        SparseSetSpec(size=SizeFunction.MAX, lattice=integers(1), **fields)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = SparseSetSpec(np.int64(2), np.int32(8), np.int8(1), SizeFunction.MAX, integers(1), np.int64(3))
+    plain = SparseSetSpec(2, 8, 1, SizeFunction.MAX, integers(1), 3)
+    assert list(enumerate_sparse(spec, (1,))) == list(enumerate_sparse(plain, (1,)))
+    assert count_sparse(spec) == count_sparse(plain)
+
+
+@pytest.mark.parametrize("entries", [0, 1, 7, 40])
+def test_enumerate_past_the_memo_cap_streams_the_same_tuples(entries, monkeypatch):
+    # a small cap leaves some budgets, or all at 0, to be streamed afresh at every visit
+    monkeypatch.setattr(indices, "ENUM_MEMO_ENTRIES", entries)
+    cases = [
+        (SparseSetSpec(3, 13, 0, SizeFunction.MAX, integers(1)), (0,)),
+        (SparseSetSpec(3, 20, 1, SizeFunction.PROD, naturals(1), box=5), (1,)),
+        (SparseSetSpec(2, 12, 0, SizeFunction.PROD, integers(2)), (0, 0)),
+        (SparseSetSpec(2, 9, 1, SizeFunction.MAX, naturals(2), box=4), (1, 0)),
+    ]
+    for spec, ell in cases:
+        assert list(enumerate_sparse(spec, ell)) == brute_tuples(spec, ell)
+
+
+def test_enumerate_streams_a_huge_line_lazily():
+    # the first index of Z^1 within 10^9 is -10^9, which leaves budget 1 to the last slot
+    spec = SparseSetSpec(2, 10**9, 0, SizeFunction.MAX, integers(1))
+    tracemalloc.start()
+    try:
+        first = next(enumerate_sparse(spec, (0,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == ((-(10**9),), (-1,))
+    assert peak < 2**20
+
+
+def test_enumerate_memory_is_bounded_by_the_memo_cap():
+    # the budgets reached hold about 3.3 * 10^5 indices in all, five times the cap
+    spec = SparseSetSpec(2, 20000, 0, SizeFunction.MAX, integers(1))
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in enumerate_sparse(spec, (0,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 884709
+    assert peak <= 12 * 2**20
 
 
 # ---------------------------------------------------------------- counting
