@@ -200,20 +200,19 @@ def enumerate_sparse(spec: SparseSetSpec, ell: Index) -> Iterator[tuple[Index, .
             room -= len(js)
         return js
 
-    def left(b: int) -> Sequence[int] | Iterator[int]:
-        """b // size(j) for the indices j within b, in their order."""
+    def walk(slots: int, b: int, prefix: tuple[Index, ...]) -> Iterator[tuple[Index, ...]]:
+        js = indices(b)
+        if slots == 1:
+            return map(prefix.__add__, zip(js))
         rest = leftovers.get(b)
         if rest is None:
-            rest = map(b.__floordiv__, map(spec.size.of, indices(b)))
             if b in listed:
-                rest = leftovers[b] = list(rest)
-        return rest
-
-    def walk(slots: int, b: int, prefix: tuple[Index, ...]) -> Iterator[tuple[Index, ...]]:
-        prefixes = map(prefix.__add__, zip(indices(b)))
-        if slots == 1:
-            return prefixes
-        return itertools.chain.from_iterable(map(walk, itertools.repeat(slots - 1), left(b), prefixes))
+                rest = leftovers[b] = list(map(b.__floordiv__, map(spec.size.of, js)))
+            else:  # one stream for both, so a product's pools are copied once
+                js, ahead = itertools.tee(js)
+                rest = map(b.__floordiv__, map(spec.size.of, ahead))
+        prefixes = map(prefix.__add__, zip(js))
+        return itertools.chain.from_iterable(map(walk, itertools.repeat(slots - 1), rest, prefixes))
 
     yield from walk(spec.p, budget, ())
 

@@ -258,6 +258,24 @@ def test_enumerate_past_the_memo_cap_streams_the_same_tuples(entries, monkeypatc
         assert list(enumerate_sparse(spec, ell)) == brute_tuples(spec, ell)
 
 
+def test_a_streamed_budget_is_listed_once_per_visit(monkeypatch):
+    # Z^2 streams come from itertools.product, which copies its pools, so a
+    # visit that opened a second stream for the leftover budgets would hold
+    # them twice.  Budget 6 is visited at slot 0 and after each of the nine
+    # size-1 indices of Z^2 at slot 1.
+    monkeypatch.setattr(indices, "ENUM_MEMO_ENTRIES", 0)
+    caps = []
+
+    def spy(lattice, size, cap):
+        caps.append(cap)
+        return indices_up_to(lattice, size, cap)
+
+    monkeypatch.setattr(indices, "indices_up_to", spy)
+    spec = SparseSetSpec(2, 6, 0, SizeFunction.MAX, integers(2))
+    assert list(enumerate_sparse(spec, (0, 0))) == brute_tuples(spec, (0, 0))
+    assert caps.count(6) == 1 + 9
+
+
 def test_enumerate_streams_a_huge_line_lazily():
     # the first index of Z^1 within 10^9 is -10^9, which leaves budget 1 to the last slot
     spec = SparseSetSpec(2, 10**9, 0, SizeFunction.MAX, integers(1))
