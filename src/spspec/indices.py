@@ -189,19 +189,15 @@ def enumerate_sparse(spec: SparseSetSpec, ell: Index) -> Iterator[tuple[Index, .
     leftovers: dict[int, list[int]] = {}
     room = ENUM_MEMO_ENTRIES
 
-    def indices(b: int) -> Sequence[Index] | Iterator[Index]:
+    def walk(slots: int, b: int, prefix: tuple[Index, ...]) -> Iterator[tuple[Index, ...]]:
         nonlocal room
         js = listed.get(b)
         if js is None:
             cap = b if spec.box is None else min(b, spec.box)
-            if _max_norm_count(spec.lattice, cap) > room:
-                return indices_up_to(spec.lattice, spec.size, cap)
-            js = listed[b] = list(indices_up_to(spec.lattice, spec.size, cap))
-            room -= len(js)
-        return js
-
-    def walk(slots: int, b: int, prefix: tuple[Index, ...]) -> Iterator[tuple[Index, ...]]:
-        js = indices(b)
+            js = indices_up_to(spec.lattice, spec.size, cap)
+            if _max_norm_count(spec.lattice, cap) <= room:
+                js = listed[b] = list(js)
+                room -= len(js)
         if slots == 1:
             return map(prefix.__add__, zip(js))
         rest = leftovers.get(b)

@@ -290,7 +290,7 @@ def test_enumerate_streams_a_huge_line_lazily():
 
 
 def test_enumerate_memory_is_bounded_by_the_memo_cap():
-    # the budgets reached hold about 3.3 * 10^5 indices in all, five times the cap
+    # the budgets reached, 20000 // m, hold 241,079 indices in all, 3.7 times the cap
     spec = SparseSetSpec(2, 20000, 0, SizeFunction.MAX, integers(1))
     tracemalloc.start()
     try:
