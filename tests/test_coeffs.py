@@ -1,6 +1,8 @@
 import itertools
 import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +280,272 @@ def test_load_rejects_non_finite_coefficients(tmp_path, value):
     with pytest.raises(ValueError, match=f"c.cache:2: coefficient {value} is not finite"):
         load_cache(path)
 
+
+
+def test_save_load_round_trip_is_bit_exact(tmp_path):
+    extremes = [5e-324, -0.0, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-300]
+    keys = [(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 1, 2), (2, 2, 2)]
+    cache = HermiteCache(2, dict(zip(keys, extremes)))
+    first, second = tmp_path / "a.cache", tmp_path / "b.cache"
+    save_cache(cache, first)
+    again = load_cache(first)
+    save_cache(again, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert {k: v.hex() for k, v in again.table.items()} == {
+        k: v.hex() for k, v in cache.table.items()
+    }
+    assert math.copysign(1.0, again.table[(0, 1, 1)]) == -1.0
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n\n  \n\t\n"])
+def test_bodies_without_entries_load_empty_without_warnings(tmp_path, body):
+    path = tmp_path / "e.cache"
+    save_cache(HermiteCache(3), path)
+    path.write_text(path.read_text() + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cache = load_cache(path)
+    assert cache.arity == 3
+    assert cache.table == {}
+
+
+# ------------------------------------------------------ differential loader
+
+def reference_load(path) -> HermiteCache:
+    """The line-at-a-time loader load_cache replaced, kept as its reference."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty cache file")
+    head = lines[0].split()
+    if len(head) != 5 or head[0] != CACHE_MAGIC or head[1] != "v1":
+        raise ValueError(f"{path}: bad cache header {lines[0]!r}")
+    fields = {}
+    for part in head[2:]:
+        name, _, value = part.partition("=")
+        fields[name] = value
+    try:
+        arity = int(fields["p"])
+        jmax = int(fields["jmax"])
+    except (KeyError, ValueError):
+        raise ValueError(f"{path}: bad cache header {lines[0]!r}") from None
+    if fields.get("policy") != POLICY_ID:
+        raise ValueError(f"{path}: unsupported node policy {fields.get('policy')!r}")
+    table = {}
+    for i, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{i}: expected 'key<TAB>value'")
+        try:
+            key = tuple(int(c) for c in parts[0].split())
+            value = float(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:{i}: malformed entry {line!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{i}: coefficient {value} is not finite")
+        if len(key) != arity + 1 or any(c < 0 for c in key) or list(key) != sorted(key):
+            raise ValueError(f"{path}:{i}: key {key} is not a sorted tuple of length {arity + 1}")
+        if sum(key) % 2:
+            raise ValueError(f"{path}:{i}: odd-parity key {key} should not be stored")
+        if key and key[-1] > jmax:
+            raise ValueError(f"{path}:{i}: key {key} exceeds declared jmax {jmax}")
+        if key in table:
+            seen = [tuple(map(int, row.split("\t")[0].split())) for row in lines[1 : i - 1]]
+            raise ValueError(f"{path}:{i}: key {key} repeats line {seen.index(key) + 2}")
+        table[key] = value
+    return HermiteCache(arity, table)
+
+
+def outcome(load, path):
+    """The table with every value's bits, or the ValueError's message."""
+    try:
+        cache = load(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "table", cache.arity, sorted((k, v.hex()) for k, v in cache.table.items())
+
+
+def _entry(rng, lines):
+    """The index of a random entry line (never the header)."""
+    return int(rng.integers(1, len(lines)))
+
+
+def _edit_entry(edit):
+    def tamper(rng, lines):
+        entries = [i for i, line in enumerate(lines) if i and line.count("\t") == 1]
+        i = entries[int(rng.integers(len(entries)))]
+        key, value = lines[i].split("\t")
+        return lines[:i] + [edit(rng, key.split(), value)] + lines[i + 1 :]
+    return tamper
+
+
+def _insert(text):
+    def tamper(rng, lines):
+        i = _entry(rng, lines)
+        return lines[:i] + [text] + lines[i:]
+    return tamper
+
+
+def _key_token(token):
+    def edit(rng, key, value):
+        key[int(rng.integers(len(key)))] = token
+        return " ".join(key) + "\t" + value
+    return edit
+
+
+def _value(token):
+    return lambda rng, key, value: " ".join(key) + "\t" + token
+
+
+def _random_token(rng, key, value):
+    """One field replaced by a short random spelling over the numeric bytes."""
+    fields = key + [value]
+    fields[int(rng.integers(len(fields)))] = "".join(rng.choice(list("0123456789+-.eE"), rng.integers(1, 5)))
+    return " ".join(fields[:-1]) + "\t" + fields[-1]
+
+
+def _repeat(gap):
+    def tamper(rng, lines):
+        i = _entry(rng, lines)
+        j = min(i + 1 + gap, len(lines))
+        return lines[:j] + [lines[i]] + lines[j:]
+    return tamper
+
+
+def _breaks(sep, final="\n"):
+    def tamper(rng, lines):
+        return sep.join(lines) + final
+    return tamper
+
+
+def _some_breaks(sep):
+    def tamper(rng, lines):
+        i = _entry(rng, lines)
+        return "\n".join(lines[:i]) + sep + "\n".join(lines[i:]) + "\n"
+    return tamper
+
+
+TAMPERINGS = {
+    "tab_in_key": _edit_entry(lambda rng, key, value: " ".join(key[:-1]) + "\t" + key[-1] + " " + value),
+    "two_tabs": _edit_entry(lambda rng, key, value: " ".join(key) + "\t" + value + "\t"),
+    "two_tabs_in_key": _edit_entry(lambda rng, key, value: "\t".join(key) + "\t" + value),
+    "no_tab": _edit_entry(lambda rng, key, value: " ".join(key) + " " + value),
+    "tab_only_line": _insert("\t"),
+    "blank_line": _insert(""),
+    "whitespace_line": _insert("  \t "),
+    "leading_spaces": _edit_entry(lambda rng, key, value: "  " + " ".join(key) + "\t" + value),
+    "trailing_spaces": _edit_entry(lambda rng, key, value: " ".join(key) + "\t" + value + "  "),
+    "double_spaces": _edit_entry(lambda rng, key, value: "  ".join(key) + " \t  " + value),
+    "crlf": _breaks("\r\n"),
+    "cr": _breaks("\r"),
+    "form_feed": _breaks("\x0c"),
+    "some_form_feeds": _some_breaks("\x0c"),
+    "vertical_tab": _some_breaks("\x0b"),
+    "separators": _some_breaks("\x1d"),
+    "no_final_newline": _breaks("\n", final=""),
+    "comment_line": _insert("# a comment"),
+    "comment_entry": _edit_entry(lambda rng, key, value: "#" + " ".join(key) + "\t" + value),
+    "missing_key_field": _edit_entry(lambda rng, key, value: " ".join(key[1:]) + "\t" + value),
+    "extra_key_field": _edit_entry(lambda rng, key, value: " ".join(key + ["0"]) + "\t" + value),
+    "missing_value": _edit_entry(lambda rng, key, value: " ".join(key) + "\t"),
+    "extra_value": _edit_entry(lambda rng, key, value: " ".join(key) + "\t" + value + " 1.0"),
+    "negative_key": _edit_entry(lambda rng, key, value: " ".join(["-2"] + key[1:]) + "\t" + value),
+    "unsorted_key": _edit_entry(lambda rng, key, value: " ".join(key[::-1] + ["0"])[: -2] + "\t" + value),
+    "odd_key": _edit_entry(lambda rng, key, value: " ".join(key[:-1] + [str(int(key[-1]) + 1)]) + "\t" + value),
+    "key_past_jmax": _edit_entry(lambda rng, key, value: " ".join(key[:-1] + [str(int(key[-1]) + 64)]) + "\t" + value),
+    "fractional_key": _edit_entry(_key_token("1.5")),
+    "exponent_key": _edit_entry(_key_token("1e2")),
+    "signed_key": _edit_entry(_key_token("+0")),
+    "minus_zero_key": _edit_entry(_key_token("-0")),
+    "nan": _edit_entry(_value("nan")),
+    "inf": _edit_entry(_value("inf")),
+    "minus_inf": _edit_entry(_value("-Infinity")),
+    "overflow": _edit_entry(_value("1e400")),
+    "underflow": _edit_entry(_value("1e-400")),
+    "short_value": _edit_entry(_value(".5")),
+    "signed_value": _edit_entry(_value("+5.E-3")),
+    "bad_exponent": _edit_entry(_value("1.5e")),
+    "word_value": _edit_entry(_value("half")),
+    "random_token": _edit_entry(_random_token),
+    "repeat_far": _repeat(10**6),
+    "repeat_adjacent": _repeat(0),
+    "repeat_near": _repeat(2),
+}
+
+
+def _tampered_files(name, tmp_path):
+    """Seeded tamperings of two good files, alone and on top of another one.
+
+    A tampering returns the file's lines, or its whole text when it changes
+    the line breaks.
+    """
+    files = []
+    for arity, jmax in ((2, 5), (3, 3)):
+        good = tmp_path / f"good{arity}.cache"
+        save_cache(build_cache(arity, jmax), good)
+        lines = good.read_text().splitlines()
+        rng = np.random.default_rng([arity, sum(map(ord, name))])
+        others = sorted(TAMPERINGS)
+        for trial in range(12):
+            start = lines
+            if trial >= 6:
+                start = TAMPERINGS[others[int(rng.integers(len(others)))]](rng, lines)
+                if isinstance(start, str):
+                    start = start.splitlines()
+            tampered = TAMPERINGS[name](rng, start)
+            files.append(tampered if isinstance(tampered, str) else "\n".join(tampered) + "\n")
+    return files
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERINGS))
+def test_load_matches_the_line_loader_on_tampered_files(tmp_path, name):
+    path = tmp_path / "t.cache"
+    for text in _tampered_files(name, tmp_path):
+        path.write_bytes(text.encode())
+        assert outcome(load_cache, path) == outcome(reference_load, path), text
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["p=0 jmax=5", "p=2 jmax=-1", "p=2 jmax=x", "p=2", "p=2 jmax=5 extra=1", "p=-1 jmax=5"],
+)
+def test_load_matches_the_line_loader_on_tampered_headers(tmp_path, header):
+    path = tmp_path / "t.cache"
+    save_cache(build_cache(2, 5), path)
+    first, *body = path.read_text().splitlines()
+    for rows in ([], body, ["\t1.0"], ["0\t1.0"]):
+        path.write_text("\n".join([f"{CACHE_MAGIC} v1 {header} policy={POLICY_ID}", *rows]) + "\n")
+        assert outcome(load_cache, path) == outcome(reference_load, path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("0 1_0 10", "0.5"),
+        ("0 0 0", "1_0.5"),
+        ("0 \u0661 1", "0.5"),
+        ("\uff10 0 0", "0.5"),
+        ("0\xa00 0", "0.5"),
+        ("0 0 0", "\xa00.5"),
+        ("0\x1f0 0", "0.5"),
+    ],
+)
+def test_python_only_spellings_load_or_name_their_line(tmp_path, key, value):
+    path = tmp_path / "s.cache"
+    save_cache(build_cache(2, 10), path)
+    first, *body = path.read_text().splitlines()
+    at = [tuple(map(int, row.split("\t")[0].split())) for row in body].index(
+        tuple(int(c) for c in key.split())
+    )
+    body[at] = f"{key}\t{value}"
+    path.write_bytes("\n".join([first, *body]).encode() + b"\n")
+    want = outcome(reference_load, path)
+    assert want[0] == "table"
+    got = outcome(load_cache, path)
+    if got != want:
+        assert got[0] == "error" and got[1].startswith(f"{path}:{at + 2}: "), got
 
 # ---------------------------------------------------------------- decay shape
 
