@@ -9,11 +9,14 @@ integral is symmetric in all of its indices.
 
 from __future__ import annotations
 
+import io
+import locale
 import math
+import re
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -222,13 +225,28 @@ def save_cache(cache: HermiteCache, path) -> None:
 
 
 def load_cache(path) -> HermiteCache:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    """Read a file written by save_cache.
+
+    After the header, each line is blank (spaces and tabs only) or holds
+    p + 1 integer key tokens separated by spaces, one tab, and one decimal
+    float, with optional spaces around every token.  Any line break that
+    str.splitlines honours ends a line.  The whole body is checked and
+    parsed in bulk; only when that fails are its lines walked one by one to
+    name the first bad line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii() or any(c in data for c in _OTHER_BREAKS):
+        text = data.decode(locale.getpreferredencoding(False))  # as open(path) reads it
+        data = "".join(line + "\n" for line in text.splitlines()).encode()
+    if not data:
         raise ValueError(f"{path}: empty cache file")
-    head = lines[0].split()
+    header, _, body = data.partition(b"\n")
+    del data
+    header = header.decode()
+    head = header.split()
     if len(head) != 5 or head[0] != CACHE_MAGIC or head[1] != CACHE_VERSION:
-        raise ValueError(f"{path}: bad cache header {lines[0]!r}")
+        raise ValueError(f"{path}: bad cache header {header!r}")
     fields = {}
     for part in head[2:]:
         name, _, value = part.partition("=")
@@ -237,12 +255,88 @@ def load_cache(path) -> HermiteCache:
         arity = int(fields["p"])
         jmax = int(fields["jmax"])
     except (KeyError, ValueError):
-        raise ValueError(f"{path}: bad cache header {lines[0]!r}") from None
+        raise ValueError(f"{path}: bad cache header {header!r}") from None
     if fields.get("policy") != POLICY_ID:
         raise ValueError(f"{path}: unsupported node policy {fields.get('policy')!r}")
-    table = {}
-    for i, line in enumerate(lines[1:], start=2):
+    table = _parse_body(body, arity, jmax) if arity >= 1 else None
+    if table is None:
+        _raise_first_bad_line(path, body.decode(), arity, jmax)
+    return HermiteCache(arity, table)
+
+
+# the line breaks of str.splitlines that an ASCII file can hold besides "\n"
+_OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_BODY_BYTES = b"0123456789+-.eE \t\n"
+_NUMBER = "[0-9+.eE-]+"
+
+
+def _parse_body(body: bytes, arity: int, jmax: int) -> dict | None:
+    """The table in a cache body, or None when a line breaks the grammar or a rule."""
+    if body.translate(None, _BODY_BYTES):
+        return None
+    raw = np.frombuffer(body, np.uint8)
+    number = raw > ord(" ")  # every byte left but space, tab and newline
+    tokens = np.flatnonzero(np.diff(number, prepend=False) & number)
+    breaks = np.flatnonzero(raw == ord("\n"))
+    tabs = np.flatnonzero(raw == ord("\t"))
+    del number
+    width = arity + 2  # tokens per entry
+    if len(tokens) % width:
+        return None
+    tokens = tokens.reshape(-1, width)
+    line = np.searchsorted(breaks, tokens[:, [0, -1]])
+    edges = np.concatenate(([-1], breaks, [len(body)]))
+    # an entry's tokens share a line no other entry is on, which holds one
+    # tab: the one between the last key token and the value
+    tabs_in = np.searchsorted(tabs, edges[line[:, 0] + 1]) - np.searchsorted(tabs, edges[line[:, 0]])
+    shaped = (
+        (line[:, 0] == line[:, 1]).all()
+        and (line[1:, 0] > line[:-1, 0]).all()
+        and (tabs_in == 1).all()
+        and (np.searchsorted(tabs, tokens[:, -1]) - np.searchsorted(tabs, tokens[:, -2]) == 1).all()
+    )
+    rows = len(tokens)
+    del tokens, breaks, tabs, line, edges, tabs_in
+    if not shaped:
+        return None
+    if not rows:  # np.loadtxt warns on input without data
+        return {}
+    try:  # a token numpy does not read as a number, or a key past int64
+        entries = np.loadtxt(
+            io.BytesIO(body),
+            dtype=[("key", np.int64, (arity + 1,)), ("value", float)],
+            comments=None,
+            encoding="ascii",
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    keys, values = entries["key"], entries["value"]
+    if not (
+        np.isfinite(values).all()
+        and (keys[:, 0] >= 0).all()
+        and (np.diff(keys, axis=1) >= 0).all()
+        and not (keys.sum(axis=1) & 1).any()  # a wrapped sum keeps its parity
+        and (keys[:, -1] <= jmax).all()
+    ):
+        return None
+    table = dict(zip(zip(*keys.T.tolist()), values.tolist()))
+    return table if len(table) == rows else None
+
+
+def _raise_first_bad_line(path, body: str, arity: int, jmax: int) -> NoReturn:
+    """Raise the error of the first line of body that load_cache rejects.
+
+    The checks and messages are those of a line-at-a-time loader.  A line
+    that only Python's int and float read (underscores, non-ASCII digits or
+    spaces, integers past int64) is a malformed entry.
+    """
+    entry = re.compile(" *" + " +".join([_NUMBER] * (arity + 1)) + rf" *\t *{_NUMBER} *")
+    seen: dict[tuple[int, ...], int] = {}
+    for i, line in enumerate(body.split("\n"), start=2):
         if not line.strip():
+            if line.strip(" \t"):
+                raise ValueError(f"{path}:{i}: malformed entry {line!r}")
             continue
         parts = line.split("\t")
         if len(parts) != 2:
@@ -260,8 +354,10 @@ def load_cache(path) -> HermiteCache:
             raise ValueError(f"{path}:{i}: odd-parity key {key} should not be stored")
         if key and key[-1] > jmax:
             raise ValueError(f"{path}:{i}: key {key} exceeds declared jmax {jmax}")
-        if key in table:
-            seen = [tuple(map(int, row.split("\t")[0].split())) for row in lines[1 : i - 1]]
-            raise ValueError(f"{path}:{i}: key {key} repeats line {seen.index(key) + 2}")
-        table[key] = value
-    return HermiteCache(arity, table)
+        if key in seen:
+            raise ValueError(f"{path}:{i}: key {key} repeats line {seen[key]}")
+        seen[key] = i
+        if not entry.fullmatch(line) or max(key, default=0) > np.iinfo(np.int64).max:
+            raise ValueError(f"{path}:{i}: malformed entry {line!r}")
+    HermiteCache(arity)  # raises for an arity below 1
+    raise ValueError(f"{path}: malformed cache body")

@@ -144,10 +144,18 @@ def indices_up_to(lattice: Lattice, size: SizeFunction, cap: int) -> Iterator[In
     if size is SizeFunction.PROD and lattice.dim > 1:
         return _prod_norm_indices(lattice.kind, lattice.dim, cap)
     top = cap if size is SizeFunction.MAX else cap - 1  # on one coordinate 1 + |c| <= cap
-    rng = range(-top if lattice.kind is LatticeKind.INTEGERS else 0, top + 1)
-    if lattice.dim == 1:  # product() copies its pools, so one coordinate streams its range
+    return _box(range(-top if lattice.kind is LatticeKind.INTEGERS else 0, top + 1), lattice.dim)
+
+
+def _box(rng: range, dim: int) -> Iterator[Index]:
+    """rng**dim in lexicographic order, streamed: itertools.product copies its pools.
+
+    Each index of the first dim - 1 coordinates heads one run of rng.
+    """
+    if dim == 1:
         return zip(rng)
-    return itertools.product(rng, repeat=lattice.dim)
+    rows = (zip(*map(itertools.repeat, head), rng) for head in _box(rng, dim - 1))
+    return itertools.chain.from_iterable(rows)
 
 
 def _prod_norm_indices(kind: LatticeKind, dim: int, cap: int) -> Iterator[Index]:
@@ -204,7 +212,7 @@ def enumerate_sparse(spec: SparseSetSpec, ell: Index) -> Iterator[tuple[Index, .
         if rest is None:
             if b in listed:
                 rest = leftovers[b] = list(map(b.__floordiv__, map(spec.size.of, js)))
-            else:  # one stream for both, so a product's pools are copied once
+            else:  # one stream for both
                 js, ahead = itertools.tee(js)
                 rest = map(b.__floordiv__, map(spec.size.of, ahead))
         prefixes = map(prefix.__add__, zip(js))

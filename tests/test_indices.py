@@ -259,9 +259,8 @@ def test_enumerate_past_the_memo_cap_streams_the_same_tuples(entries, monkeypatc
 
 
 def test_a_streamed_budget_is_listed_once_per_visit(monkeypatch):
-    # Z^2 streams come from itertools.product, which copies its pools, so a
-    # visit that opened a second stream for the leftover budgets would hold
-    # them twice.  Budget 6 is visited at slot 0 and after each of the nine
+    # a visit reads the indices and their leftover budgets from one stream,
+    # not from two.  Budget 6 is visited at slot 0 and after each of the nine
     # size-1 indices of Z^2 at slot 1.
     monkeypatch.setattr(indices, "ENUM_MEMO_ENTRIES", 0)
     caps = []
@@ -286,6 +285,28 @@ def test_enumerate_streams_a_huge_line_lazily():
     finally:
         tracemalloc.stop()
     assert first == ((-(10**9),), (-1,))
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("lattice", [integers, naturals])
+def test_max_norm_boxes_stream_in_product_order(d, lattice):
+    for cap in range(1, 4):
+        coords = range(-cap if lattice is integers else 0, cap + 1)
+        got = indices_up_to(lattice(d), SizeFunction.MAX, cap)
+        assert list(got) == list(itertools.product(coords, repeat=d))
+
+
+def test_enumerate_streams_a_huge_box_lazily():
+    # the first index of Z^2 within 10^9 is (-10^9, -10^9), which leaves budget 1
+    spec = SparseSetSpec(2, 10**9, 0, SizeFunction.MAX, integers(2))
+    tracemalloc.start()
+    try:
+        first = next(enumerate_sparse(spec, (0, 0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == ((-(10**9), -(10**9)), (-1, -1))
     assert peak < 2**20
 
 
