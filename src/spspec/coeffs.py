@@ -224,6 +224,12 @@ def save_cache(cache: HermiteCache, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# the line breaks of str.splitlines that an ASCII file can hold besides "\n"
+_OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_BODY_BYTES = b"0123456789+-.eE \t\n"
+_NUMBER = "[0-9+.eE-]+"
+
+
 def load_cache(path) -> HermiteCache:
     """Read a file written by save_cache.
 
@@ -262,12 +268,6 @@ def load_cache(path) -> HermiteCache:
     if table is None:
         _raise_first_bad_line(path, body.decode(), arity, jmax)
     return HermiteCache(arity, table)
-
-
-# the line breaks of str.splitlines that an ASCII file can hold besides "\n"
-_OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-_BODY_BYTES = b"0123456789+-.eE \t\n"
-_NUMBER = "[0-9+.eE-]+"
 
 
 def _parse_body(body: bytes, arity: int, jmax: int) -> dict | None:

@@ -212,7 +212,7 @@ def enumerate_sparse(spec: SparseSetSpec, ell: Index) -> Iterator[tuple[Index, .
         if rest is None:
             if b in listed:
                 rest = leftovers[b] = list(map(b.__floordiv__, map(spec.size.of, js)))
-            else:  # one stream for both
+            else:  # one stream for both, so the indices are listed once per visit
                 js, ahead = itertools.tee(js)
                 rest = map(b.__floordiv__, map(spec.size.of, ahead))
         prefixes = map(prefix.__add__, zip(js))

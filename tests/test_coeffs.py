@@ -444,6 +444,8 @@ TAMPERINGS = {
     "some_form_feeds": _some_breaks("\x0c"),
     "vertical_tab": _some_breaks("\x0b"),
     "separators": _some_breaks("\x1d"),
+    "next_line": _some_breaks("\x85"),
+    "line_separator": _some_breaks("\u2028"),
     "no_final_newline": _breaks("\n", final=""),
     "comment_line": _insert("# a comment"),
     "comment_entry": _edit_entry(lambda rng, key, value: "#" + " ".join(key) + "\t" + value),
@@ -452,7 +454,7 @@ TAMPERINGS = {
     "missing_value": _edit_entry(lambda rng, key, value: " ".join(key) + "\t"),
     "extra_value": _edit_entry(lambda rng, key, value: " ".join(key) + "\t" + value + " 1.0"),
     "negative_key": _edit_entry(lambda rng, key, value: " ".join(["-2"] + key[1:]) + "\t" + value),
-    "unsorted_key": _edit_entry(lambda rng, key, value: " ".join(key[::-1] + ["0"])[: -2] + "\t" + value),
+    "unsorted_key": _edit_entry(lambda rng, key, value: " ".join(key[::-1]) + "\t" + value),
     "odd_key": _edit_entry(lambda rng, key, value: " ".join(key[:-1] + [str(int(key[-1]) + 1)]) + "\t" + value),
     "key_past_jmax": _edit_entry(lambda rng, key, value: " ".join(key[:-1] + [str(int(key[-1]) + 64)]) + "\t" + value),
     "fractional_key": _edit_entry(_key_token("1.5")),
