@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -18,6 +19,7 @@ from spspec.coeffs import (
     load_cache,
     save_cache,
 )
+from spspec.quadrature import gauss_hermite_rule, hermite_batch
 
 # Adaptive-quadrature oracle values (scipy.integrate.quad on the raw
 # integrand over the whole line, absolute error estimates below 2e-8).
@@ -548,6 +550,70 @@ def test_python_only_spellings_load_or_name_their_line(tmp_path, key, value):
     got = outcome(load_cache, path)
     if got != want:
         assert got[0] == "error" and got[1].startswith(f"{path}:{at + 2}: "), got
+
+
+# ------------------------------------------------------ differential builder
+
+@functools.lru_cache(maxsize=None)
+def _reference_chi(n: int, q: int, deg: int):
+    rule = gauss_hermite_rule(n)
+    c = math.sqrt(q / 2.0)
+    return rule.scaled_weights / c, hermite_batch(deg, rule.nodes / c)
+
+
+def reference_integral(indices, node_factor: int = 1) -> float:
+    """The per-key quadrature the block build replaced: products in index order, one np.dot."""
+    q, deg = len(indices), max(indices)
+    weights, chi = _reference_chi((math.ceil(q * deg / 2) + 8) * node_factor, q, deg)
+    prod = chi[indices[0]].copy()
+    for i in indices[1:]:
+        prod *= chi[i]
+    return float(np.dot(weights, prod))
+
+
+def reference_build(p: int, jmax: int) -> dict:
+    """The per-key build_cache the block build replaced, kept as its reference."""
+    return {
+        key: reference_integral(key)
+        for key in itertools.combinations_with_replacement(range(jmax + 1), p + 1)
+        if sum(key) % 2 == 0
+    }
+
+
+def reference_save(arity: int, table: dict, path) -> None:
+    """The per-line save_cache the one-format-string writer replaced."""
+    jmax = max((k[-1] for k in table), default=0)
+    lines = [f"{CACHE_MAGIC} v1 p={arity} jmax={jmax} policy={POLICY_ID}"]
+    for key in sorted(table):
+        coords = " ".join(str(c) for c in key)
+        lines.append(f"{coords}\t{table[key]!r}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def bits(table: dict) -> dict:
+    return {k: v.hex() for k, v in table.items()}
+
+
+@pytest.mark.parametrize("jmax", [0, 1, 2, 7, 8, 20])
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_build_and_save_match_the_per_key_build(tmp_path, p, jmax):
+    want = reference_build(p, jmax)
+    cache = build_cache(p, jmax)
+    assert cache.arity == p
+    assert bits(cache.table) == bits(want)
+    save_cache(cache, tmp_path / "got.cache")
+    reference_save(p, want, tmp_path / "want.cache")
+    assert (tmp_path / "got.cache").read_bytes() == (tmp_path / "want.cache").read_bytes()
+
+
+def test_product_integral_matches_the_per_key_quadrature_in_any_order():
+    rng = np.random.default_rng(14)
+    keys = [(5, 0, 3), (0, 5, 3), (3, 5, 0), (7,), (0, 0), (9, 2, 2, 9, 1), (40, 1, 39, 0, 2, 40)]
+    keys += [tuple(int(c) for c in rng.integers(0, 30, rng.integers(1, 7))) for _ in range(60)]
+    for key in keys:
+        for node_factor in (1, 2):
+            assert hermite_product_integral(key, node_factor).hex() == reference_integral(key, node_factor).hex(), key
 
 # ---------------------------------------------------------------- decay shape
 
