@@ -15,7 +15,6 @@ import math
 import re
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import NoReturn, Sequence
 
 import numpy as np
@@ -33,10 +32,15 @@ CACHE_MAGIC = "SPSPEC-HERMITE"
 CACHE_VERSION = "v1"
 
 # chi tables at substituted nodes by (n_nodes, q, max_degree), least recently
-# used first.  build_cache cycles the largest degree 0..jmax in its inner
-# loop, so the bound is on bytes, not on a count of tables: its working set
-# is about 1.5 MB at jmax 64, while one degree-1000 table at q = 2 takes 8 MB.
+# used first.  build_cache reads each degree's table for one block of keys;
+# the bound is for HermiteCache misses, which may reach any degree in any
+# order, and it is on bytes, not on a count of tables: one degree-1000 table
+# at q = 2 takes 8 MB.
 CHI_TABLE_BYTES = 32 * 2**20
+
+# Bytes of chi factors gathered at once: a block of keys is integrated in
+# chunks of rows under this bound.
+FACTOR_BYTES = 2**20
 _chi_tables: OrderedDict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
 
@@ -117,6 +121,12 @@ def hermite_product_integral(indices: tuple[int, ...], node_factor: int = 1) -> 
     if min(indices) < 0:
         raise ValueError(f"Hermite indices must be >= 0, got {indices}")
     deg = max(indices)
+    n = _node_count(q, deg, node_factor)
+    return float(_integrals(np.array([indices]), n, deg)[0])
+
+
+def _node_count(q: int, deg: int, node_factor: int = 1) -> int:
+    """Nodes of the rule for a product of q chi of degree at most deg (POLICY_ID)."""
     n = (math.ceil(q * deg / 2) + 8) * node_factor
     if n > MAX_NODES:
         limit = 2 * (MAX_NODES // node_factor - 8) // q
@@ -124,11 +134,42 @@ def hermite_product_integral(indices: tuple[int, ...], node_factor: int = 1) -> 
             f"degree {deg} exceeds {limit}, the largest a product of {q} Hermite functions"
             f" supports within the {MAX_NODES}-node rule cap"
         )
-    weights, chi = _chi_table(n, q, deg)
-    prod = chi[indices[0]].copy()
-    for i in indices[1:]:
-        prod *= chi[i]
-    return float(np.dot(weights, prod))
+    return n
+
+
+def _integrals(keys: np.ndarray, n: int, deg: int) -> np.ndarray:
+    """The integrals of the chi products on the rows of keys, every index <= deg.
+
+    Each row's factors are multiplied in column order and reduced with the
+    weights by one dot product per row (matmul of a stack of 1 x n rows by
+    an n-vector runs the BLAS dot that np.dot runs on two vectors, where a
+    matrix-vector product would sum in another order), so a value has the
+    same bits whichever rows share its call.
+    """
+    weights, chi = _chi_table(n, keys.shape[1], deg)
+    out = np.empty(len(keys))
+    step = max(1, FACTOR_BYTES // (keys.shape[1] * chi[0].nbytes))
+    for start in range(0, len(keys), step):
+        factors = chi[keys[start : start + step].T]  # one contiguous rows x n block per column
+        prod = factors[0]
+        for factor in factors[1:]:
+            prod *= factor
+        np.matmul(prod[:, None], weights, out=out[start : start + step, None])
+    return out
+
+
+def _block_keys(q: int, deg: int) -> np.ndarray:
+    """The sorted q-tuples of even sum whose largest index is deg, in lexicographic order."""
+    keys = np.zeros((1, 0), dtype=np.int64)
+    low = np.zeros(1, dtype=np.int64)  # the last column, the least the next one may take
+    for _ in range(q - 1):
+        counts = deg + 1 - low
+        ends = np.cumsum(counts)
+        keys = np.repeat(keys, counts, axis=0)
+        low = np.arange(ends[-1]) - np.repeat(ends - counts - low, counts)
+        keys = np.column_stack((keys, low))
+    keys = np.column_stack((keys, np.full(len(keys), deg)))
+    return keys[keys.sum(axis=1) % 2 == 0]
 
 
 def _chi_table(n: int, q: int, deg: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,9 +243,10 @@ def build_cache(p: int, jmax: int) -> HermiteCache:
         raise ValueError(f"jmax must be >= 0, got {jmax}")
     cache = HermiteCache(p)
     try:
-        for key in combinations_with_replacement(range(jmax + 1), p + 1):
-            if sum(key) % 2 == 0:
-                cache.table[key] = hermite_product_integral(key)
+        for deg in range(jmax + 1):  # one chi table per degree
+            keys = _block_keys(p + 1, deg)
+            values = _integrals(keys, _node_count(p + 1, deg), deg)
+            cache.table.update(zip(zip(*keys.T.tolist()), values.tolist()))
     except MemoryError:
         raise RuntimeError(
             f"cache build ran out of memory after {len(cache.table)} entries"
@@ -217,9 +259,8 @@ def save_cache(cache: HermiteCache, path) -> None:
     lines = [
         f"{CACHE_MAGIC} {CACHE_VERSION} p={cache.arity} jmax={cache.jmax} policy={POLICY_ID}"
     ]
-    for key in sorted(cache.table):
-        coords = " ".join(str(c) for c in key)
-        lines.append(f"{coords}\t{cache.table[key]!r}")
+    entry = " ".join(["%d"] * (cache.arity + 1)) + "\t%r"
+    lines += [entry % (*key, cache.table[key]) for key in sorted(cache.table)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

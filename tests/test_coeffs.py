@@ -4,10 +4,12 @@ import math
 import os
 import re
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from spspec import coeffs
 from spspec.bounds import a_theta
 from spspec.coeffs import (
     CACHE_MAGIC,
@@ -605,6 +607,50 @@ def test_build_and_save_match_the_per_key_build(tmp_path, p, jmax):
     save_cache(cache, tmp_path / "got.cache")
     reference_save(p, want, tmp_path / "want.cache")
     assert (tmp_path / "got.cache").read_bytes() == (tmp_path / "want.cache").read_bytes()
+
+
+def counted_batches(monkeypatch) -> list:
+    """Start coeffs with no chi tables and record the degree of each table it builds."""
+    degrees = []
+
+    def batch(nmax, x):
+        degrees.append(nmax)
+        return hermite_batch(nmax, x)
+
+    monkeypatch.setattr(coeffs, "_chi_tables", OrderedDict())
+    monkeypatch.setattr(coeffs, "hermite_batch", batch)
+    return degrees
+
+
+def test_build_makes_one_chi_table_per_degree_under_a_small_table_bound(monkeypatch):
+    # a per-key build, largest index innermost, rebuilt a dropped table for
+    # almost every key once the tables of all degrees passed the bound
+    monkeypatch.setattr(coeffs, "CHI_TABLE_BYTES", 2**18)
+    degrees = counted_batches(monkeypatch)
+    cache = build_cache(2, 40)
+    assert degrees == list(range(41))
+    assert bits(cache.table) == bits(reference_build(2, 40))
+
+
+def test_build_in_chunks_of_a_few_rows(monkeypatch):
+    # the 4 factors of 3 rows at degree 0 (8 nodes), of 1 row from degree 4 (16 nodes) on
+    monkeypatch.setattr(coeffs, "FACTOR_BYTES", 3 * 4 * 8 * 8)
+    assert bits(build_cache(3, 8).table) == bits(reference_build(3, 8))
+    assert hermite_product_integral((8, 1, 7, 0)).hex() == reference_integral((8, 1, 7, 0)).hex()
+
+
+def test_build_out_of_memory_names_the_entries_built(monkeypatch):
+    def batch(nmax, x):
+        if nmax == 5:
+            raise MemoryError
+        return hermite_batch(nmax, x)
+
+    monkeypatch.setattr(coeffs, "_chi_tables", OrderedDict())
+    monkeypatch.setattr(coeffs, "hermite_batch", batch)
+    monkeypatch.setattr(coeffs, "FACTOR_BYTES", 3 * 4 * 8 * 8)
+    entries = len(reference_build(3, 4))  # the blocks of degrees 0..4
+    with pytest.raises(RuntimeError, match=f"^cache build ran out of memory after {entries} entries$"):
+        build_cache(3, 8)
 
 
 def test_product_integral_matches_the_per_key_quadrature_in_any_order():
