@@ -37,11 +37,11 @@ CACHE_VERSION = "v1"
 # order, and it is on bytes, not on a count of tables: one degree-1000 table
 # at q = 2 takes 8 MB.
 CHI_TABLE_BYTES = 32 * 2**20
+_chi_tables: OrderedDict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
 # Bytes of chi factors gathered at once: a block of keys is integrated in
 # chunks of rows under this bound.
 FACTOR_BYTES = 2**20
-_chi_tables: OrderedDict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
 
 def _radius(k: Index) -> int:

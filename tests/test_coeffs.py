@@ -609,24 +609,18 @@ def test_build_and_save_match_the_per_key_build(tmp_path, p, jmax):
     assert (tmp_path / "got.cache").read_bytes() == (tmp_path / "want.cache").read_bytes()
 
 
-def counted_batches(monkeypatch) -> list:
-    """Start coeffs with no chi tables and record the degree of each table it builds."""
+def test_build_makes_one_chi_table_per_degree_under_a_small_table_bound(monkeypatch):
+    # a per-key build, largest index innermost, rebuilt a dropped table for
+    # almost every key once the tables of all degrees passed the bound
     degrees = []
 
     def batch(nmax, x):
         degrees.append(nmax)
         return hermite_batch(nmax, x)
 
+    monkeypatch.setattr(coeffs, "CHI_TABLE_BYTES", 2**18)
     monkeypatch.setattr(coeffs, "_chi_tables", OrderedDict())
     monkeypatch.setattr(coeffs, "hermite_batch", batch)
-    return degrees
-
-
-def test_build_makes_one_chi_table_per_degree_under_a_small_table_bound(monkeypatch):
-    # a per-key build, largest index innermost, rebuilt a dropped table for
-    # almost every key once the tables of all degrees passed the bound
-    monkeypatch.setattr(coeffs, "CHI_TABLE_BYTES", 2**18)
-    degrees = counted_batches(monkeypatch)
     cache = build_cache(2, 40)
     assert degrees == list(range(41))
     assert bits(cache.table) == bits(reference_build(2, 40))
