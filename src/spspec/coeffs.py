@@ -267,8 +267,17 @@ def save_cache(cache: HermiteCache, path) -> None:
 
 # the line breaks of str.splitlines that an ASCII file can hold besides "\n"
 _OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-_BODY_BYTES = b"0123456789+-.eE \t\n"
-_NUMBER = "[0-9+.eE-]+"
+
+
+def _entry(arity: int) -> str:
+    """The pattern of one entry line: arity + 1 key tokens, a tab, the value.
+
+    Its quantifiers are possessive, which changes no match, since no class
+    borders on its own kind, and spares the engine a backtrack point per
+    token.
+    """
+    number = "[0-9+.eE-]++"
+    return " *+" + " ++".join([number] * (arity + 1)) + rf" *+\t *+{number} *+"
 
 
 def load_cache(path) -> HermiteCache:
@@ -277,8 +286,9 @@ def load_cache(path) -> HermiteCache:
     After the header, each line is blank (spaces and tabs only) or holds
     p + 1 integer key tokens separated by spaces, one tab, and one decimal
     float, with optional spaces around every token.  Any line break that
-    str.splitlines honours ends a line.  The whole body is checked and
-    parsed in bulk; only when that fails are its lines walked one by one to
+    str.splitlines honours ends a line.  The whole body is matched against
+    one pattern, the one each line is checked with, and parsed in one
+    np.loadtxt call; only when that fails are its lines walked one by one to
     name the first bad line.
     """
     with open(path, "rb") as fh:
@@ -313,34 +323,11 @@ def load_cache(path) -> HermiteCache:
 
 def _parse_body(body: bytes, arity: int, jmax: int) -> dict | None:
     """The table in a cache body, or None when a line breaks the grammar or a rule."""
-    if body.translate(None, _BODY_BYTES):
+    line = f"(?:{_entry(arity)}|[ \t]*)"
+    # possessive: a plain * would hold a backtrack point for every line
+    if not re.fullmatch(f"(?:{line}\n)*+{line}".encode(), body):
         return None
-    raw = np.frombuffer(body, np.uint8)
-    number = raw > ord(" ")  # every byte left but space, tab and newline
-    tokens = np.flatnonzero(np.diff(number, prepend=False) & number)
-    breaks = np.flatnonzero(raw == ord("\n"))
-    tabs = np.flatnonzero(raw == ord("\t"))
-    del number
-    width = arity + 2  # tokens per entry
-    if len(tokens) % width:
-        return None
-    tokens = tokens.reshape(-1, width)
-    line = np.searchsorted(breaks, tokens[:, [0, -1]])
-    edges = np.concatenate(([-1], breaks, [len(body)]))
-    # an entry's tokens share a line no other entry is on, which holds one
-    # tab: the one between the last key token and the value
-    tabs_in = np.searchsorted(tabs, edges[line[:, 0] + 1]) - np.searchsorted(tabs, edges[line[:, 0]])
-    shaped = (
-        (line[:, 0] == line[:, 1]).all()
-        and (line[1:, 0] > line[:-1, 0]).all()
-        and (tabs_in == 1).all()
-        and (np.searchsorted(tabs, tokens[:, -1]) - np.searchsorted(tabs, tokens[:, -2]) == 1).all()
-    )
-    rows = len(tokens)
-    del tokens, breaks, tabs, line, edges, tabs_in
-    if not shaped:
-        return None
-    if not rows:  # np.loadtxt warns on input without data
+    if not body.strip():  # np.loadtxt warns on input without data
         return {}
     try:  # a token numpy does not read as a number, or a key past int64
         entries = np.loadtxt(
@@ -362,7 +349,7 @@ def _parse_body(body: bytes, arity: int, jmax: int) -> dict | None:
     ):
         return None
     table = dict(zip(zip(*keys.T.tolist()), values.tolist()))
-    return table if len(table) == rows else None
+    return table if len(table) == len(keys) else None  # else a key repeats
 
 
 def _raise_first_bad_line(path, body: str, arity: int, jmax: int) -> NoReturn:
@@ -372,7 +359,6 @@ def _raise_first_bad_line(path, body: str, arity: int, jmax: int) -> NoReturn:
     that only Python's int and float read (underscores, non-ASCII digits or
     spaces, integers past int64) is a malformed entry.
     """
-    entry = re.compile(" *" + " +".join([_NUMBER] * (arity + 1)) + rf" *\t *{_NUMBER} *")
     seen: dict[tuple[int, ...], int] = {}
     for i, line in enumerate(body.split("\n"), start=2):
         if not line.strip():
@@ -398,7 +384,7 @@ def _raise_first_bad_line(path, body: str, arity: int, jmax: int) -> NoReturn:
         if key in seen:
             raise ValueError(f"{path}:{i}: key {key} repeats line {seen[key]}")
         seen[key] = i
-        if not entry.fullmatch(line) or max(key, default=0) > np.iinfo(np.int64).max:
+        if not re.fullmatch(_entry(arity), line) or max(key, default=0) > np.iinfo(np.int64).max:
             raise ValueError(f"{path}:{i}: malformed entry {line!r}")
     HermiteCache(arity)  # raises for an arity below 1
     raise ValueError(f"{path}: malformed cache body")

@@ -2,13 +2,14 @@
 
 Nodes come from the symmetric tridiagonal Jacobi matrix of the Hermite
 recurrence, polished by one Newton step on the normalized Hermite function
-chi_n.  Weights are evaluated through the stable identity
+chi_n.  A rule carries only the scaled weights w_i * exp(x_i^2) of the
+plain weights w_i, through the stable identity
 
-    w_i = exp(-x_i^2) / (n * chi_{n-1}(x_i)^2)
+    w_i * exp(x_i^2) = 1 / (n * chi_{n-1}(x_i)^2)
 
-which also yields the scaled weights w_i * exp(x_i^2) without underflow;
-evaluators that integrate products of Hermite functions need those, since
-the plain weights degrade below ~1e-308 once n grows past a few hundred.
+which never underflows, where the plain weights fall below ~1e-308 once n
+grows past a few hundred; integrands that carry their own Gaussian, such as
+products of Hermite functions, need no other.
 
 One loop runs the chi recurrence, for the rule builder and hermite_batch.
 It carries a power-of-two exponent: near the classical edge of a large rule
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-# Past this count the plain weights underflow so badly that a rule is no
-# longer representable in doubles end to end.
+# The largest rule built: the Hermite kernel's degree limit and the node
+# policy of coeffs (with its limits 1016, 677 and 508) derive from it.
 MAX_NODES = 1024
 
 _TINY = np.finfo(float).tiny
@@ -67,19 +68,17 @@ def _chi_rows(nmax: int, x: np.ndarray, t: np.ndarray):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for integrals against e^{-x^2} on the line."""
+    """Nodes and scaled weights w_i * exp(x_i^2) for integrals against e^{-x^2}.
+
+    The integral of f(x) e^{-x^2} is sum(scaled_weights * f(nodes) * exp(-nodes**2)).
+    """
 
     nodes: np.ndarray
-    weights: np.ndarray
     scaled_weights: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Apply plain weights to integrand values at the nodes."""
-        return float(np.dot(self.weights, values))
 
 
 def hermite_batch(nmax: int, x) -> np.ndarray:
@@ -109,13 +108,13 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
     Returns
     -------
     QuadratureRule
-        Strictly increasing nodes symmetric about 0, positive plain weights
-        summing to sqrt(pi), and underflow-safe scaled weights.
+        Strictly increasing nodes symmetric about 0 and positive,
+        underflow-safe scaled weights.
     """
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
     if n > MAX_NODES:
-        raise ValueError(f"weight underflow: {n} nodes exceed the supported maximum {MAX_NODES}")
+        raise ValueError(f"{n} nodes exceed the supported maximum {MAX_NODES}")
     diag = np.zeros(n)
     off = np.sqrt(np.arange(1, n) / 2.0)
     x = eigh_tridiagonal(diag, off, eigvals_only=True)
@@ -133,7 +132,6 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
     v0, _, e = deque(_chi_rows(n, x, -0.5 * x * x * _LOG2E), maxlen=1)[0]
     chi_last = np.ldexp(v0, e)  # chi_{n-1} at the nodes is always representable
     scaled = 1.0 / (n * chi_last**2)
-    weights = scaled * np.exp(-x * x)
-    for arr in (x, weights, scaled):
+    for arr in (x, scaled):
         arr.setflags(write=False)
-    return QuadratureRule(nodes=x, weights=weights, scaled_weights=scaled)
+    return QuadratureRule(nodes=x, scaled_weights=scaled)

@@ -72,11 +72,11 @@ class SpectralVector(Mapping):
         clean = {}
         for j, v in items:
             j = lattice.validate(j)
-            v = _finite(j, complex(v))
-            if abs(v) >= PRUNE_TOL:
-                clean[j] = v
+            if j in clean:  # pruned or not
+                raise ValueError(f"index {j} is repeated")
+            clean[j] = _finite(j, complex(v))
         self.basis = basis
-        self._entries = dict(sorted(clean.items()))
+        self._entries = dict(sorted((j, v) for j, v in clean.items() if abs(v) >= PRUNE_TOL))
         self._arrays = None
 
     @classmethod

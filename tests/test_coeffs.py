@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from collections import OrderedDict
 
@@ -311,6 +312,29 @@ def test_bodies_without_entries_load_empty_without_warnings(tmp_path, body):
         cache = load_cache(path)
     assert cache.arity == 3
     assert cache.table == {}
+
+
+def test_load_cache_memory_stays_flat(tmp_path):
+    # the body-wide match must not hold a backtrack point per line, blank
+    # lines included, which cost nothing to parse: at some 150 bytes a line
+    # that would add over 30 MB on the padded file
+    path = tmp_path / "w.cache"
+    save_cache(build_cache(2, 64), path)
+    for padding in ("", "\n" * 200_000):
+        with open(path, "a") as fh:
+            fh.write(padding)
+        tracemalloc.start()
+        try:
+            load_cache(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, len(padding)
+    keys = [(a, b) for b in range(1000) for a in range(b % 2, b + 1, 2)]
+    table = dict(zip(keys, np.random.default_rng(5).standard_normal(len(keys)).tolist()))
+    assert len(table) > 250_000
+    save_cache(HermiteCache(1, table), path)
+    assert load_cache(path).table == table
 
 
 # ------------------------------------------------------ differential loader

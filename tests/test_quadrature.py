@@ -18,26 +18,31 @@ def gaussian_moment(k: int) -> float:
     return float(gamma((k + 1) / 2.0))
 
 
+def plain_weights(rule) -> np.ndarray:
+    """The weights against e^{-x^2}, from the scaled ones a rule carries."""
+    return rule.scaled_weights * np.exp(-rule.nodes**2)
+
+
 # ---------------------------------------------------------------- rules
 
 def test_one_point_rule():
     rule = gauss_hermite_rule(1)
     assert rule.n == 1
     assert rule.nodes[0] == 0.0
-    assert abs(rule.weights[0] - SQRT_PI) < 1e-14
+    assert abs(plain_weights(rule)[0] - SQRT_PI) < 1e-14
 
 
 def test_two_point_rule():
     rule = gauss_hermite_rule(2)
     assert np.allclose(rule.nodes, [-1.0 / math.sqrt(2), 1.0 / math.sqrt(2)], atol=1e-14)
-    assert np.allclose(rule.weights, [SQRT_PI / 2] * 2, atol=1e-14)
+    assert np.allclose(plain_weights(rule), [SQRT_PI / 2] * 2, atol=1e-14)
 
 
 def test_three_point_rule():
     rule = gauss_hermite_rule(3)
     r = math.sqrt(1.5)
     assert np.allclose(rule.nodes, [-r, 0.0, r], atol=1e-14)
-    assert np.allclose(rule.weights, [SQRT_PI / 6, 2 * SQRT_PI / 3, SQRT_PI / 6], atol=1e-14)
+    assert np.allclose(plain_weights(rule), [SQRT_PI / 6, 2 * SQRT_PI / 3, SQRT_PI / 6], atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 21, 34, 64, 128, 256])
@@ -46,17 +51,16 @@ def test_rule_shape_invariants(n):
     assert rule.n == n
     assert np.all(np.diff(rule.nodes) > 0)
     assert np.max(np.abs(rule.nodes + rule.nodes[::-1])) < 1e-13
-    assert np.all(rule.weights > 0)
+    assert np.all(plain_weights(rule) > 0)
     assert np.all(rule.scaled_weights > 0)
-    assert abs(rule.weights.sum() - SQRT_PI) < 1e-12
-    assert np.allclose(rule.weights, rule.scaled_weights * np.exp(-rule.nodes**2), rtol=1e-13)
+    assert abs(plain_weights(rule).sum() - SQRT_PI) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_rule_exactness_up_to_degree_2n_minus_1(n):
     rule = gauss_hermite_rule(n)
     for k in range(0, 2 * n):
-        got = rule.integrate(rule.nodes**k)
+        got = float(np.dot(plain_weights(rule), rule.nodes**k))
         want = gaussian_moment(k)
         # odd moments vanish by symmetric cancellation, so measure those
         # against the magnitude of the terms being cancelled
@@ -66,12 +70,12 @@ def test_rule_exactness_up_to_degree_2n_minus_1(n):
 
 def test_rule_not_exact_beyond_its_degree():
     rule = gauss_hermite_rule(2)
-    got = rule.integrate(rule.nodes**4)
+    got = float(np.dot(plain_weights(rule), rule.nodes**4))
     assert abs(got - gaussian_moment(4)) > 1e-3
 
 
 def test_large_rules_stay_usable():
-    # plain weights underflow towards the tails here; the scaled ones must not
+    # plain weights would underflow towards the tails here; the scaled ones must not
     rule = gauss_hermite_rule(MAX_NODES)
     assert rule.n == MAX_NODES
     assert np.all(np.isfinite(rule.scaled_weights))
@@ -79,7 +83,7 @@ def test_large_rules_stay_usable():
 
 
 def test_node_count_cap():
-    with pytest.raises(ValueError, match="underflow"):
+    with pytest.raises(ValueError, match="exceed the supported maximum 1024"):
         gauss_hermite_rule(MAX_NODES + 1)
     with pytest.raises(ValueError):
         gauss_hermite_rule(0)

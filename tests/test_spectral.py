@@ -59,6 +59,14 @@ def test_key_validation():
         SpectralVector(FOURIER, {(1.5,): 1.0})
 
 
+def test_repeated_indices_are_rejected():
+    # (0.0,) validates to (0,); a pruned first value repeats all the same
+    with pytest.raises(ValueError, match=r"index \(0,\) is repeated"):
+        SpectralVector(FOURIER, [((0,), 1.0), ((1,), 2.0), ((0.0,), 5.0)])
+    with pytest.raises(ValueError, match=r"index \(2, -1\) is repeated"):
+        SpectralVector(Basis.fourier(2), iter([((2, -1), 0.0), ((2, -1), 1.0)]))
+
+
 def test_equality_requires_same_basis():
     u = SpectralVector(FOURIER, {(0,): 1.0})
     v = SpectralVector(HERMITE, {(0,): 1.0})
