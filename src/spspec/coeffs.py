@@ -19,9 +19,9 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .indices import Index, momentum
+from .indices import Index, integers, momentum
 from .quadrature import MAX_NODES, gauss_hermite_rule, hermite_batch
-from .spectral import Basis
+from .spectral import Basis, _finite
 
 # Node policy for a product of q Hermite functions of degree at most D:
 # the substituted integrand is a polynomial of degree <= q*D, integrated
@@ -57,15 +57,13 @@ class FourierSymbol:
     decay: tuple[float, float] | None = None  # (amplitude, rate): |b_k| <= A*exp(-rate*|k|)
 
     def __post_init__(self) -> None:
-        clean = {}
+        lattice, clean = integers(self.dim), {}
         for k, v in self.table.items():
-            k = tuple(int(c) for c in k)
-            if len(k) != self.dim:
-                raise ValueError(f"symbol key {k} does not have dimension {self.dim}")
-            v = complex(v)
-            if v != 0:
-                clean[k] = v
-        object.__setattr__(self, "table", dict(sorted(clean.items())))
+            k = lattice.validate(k)
+            if k in clean:  # zero or not
+                raise ValueError(f"symbol key {k} is repeated")
+            clean[k] = _finite(k, complex(v))
+        object.__setattr__(self, "table", dict(sorted((k, v) for k, v in clean.items() if v != 0)))
 
     @property
     def q(self) -> int:

@@ -659,9 +659,10 @@ def dense_oracle_hermite(
     chi = hermite_batch(max(max(degs, default=0), jmax_out), xs)
     prod = np.asarray(rule.scaled_weights / c, dtype=complex)
     for u in inputs:
+        keys, coeffs = u.as_arrays()
         vals = np.zeros(len(xs), dtype=complex)
-        for j, v in u.items():
-            vals += v * chi[j[0]]
+        for j, v in zip(keys[:, 0].tolist(), coeffs.tolist()):
+            vals += v * chi[j]
         prod *= vals
     proj = chi[: jmax_out + 1] @ prod
     return SpectralVector._from_arrays(basis, np.arange(jmax_out + 1).reshape(-1, 1), proj)

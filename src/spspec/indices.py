@@ -32,6 +32,10 @@ import numpy as np
 
 Index = tuple[int, ...]
 
+# Largest coordinate magnitude of an index.  Keys are stored as int64, and
+# the bound is symmetric so that np.abs cannot wrap at the int64 minimum.
+COORD_MAX = 2**63 - 1
+
 
 class LatticeKind(Enum):
     INTEGERS = "Z"
@@ -55,12 +59,18 @@ class Lattice:
         return True
 
     def validate(self, j: Index) -> Index:
-        if any(c != int(c) for c in j):
-            raise ValueError(f"non-integer coordinate in index {tuple(j)}")
-        j = tuple(int(c) for c in j)
-        if not self.contains(j):
-            raise ValueError(f"index {j} not in {self.kind.value}^{self.dim}")
-        return j
+        j = tuple(j)
+        try:
+            ints = tuple(map(int, j))
+        except (OverflowError, ValueError):  # int() of an infinity, a NaN or a word
+            ints = None
+        if ints != j:
+            raise ValueError(f"non-integer coordinate in index {j}")
+        if ints and (max(ints) > COORD_MAX or min(ints) < -COORD_MAX):
+            raise ValueError(f"index {ints} has a coordinate past the bound |c| <= {COORD_MAX}")
+        if not self.contains(ints):
+            raise ValueError(f"index {ints} not in {self.kind.value}^{self.dim}")
+        return ints
 
 
 def integers(dim: int = 1) -> Lattice:

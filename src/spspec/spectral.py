@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -59,12 +58,13 @@ class Basis:
 class SpectralVector(Mapping):
     """Immutable finitely supported coefficient family u = (u_j).
 
-    Keys are lattice multi-indices, values complex.  Entries are stored in
-    lexicographic key order so that iteration, serialization and norm
-    accumulation are deterministic.
+    Keys are lattice multi-indices, values complex.  The state is two
+    read-only arrays in lexicographic key order, so that iteration,
+    serialization and norm accumulation are deterministic; a lookup by
+    index builds a dict on first use.
     """
 
-    __slots__ = ("basis", "_entries", "_arrays")
+    __slots__ = ("basis", "_keys", "_vals", "_lookup")
 
     def __init__(self, basis: Basis, entries: Mapping | Iterable[tuple[Index, complex]]):
         lattice = basis.lattice
@@ -75,9 +75,9 @@ class SpectralVector(Mapping):
             if j in clean:  # pruned or not
                 raise ValueError(f"index {j} is repeated")
             clean[j] = _finite(j, complex(v))
-        self.basis = basis
-        self._entries = dict(sorted((j, v) for j, v in clean.items() if abs(v) >= PRUNE_TOL))
-        self._arrays = None
+        order = sorted(clean)
+        keys = np.array(order, dtype=np.int64).reshape(len(order), basis.dim)
+        self._store(basis, keys, np.array([clean[j] for j in order], dtype=complex))
 
     @classmethod
     def _from_arrays(cls, basis: Basis, keys: np.ndarray, vals: np.ndarray) -> "SpectralVector":
@@ -86,35 +86,32 @@ class SpectralVector(Mapping):
         bad = np.flatnonzero(~np.isfinite(vals))
         if len(bad):  # raise as __init__ does, at the first in key order
             _finite(tuple(keys[bad[0]].tolist()), complex(vals[bad[0]]))
+        self = cls.__new__(cls)
+        self._store(basis, keys, vals)
+        return self
+
+    def _store(self, basis: Basis, keys: np.ndarray, vals: np.ndarray) -> None:
         keep = np.hypot(vals.real, vals.imag) >= PRUNE_TOL  # abs as Python rounds it
         keys, vals = keys[keep], vals[keep]
         keys.flags.writeable = vals.flags.writeable = False
-        self = cls.__new__(cls)
-        self.basis = basis
-        self._entries = dict(zip(map(tuple, keys.tolist()), vals.tolist()))
-        self._arrays = keys, vals
-        return self
+        self.basis, self._keys, self._vals, self._lookup = basis, keys, vals, None
 
     def __getitem__(self, j: Index) -> complex:
-        return self._entries[j]
-
-    # Mapping's versions raise and catch KeyError for every missing key.
-    def get(self, j: Index, default=None):
-        return self._entries.get(j, default)
-
-    def __contains__(self, j) -> bool:
-        return j in self._entries
+        if self._lookup is None:
+            self._lookup = dict(zip(self, self._vals.tolist()))
+        return self._lookup[j]
 
     def __iter__(self) -> Iterator[Index]:
-        return iter(self._entries)
+        return zip(*self._keys.T.tolist())  # one list per coordinate, none per row
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._vals)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpectralVector):
             return NotImplemented
-        return self.basis == other.basis and self._entries == other._entries
+        return (self.basis == other.basis and np.array_equal(self._keys, other._keys)
+                and np.array_equal(self._vals, other._vals))
 
     __hash__ = None  # mutable-looking container semantics; not hashable
 
@@ -123,29 +120,23 @@ class SpectralVector(Mapping):
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Keys as an (n, dim) int64 array and values as complex, in key
-        order: converted once per vector, and read-only."""
-        if self._arrays is None:
-            n, dim = len(self._entries), self.basis.dim
-            coords = itertools.chain.from_iterable(self._entries)
-            keys = np.fromiter(coords, dtype=np.int64, count=n * dim)
-            vals = np.fromiter(self._entries.values(), dtype=complex, count=n)
-            keys.flags.writeable = vals.flags.writeable = False
-            self._arrays = keys.reshape(n, dim), vals
-        return self._arrays
+        order, read-only."""
+        return self._keys, self._vals
 
     def max_degree(self) -> int:
         """Largest raw coordinate magnitude in the support (0 if empty)."""
-        return int(np.abs(self.as_arrays()[0]).max(initial=0))
+        return int(np.abs(self._keys).max(initial=0))
 
 
 def l1s_norm(u: SpectralVector, s: float, size: SizeFunction = SizeFunction.MAX) -> float:
     """Weighted absolute-sum norm: sum of size(j)**s * |u_j|."""
-    return float(sum(size.of(j) ** s * abs(v) for j, v in u.items()))
+    return float(sum(size.of(j) ** s * abs(v) for j, v in zip(u, u._vals.tolist())))
 
 
 def l2s_norm(u: SpectralVector, s: float) -> float:
     """Weighted Euclidean norm with max-norm weights."""
-    return math.sqrt(sum(max_norm(j) ** (2.0 * s) * abs(v) ** 2 for j, v in u.items()))
+    terms = zip(u, u._vals.tolist())
+    return math.sqrt(sum(max_norm(j) ** (2.0 * s) * abs(v) ** 2 for j, v in terms))
 
 
 def power_law_vector(sigma: float, cutoff: int, basis: Basis) -> SpectralVector:
@@ -175,7 +166,7 @@ def dump_vector(u: SpectralVector) -> str:
     shortest round-trip decimal, keys in lexicographic order.
     """
     lines = []
-    for j, v in u.items():
+    for j, v in zip(u, u._vals.tolist()):
         coords = " ".join(str(c) for c in j)
         lines.append(f"{coords}\t{v.real!r}\t{v.imag!r}")
     return "\n".join(lines) + ("\n" if lines else "")

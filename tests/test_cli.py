@@ -233,6 +233,17 @@ def test_main_eval_rejects_repeated_indices(tmp_path, capsys):
     assert not (tmp_path / "o.tsv").exists()
 
 
+def test_main_eval_rejects_coordinates_past_the_bound(tmp_path, capsys):
+    vec = tmp_path / "u.tsv"
+    vec.write_text("0\t0.5\t0.0\n18446744073709551616\t0.25\t0.0\n")
+    assert run_main(
+        ["eval", str(vec), "--basis", "fourier", "--p", "2", "--alpha", "0",
+         "--N", "4", "--out", str(tmp_path / "o.tsv")]
+    ) == 2
+    assert "index (18446744073709551616,) has a coordinate past the bound" in capsys.readouterr().err
+    assert not (tmp_path / "o.tsv").exists()
+
+
 def test_main_rejects_missing_input_file(tmp_path):
     assert run_main(
         ["eval", str(tmp_path / "absent.tsv"), "--basis", "fourier", "--p", "2",

@@ -61,6 +61,19 @@ def test_table_symbol_lookup():
     assert sym.coefficient((4,), ((1,), (1,))) == 0.0
 
 
+@pytest.mark.parametrize("table, message", [
+    ({(0,): 1.0, (0.7,): 5.0}, r"non-integer coordinate in index \(0.7,\)"),
+    ({(0,): 1.0, (2**63,): 5.0}, r"index \(9223372036854775808,\) has a coordinate past the bound"),
+    ({(0,): 1.0, (1, 2): 5.0}, r"index \(1, 2\) not in Z\^1"),
+    ({(1,): 0.0, range(1, 2): 5.0}, r"symbol key \(1,\) is repeated"),
+    ({(0,): 1.0, (3,): complex(0.0, math.inf)}, r"index \(3,\) is not finite"),
+], ids=["non-integer", "bound", "dimension", "repeated", "non-finite"])
+def test_symbol_keys_and_values_are_validated(table, message):
+    # (0.7,) was truncated onto (0,): u = {0: 1, 1: 0.5} at p=2, N=4, alpha=0 gave 5, 5, 1.25
+    with pytest.raises(ValueError, match=message):
+        FourierSymbol(table)
+
+
 def test_two_minus_cos_symbol_closed_form():
     # 1/(2-cos x) has coefficients (2-sqrt3)^{|k|}/sqrt3
     sym = FourierSymbol.inverse_two_minus_cos()

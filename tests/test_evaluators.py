@@ -315,6 +315,12 @@ def test_direct_fourier_checks_the_output_domain():
     assert got.terms == 2
 
 
+def test_output_domains_are_held_to_the_coordinate_bound():
+    u = fvec({0: 1.0, 1: 2.0})
+    with pytest.raises(ValueError, match=r"index \(1180591620717411303424,\) has a coordinate"):
+        direct([u, u], 4, 0, output_domain=((1,), (2**70,)))
+
+
 def test_request_validation():
     u = fvec({0: 1.0})
     h = SpectralVector(HERMITE, {(0,): 1.0})
@@ -381,8 +387,8 @@ def _output_cases(seed: int):
             for j in rng.sample(cells, min(len(cells), 9))
         })
 
-    for _ in range(40):
-        d = rng.choice((1, 2))
+    for i in range(44):
+        d = rng.choice((1, 2)) if i < 40 else 3  # d = 3 last, so the draws before stay as they were
         basis = Basis.fourier(d)
         cells = list(itertools.product(range(-4, 5), repeat=d))
         p, n, alpha = rng.choice((1, 2, 3)), rng.choice((4, 9, 20)), rng.choice((0, 1))
@@ -408,11 +414,19 @@ def _output_cases(seed: int):
             iterative_eval, HermiteCache(2), inputs, n, alpha, ell_cap=20)
 
 
+def _lookups(u: SpectralVector, keys) -> list:
+    """Mapping lookups of u at keys and at one absent key, then u as a dict."""
+    absent = (2**62,) * u.basis.dim
+    return ([(u[j], u.get(j), j in u) for j in keys]
+            + [(u.get(absent), u.get(absent, 7), absent in u), dict(u.items())])
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_output_vectors_match_the_mapping_constructor(seed, monkeypatch):
     """Every vector the evaluators build from arrays is the one
-    SpectralVector(basis, dict) builds from the same keys and values, and its
-    arrays are a read-only copy of a fresh conversion."""
+    SpectralVector(basis, dict) builds from the same keys and values, its
+    arrays are a read-only copy of a fresh conversion, and its lookups agree
+    whether or not it was iterated first."""
     built = []
     from_arrays = SpectralVector._from_arrays
 
@@ -429,6 +443,8 @@ def test_output_vectors_match_the_mapping_constructor(seed, monkeypatch):
         assert built, label
         assert result.vector is built[-1][0], label
         for got, want in built:
+            probe = list(want)
+            assert _lookups(got, probe) == _lookups(want, probe), label
             assert got == want, label
             assert list(got) == list(want), label
             assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()], label
@@ -440,6 +456,8 @@ def test_output_vectors_match_the_mapping_constructor(seed, monkeypatch):
             for a in (keys, vals):
                 with pytest.raises(ValueError, match="read-only"):
                     a[...] = 0
+            again = from_arrays(got.basis, keys, vals)
+            assert list(again) == probe and _lookups(again, probe) == _lookups(want, probe), label
             nonempty += bool(got)
     assert nonempty > 50
 

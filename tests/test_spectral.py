@@ -2,12 +2,15 @@ import hashlib
 import json
 import math
 import random
+import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from scipy.special import zeta
 
-from spspec.indices import SizeFunction
+from spspec import spectral
+from spspec.indices import COORD_MAX, SizeFunction
 from spspec.spectral import (
     Basis,
     BasisKind,
@@ -98,10 +101,61 @@ def test_lookup_and_arrays():
     assert vals.tolist() == [1j, 2.0 + 0j]
     # converted once, and shared read-only
     assert u.as_arrays()[0] is keys and u.as_arrays()[1] is vals
-    for a in (keys, vals, keys.base):
+    for a in [a for a in (keys, vals, keys.base) if a is not None]:  # a base of None is no alias
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
     assert SpectralVector(FOURIER, {}).as_arrays()[0].shape == (0, 1)
+
+
+@pytest.mark.parametrize("basis, j", [(FOURIER, (-2**63,)), (FOURIER, (2**70,)),
+                                      (Basis.fourier(3), (0, 2**63, -1)), (HERMITE, (2**64,))])
+def test_coordinates_past_the_bound_are_rejected(basis, j):
+    # -2**63 fits int64, but np.abs wraps it and max_degree read 0
+    message = re.escape(f"index {j} has a coordinate past the bound |c| <= {COORD_MAX}")
+    with pytest.raises(ValueError, match=message):
+        SpectralVector(basis, {(0,) * basis.dim: 1.0, j: 0.5})
+    edge = (COORD_MAX,) + (-COORD_MAX,) * (basis.dim - 1)
+    assert SpectralVector(basis, {edge: 1.0}).max_degree() == COORD_MAX
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+def test_non_finite_coordinates_are_rejected(c):
+    # int(inf) raised a bare OverflowError
+    with pytest.raises(ValueError, match=r"non-integer coordinate in index \(0, "):
+        SpectralVector(Basis.fourier(2), {(0, c): 1.0})
+
+
+def test_vector_files_are_held_to_the_coordinate_bound():
+    with pytest.raises(ValueError, match=r"index \(18446744073709551616,\) has a coordinate"):
+        parse_vector("0\t1.0\t0.0\n18446744073709551616\t1.0\t0.0\n", FOURIER)
+
+
+def test_array_built_vectors_make_no_per_entry_objects():
+    # 66,049 entries: 2 MiB of arrays, 4.1 MiB traced with temporaries; 18.7 MiB with a tuple-key dict
+    basis = Basis.fourier(2)
+    twin = power_law_vector(3.0, 128, basis)
+    tracemalloc.start()
+    try:
+        u = power_law_vector(3.0, 128, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+    keys, vals = u.as_arrays()
+    assert len(u) == len(keys) == len(vals) == 257**2
+    assert sum(1 for _ in u) == len(u) and u == twin
+    assert u._lookup is None
+    assert u[(128, -3)] == 129.0**-3 and u._lookup is not None
+
+
+def test_only_spectral_names_the_vector_state():
+    """Other modules read a vector through as_arrays() and build one through
+    _from_arrays, so its representation can change in spectral.py alone."""
+    state = re.compile(r"\b_(keys|vals|lookup|entries|arrays)\b")
+    named = [f"{path.name}:{n}"
+             for path in sorted(Path(spectral.__file__).parent.glob("*.py")) if path.name != "spectral.py"
+             for n, line in enumerate(path.read_text().splitlines(), 1) if state.search(line)]
+    assert named == []
 
 
 @pytest.mark.parametrize(
