@@ -10,12 +10,11 @@ integral is symmetric in all of its indices.
 from __future__ import annotations
 
 import io
-import locale
 import math
 import re
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -263,126 +262,85 @@ def save_cache(cache: HermiteCache, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-# the line breaks of str.splitlines that an ASCII file can hold besides "\n"
-_OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+def _entry_lines(arity: int) -> bytes:
+    """The pattern of a run of entry lines as save_cache writes them.
 
-
-def _entry(arity: int) -> str:
-    """The pattern of one entry line: arity + 1 key tokens, a tab, the value.
-
-    Its quantifiers are possessive, which changes no match, since no class
-    borders on its own kind, and spares the engine a backtrack point per
-    token.
+    A line is arity + 1 keys, each one to 19 digits that fit int64,
+    separated by single spaces; then a tab, the value and "\n".  A value is
+    an optional minus, then inf, nan, or digits with an optional point,
+    fraction digits and signed exponent, as repr writes every float.
+    np.loadtxt reads every line this accepts.  The run is possessive, so it
+    holds no backtrack point per line, and it ends where the first line that
+    breaks the grammar starts.  Its first branch is the second one narrowed
+    to keys below 10**18 and finite values, in steps that keep no backtrack
+    state; nearly every line takes it, and it is the faster.
     """
-    number = "[0-9+.eE-]++"
-    return " *+" + " ++".join([number] * (arity + 1)) + rf" *+\t *+{number} *+"
+    top = str(np.iinfo(np.int64).max)
+    # 18 digits at most, or 19 that fall below top's at digit i, or top
+    key = "|".join(["[0-9]{1,18}+", top] + [
+        f"{top[:i]}[0-{int(c) - 1}][0-9]{{{18 - i}}}" for i, c in enumerate(top) if c != "0"
+    ])
+    number = r"[0-9]++\.?+[0-9]*+(?:e[+-][0-9]++)?+"
+    fast = " ".join(["[0-9]{1,18}+"] * (arity + 1)) + rf"\t-?+{number}\n"
+    full = rf"(?:{key})(?: (?:{key})){{{arity}}}\t-?+(?:{number}|inf|nan)\n"
+    return f"(?:{fast}|{full})*+".encode()
 
 
 def load_cache(path) -> HermiteCache:
-    """Read a file written by save_cache.
+    """Read a file written by save_cache, and no other format.
 
-    After the header, each line is blank (spaces and tabs only) or holds
-    p + 1 integer key tokens separated by spaces, one tab, and one decimal
-    float, with optional spaces around every token.  Any line break that
-    str.splitlines honours ends a line.  The whole body is matched against
-    one pattern, the one each line is checked with, and parsed in one
-    np.loadtxt call; only when that fails are its lines walked one by one to
-    name the first bad line.
+    The header line is as save_cache writes it, every later line is one
+    entry (see _entry_lines), and a file of the header alone holds no
+    entries.  One match finds where the first line that breaks the grammar
+    starts, one np.loadtxt call parses the lines before it, and one mask
+    per rule marks the rows that break it.  The first bad line is searched
+    for only when there is one.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.isascii() or any(c in data for c in _OTHER_BREAKS):
-        text = data.decode(locale.getpreferredencoding(False))  # as open(path) reads it
-        data = "".join(line + "\n" for line in text.splitlines()).encode()
     if not data:
         raise ValueError(f"{path}: empty cache file")
     header, _, body = data.partition(b"\n")
     del data
-    header = header.decode()
-    head = header.split()
-    if len(head) != 5 or head[0] != CACHE_MAGIC or head[1] != CACHE_VERSION:
+    header = header.decode(errors="backslashreplace")
+    head = re.fullmatch(
+        rf"{CACHE_MAGIC} {CACHE_VERSION} p=([1-9][0-9]*) jmax=(0|[1-9][0-9]*) policy=(\S*)", header
+    )
+    if not head:
         raise ValueError(f"{path}: bad cache header {header!r}")
-    fields = {}
-    for part in head[2:]:
-        name, _, value = part.partition("=")
-        fields[name] = value
-    try:
-        arity = int(fields["p"])
-        jmax = int(fields["jmax"])
-    except (KeyError, ValueError):
-        raise ValueError(f"{path}: bad cache header {header!r}") from None
-    if fields.get("policy") != POLICY_ID:
-        raise ValueError(f"{path}: unsupported node policy {fields.get('policy')!r}")
-    table = _parse_body(body, arity, jmax) if arity >= 1 else None
-    if table is None:
-        _raise_first_bad_line(path, body.decode(), arity, jmax)
-    return HermiteCache(arity, table)
-
-
-def _parse_body(body: bytes, arity: int, jmax: int) -> dict | None:
-    """The table in a cache body, or None when a line breaks the grammar or a rule."""
-    line = f"(?:{_entry(arity)}|[ \t]*)"
-    # possessive: a plain * would hold a backtrack point for every line
-    if not re.fullmatch(f"(?:{line}\n)*+{line}".encode(), body):
-        return None
-    if not body.strip():  # np.loadtxt warns on input without data
-        return {}
-    try:  # a token numpy does not read as a number, or a key past int64
-        entries = np.loadtxt(
-            io.BytesIO(body),
-            dtype=[("key", np.int64, (arity + 1,)), ("value", float)],
-            comments=None,
-            encoding="ascii",
-            ndmin=1,
-        )
-    except ValueError:
-        return None
-    keys, values = entries["key"], entries["value"]
-    if not (
-        np.isfinite(values).all()
-        and (keys[:, 0] >= 0).all()
-        and (np.diff(keys, axis=1) >= 0).all()
-        and not (keys.sum(axis=1) & 1).any()  # a wrapped sum keeps its parity
-        and (keys[:, -1] <= jmax).all()
-    ):
-        return None
-    table = dict(zip(zip(*keys.T.tolist()), values.tolist()))
-    return table if len(table) == len(keys) else None  # else a key repeats
-
-
-def _raise_first_bad_line(path, body: str, arity: int, jmax: int) -> NoReturn:
-    """Raise the error of the first line of body that load_cache rejects.
-
-    The checks and messages are those of a line-at-a-time loader.  A line
-    that only Python's int and float read (underscores, non-ASCII digits or
-    spaces, integers past int64) is a malformed entry.
-    """
-    seen: dict[tuple[int, ...], int] = {}
-    for i, line in enumerate(body.split("\n"), start=2):
-        if not line.strip():
-            if line.strip(" \t"):
-                raise ValueError(f"{path}:{i}: malformed entry {line!r}")
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{i}: expected 'key<TAB>value'")
-        try:
-            key = tuple(int(c) for c in parts[0].split())
-            value = float(parts[1])
-        except ValueError:
-            raise ValueError(f"{path}:{i}: malformed entry {line!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"{path}:{i}: coefficient {value} is not finite")
-        if len(key) != arity + 1 or any(c < 0 for c in key) or list(key) != sorted(key):
-            raise ValueError(f"{path}:{i}: key {key} is not a sorted tuple of length {arity + 1}")
-        if sum(key) % 2:
-            raise ValueError(f"{path}:{i}: odd-parity key {key} should not be stored")
-        if key and key[-1] > jmax:
-            raise ValueError(f"{path}:{i}: key {key} exceeds declared jmax {jmax}")
-        if key in seen:
-            raise ValueError(f"{path}:{i}: key {key} repeats line {seen[key]}")
-        seen[key] = i
-        if not re.fullmatch(_entry(arity), line) or max(key, default=0) > np.iinfo(np.int64).max:
-            raise ValueError(f"{path}:{i}: malformed entry {line!r}")
-    HermiteCache(arity)  # raises for an arity below 1
-    raise ValueError(f"{path}: malformed cache body")
+    if head[3] != POLICY_ID:
+        raise ValueError(f"{path}: unsupported node policy {head[3]!r}")
+    cache, jmax = HermiteCache(int(head[1])), int(head[2])
+    length = cache.arity + 1
+    # a line holds at least 2 * length + 2 bytes: skip the pattern where none fits
+    end = re.match(_entry_lines(cache.arity), body).end() if len(body) > 2 * length + 1 else 0
+    if end:  # np.loadtxt warns on input without data
+        dtype = [("key", np.int64, (length,)), ("value", float)]
+        rows = np.loadtxt(io.BytesIO(body[:end]), dtype, comments=None, encoding="ascii", ndmin=1)
+        keys, values = rows["key"], rows["value"]
+        # the rows that break each rule, in the order a line is checked; a
+        # pass per column is quicker than one along rows of a few keys, and
+        # an int64 sum that wraps keeps its parity
+        cols = list(keys.T)
+        broken = [
+            (~np.isfinite(values), "coefficient {value} is not finite"),
+            (np.any([b < a for a, b in zip(cols, cols[1:])], axis=0),
+             "key {key} is not a sorted tuple of length {length}"),
+            ((sum(cols) & 1) == 1, "odd-parity key {key} should not be stored"),
+            (cols[-1] > jmax, "key {key} exceeds declared jmax {jmax}"),
+        ]
+        if not any(mask.any() for mask, _ in broken):
+            cache.table = dict(zip(zip(*keys.T.tolist()), values.tolist()))
+        if len(cache.table) < len(keys):  # a row breaks a rule, or a key repeats
+            _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+            broken.append((first[inverse] < np.arange(len(keys)), "key {key} repeats line {line}"))
+            i = int(np.flatnonzero(np.any([mask for mask, _ in broken], axis=0))[0])
+            rule = next(text for mask, text in broken if mask[i])
+            key, line = tuple(keys[i].tolist()), int(first[inverse[i]]) + 2
+            rule = rule.format(value=float(values[i]), key=key, length=length, jmax=jmax, line=line)
+            raise ValueError(f"{path}:{i + 2}: {rule}")
+    if end < len(body):
+        line = body.count(b"\n", 0, end) + 2
+        text = body[end:].partition(b"\n")[0].decode(errors="backslashreplace")
+        raise ValueError(f"{path}:{line}: malformed entry {text!r}")
+    return cache

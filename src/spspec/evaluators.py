@@ -35,13 +35,13 @@ Both are deterministic: every sum is accumulated in a fixed order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .coeffs import FourierSymbol, HermiteCache
-from .indices import Index, SizeFunction, SparseSetSpec
+from .indices import COORD_MAX, Index, SizeFunction, SparseSetSpec
 from .quadrature import MAX_NODES, gauss_hermite_rule, hermite_batch
 from .spectral import Basis, BasisKind, SpectralVector
 
@@ -130,19 +130,44 @@ def _outputs(spec: SparseSetSpec, ells: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _sizes(coords: np.ndarray, size: SizeFunction, cap: int) -> np.ndarray:
-    """min(size(j), cap + 1) for each row j of an (n, d) coordinate array.
+    """min(size(j), cap + 1) for each row j of an (n, d) coordinate array,
+    for cap < COORD_MAX.
 
     Callers only compare a size above cap against cap, so the clip loses
-    nothing, and with the product taken in float64 (exact below 2**53) a
-    far-out index cannot wrap around to a small size.
+    nothing.  The product stays exact in int64: a factor that would take it
+    past cap + 1 saturates it there instead.
     """
-    a = np.minimum(np.abs(coords), cap + 1)
+    a = np.abs(coords)
     if size is SizeFunction.MAX:
-        return a.max(axis=1, initial=1)
-    out = np.ones(len(a))
+        return np.minimum(a, cap + 1).max(axis=1, initial=1)
+    out = np.ones(len(a), dtype=np.int64)
     for col in a.T:
-        out = np.minimum(out * (1 + col), cap + 1)
-    return out.astype(np.int64)
+        factor = np.minimum(col, cap) + 1
+        out = np.where(out <= (cap + 1) // factor, out * factor, cap + 1)
+    return out
+
+
+def _reach(keys: Sequence[np.ndarray]) -> tuple[int, ...]:
+    """A bound on each coordinate's magnitude in any sum of one row of each
+    (n, d) array, in Python ints, which cannot wrap."""
+    return tuple(map(sum, zip(*(np.abs(k).max(axis=0, initial=0).tolist() for k in keys))))
+
+
+def _clipped(spec: SparseSetSpec, inputs: Sequence[SpectralVector], reach) -> SparseSetSpec:
+    """spec with its budget cut to one that admits the same terms and fits int64.
+
+    No input index is larger than its input's reach, so no product of input
+    sizes passes m, the product of the reaches' sizes; reach, when known,
+    bounds every output coordinate, so no output size passes e.  A
+    budget past m (alpha = 0) or m * e (alpha = 1) admits every tuple at
+    every output, as that bound does, and keeps the same outputs.
+    """
+    m = math.prod(spec.size.of(_reach([u.as_arrays()[0]])) for u in inputs)
+    e = spec.level if reach is None else spec.size.of(reach)
+    level = min(spec.level, m * e**spec.alpha)
+    if level >= COORD_MAX:
+        raise ValueError(f"budget {spec.level} reaches the int64 limit {COORD_MAX} of the kernels")
+    return replace(spec, level=level)
 
 
 class _Slots:
@@ -233,18 +258,27 @@ class _BudgetClasses(_Slots):
     ):
         super().__init__(inputs, spec)
         self.level = spec.level
-        self.empty = self.empty or not symbol.table
+        # with no tuple in the budget, no key is formed
+        self.empty = self.empty or not symbol.table or self.need[0] > spec.level
         if self.empty:
             return
-        bcoords = np.array(list(symbol.table), dtype=np.int64)
         bvals = np.array(list(symbol.table.values()))
         picked = [coords for _, coords, _ in self.slots]
-        self.lo = sum(c.min(axis=0) for c in picked) + bcoords.min(axis=0)
-        self.hi = sum(c.max(axis=0) for c in picked) + bcoords.max(axis=0)
-        width = self.hi - self.lo + 1
-        self.strides = np.append(np.cumprod(width[:0:-1])[::-1], 1).astype(np.int64)
-        self.keys = [c @ self.strides for c in picked]
-        self.symbol = _line(bcoords @ self.strides, bvals)
+        picked.append(np.array(list(symbol.table), dtype=np.int64))
+        # the box and its strides in Python ints, where sums cannot wrap
+        lo = [sum(c) for c in zip(*(k.min(axis=0).tolist() for k in picked))]
+        hi = [sum(c) for c in zip(*(k.max(axis=0).tolist() for k in picked))]
+        width = [h - l + 1 for l, h in zip(lo, hi)]
+        strides = [math.prod(width[i + 1 :]) for i in range(len(width))]
+        # every key the kernel forms is that of a point within three times
+        # the reach: at_own_budget takes two keys of sums from an output's
+        span = 3 * sum(r * s for r, s in zip(_reach(picked), strides))
+        if span > COORD_MAX:
+            raise ValueError(f"flat keys span {span}, past the int64 limit {COORD_MAX}")
+        self.lo, self.hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+        self.strides = np.array(strides, dtype=np.int64)
+        self.keys = [c @ self.strides for c in picked[:-1]]
+        self.symbol = _line(picked[-1] @ self.strides, bvals)
         self.lines = {(len(self.slots), 0): _Line(0, np.ones(1, dtype=complex), np.ones(1))}
 
     def partial(self, s: int, b: int) -> _Line | None:
@@ -506,10 +540,17 @@ def direct_sparse_eval(request: EvalRequest) -> EvalResult:
     basis and the arity; its table is never read.
     """
     spec = request.spec
-    ells = None
+    ells = reach = None
     if request.output_domain is not None:
         domain = {spec.lattice.validate(ell) for ell in request.output_domain}
         ells = np.array(sorted(domain), dtype=np.int64).reshape(-1, spec.lattice.dim)
+        reach = _reach([ells])
+    elif isinstance(request.provider, FourierSymbol):
+        keys = [u.as_arrays()[0] for u in request.inputs]
+        table = np.array(list(request.provider.table), dtype=np.int64)
+        keys.append(table.reshape(-1, spec.lattice.dim))
+        reach = _reach(keys)
+    spec = _clipped(spec, request.inputs, reach)
     if isinstance(request.provider, FourierSymbol):
         ells, vals, terms = _fourier_sum(request.provider, request.inputs, spec, ells)
     else:
@@ -601,8 +642,12 @@ def dense_oracle_fourier(
     if not all(len(vals) for _, vals in factors):
         return SpectralVector(basis, {})
     lows = [keys.min(axis=0) for keys, _ in factors]
-    low = sum(lows)
-    box = sum(keys.max(axis=0) for keys, _ in factors) - low + 1
+    # the output box in Python ints, where sums cannot wrap
+    low = [sum(c) for c in zip(*(own.tolist() for own in lows))]
+    high = [sum(c) for c in zip(*(keys.max(axis=0).tolist() for keys, _ in factors))]
+    if max(map(abs, low + high)) > COORD_MAX:
+        raise ValueError(f"output indices reach past the int64 bound |c| <= {COORD_MAX}")
+    box = [h - l + 1 for l, h in zip(low, high)]
     line, off = None, 0
     for (keys, vals), own in zip(factors, lows):
         flat = np.ravel_multi_index(tuple((keys - own).T), box)
@@ -617,7 +662,7 @@ def dense_oracle_fourier(
             break
         line, off = line[nz[0] : nz[-1] + 1], off + start + int(nz[0])
     nz = np.flatnonzero(line)
-    keys = np.stack(np.unravel_index(nz + off, box), axis=1) + low
+    keys = np.stack(np.unravel_index(nz + off, box), axis=1) + np.array(low, dtype=np.int64)
     return SpectralVector._from_arrays(basis, keys, line[nz])
 
 

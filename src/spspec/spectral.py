@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -98,7 +98,7 @@ class SpectralVector(Mapping):
 
     def __getitem__(self, j: Index) -> complex:
         if self._lookup is None:
-            self._lookup = dict(zip(self, self._vals.tolist()))
+            self._lookup = dict(self.items())
         return self._lookup[j]
 
     def __iter__(self) -> Iterator[Index]:
@@ -106,6 +106,12 @@ class SpectralVector(Mapping):
 
     def __len__(self) -> int:
         return len(self._vals)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpectralVector):
@@ -128,15 +134,28 @@ class SpectralVector(Mapping):
         return int(np.abs(self._keys).max(initial=0))
 
 
+class _Items(ItemsView):
+    """The Mapping view, iterated from the arrays without a lookup."""
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._vals.tolist())
+
+
+class _Values(ValuesView):
+    """The Mapping view, iterated from the arrays without a lookup."""
+
+    def __iter__(self):
+        return iter(self._mapping._vals.tolist())
+
+
 def l1s_norm(u: SpectralVector, s: float, size: SizeFunction = SizeFunction.MAX) -> float:
     """Weighted absolute-sum norm: sum of size(j)**s * |u_j|."""
-    return float(sum(size.of(j) ** s * abs(v) for j, v in zip(u, u._vals.tolist())))
+    return float(sum(size.of(j) ** s * abs(v) for j, v in u.items()))
 
 
 def l2s_norm(u: SpectralVector, s: float) -> float:
     """Weighted Euclidean norm with max-norm weights."""
-    terms = zip(u, u._vals.tolist())
-    return math.sqrt(sum(max_norm(j) ** (2.0 * s) * abs(v) ** 2 for j, v in terms))
+    return math.sqrt(sum(max_norm(j) ** (2.0 * s) * abs(v) ** 2 for j, v in u.items()))
 
 
 def power_law_vector(sigma: float, cutoff: int, basis: Basis) -> SpectralVector:
@@ -165,10 +184,7 @@ def dump_vector(u: SpectralVector) -> str:
     Fields are tab-separated, coordinates space-separated, floats in
     shortest round-trip decimal, keys in lexicographic order.
     """
-    lines = []
-    for j, v in zip(u, u._vals.tolist()):
-        coords = " ".join(str(c) for c in j)
-        lines.append(f"{coords}\t{v.real!r}\t{v.imag!r}")
+    lines = [f"{' '.join(map(str, j))}\t{v.real!r}\t{v.imag!r}" for j, v in u.items()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -15,6 +15,7 @@ from spspec.cli import (
     fit_slope,
     main,
 )
+from spspec.coeffs import build_cache, load_cache
 from spspec.evaluators import dense_oracle_fourier
 from spspec.spectral import Basis, SpectralVector, read_vector, write_vector
 
@@ -191,6 +192,15 @@ def test_main_coeffs_idempotent(tmp_path, capsys):
     assert run_main(["coeffs", "--p", "2", "--jmax", "1", "--out", str(out)]) == 0
     assert out.read_bytes() == first
     assert "wrote 2 coefficients" in capsys.readouterr().err
+
+
+def test_main_coeffs_file_loads_as_the_built_cache(tmp_path):
+    # the one path from the program's writer to its reader
+    out = tmp_path / "h.cache"
+    assert main(["coeffs", "--p", "3", "--jmax", "8", "--out", str(out)]) == 0
+    got, want = load_cache(out), build_cache(3, 8)
+    assert got.arity == want.arity == 3
+    assert {k: v.hex() for k, v in got.table.items()} == {k: v.hex() for k, v in want.table.items()}
 
 
 def test_main_eval_round_trip(tmp_path):

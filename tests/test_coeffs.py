@@ -284,8 +284,8 @@ def test_load_rejects_tampered_files(tmp_path):
     with pytest.raises(ValueError, match="jmax"):
         load_cache(bad)
 
-    bad.write_text(text + "\n0 0 0\t0.25\n")
-    with pytest.raises(ValueError, match=r"bad.cache:5: key \(0, 0, 0\) repeats line 2"):
+    bad.write_text(text + "0 0 0\t0.25\n")
+    with pytest.raises(ValueError, match=r"bad.cache:4: key \(0, 0, 0\) repeats line 2"):
         load_cache(bad)
 
 
@@ -316,33 +316,65 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
 
 
 @pytest.mark.parametrize("body", ["", "\n", "\n\n  \n\t\n"])
-def test_bodies_without_entries_load_empty_without_warnings(tmp_path, body):
+def test_entryless_bodies_load_empty_or_name_the_blank_line(tmp_path, body):
     path = tmp_path / "e.cache"
     save_cache(HermiteCache(3), path)
     path.write_text(path.read_text() + body)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if body:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: malformed entry ''$"):
+                load_cache(path)
+            return
         cache = load_cache(path)
     assert cache.arity == 3
     assert cache.table == {}
 
 
+def test_a_header_arity_past_the_body_builds_no_pattern(tmp_path):
+    # no line of 10**9 + 1 keys fits a short body; its pattern would take gigabytes
+    path = tmp_path / "h.cache"
+    header = f"{CACHE_MAGIC} v1 p={10**9} jmax=0 policy={POLICY_ID}\n"
+    path.write_text(header)
+    assert load_cache(path).arity == 10**9 and load_cache(path).table == {}
+    path.write_text(header + "0 0\t1.0\n")
+    with pytest.raises(ValueError, match=r":2: malformed entry '0 0\\t1.0'$"):
+        load_cache(path)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4, 5])
+def test_save_load_round_trip_every_arity(tmp_path, arity):
+    rng = np.random.default_rng(arity)
+    keys = {tuple(sorted(rng.integers(0, 40, arity + 1).tolist())) for _ in range(300)}
+    keys = [k for k in keys if sum(k) % 2 == 0]
+    values = rng.standard_normal(len(keys)) * 10.0 ** rng.integers(-300, 300, len(keys))
+    cache = HermiteCache(arity, dict(zip(keys, values.tolist())))
+    path = tmp_path / "r.cache"
+    save_cache(cache, path)
+    again = load_cache(path)
+    assert again.arity == arity
+    assert bits(again.table) == bits(cache.table)
+
+
 def test_load_cache_memory_stays_flat(tmp_path):
-    # the body-wide match must not hold a backtrack point per line, blank
-    # lines included, which cost nothing to parse: at some 150 bytes a line
-    # that would add over 30 MB on the padded file
+    # the body-wide match must not hold a backtrack point per line: at some
+    # 150 bytes a line that would add over 3 MB on this file, whose last
+    # line, when it is there, breaks the grammar
     path = tmp_path / "w.cache"
     save_cache(build_cache(2, 64), path)
-    for padding in ("", "\n" * 200_000):
+    for tail in ("", "0 0 0\t0.5"):
         with open(path, "a") as fh:
-            fh.write(padding)
+            fh.write(tail)
         tracemalloc.start()
         try:
-            load_cache(path)
+            try:
+                load_cache(path)
+            except ValueError as exc:
+                assert tail and str(exc).endswith("malformed entry '0 0 0\\t0.5'"), exc
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 2**20, len(padding)
+        assert peak <= 8 * 2**20, tail
     keys = [(a, b) for b in range(1000) for a in range(b % 2, b + 1, 2)]
     table = dict(zip(keys, np.random.default_rng(5).standard_normal(len(keys)).tolist()))
     assert len(table) > 250_000
@@ -352,50 +384,69 @@ def test_load_cache_memory_stays_flat(tmp_path):
 
 # ------------------------------------------------------ differential loader
 
+def _is_key(token: str) -> bool:
+    """One to 19 ASCII digits that fit int64."""
+    return token.isascii() and token.isdigit() and len(token) <= 19 and int(token) < 2**63
+
+
+def _is_value(token: str) -> bool:
+    """An optional minus, then inf, nan, or digits with an optional point,
+    fraction digits and signed exponent."""
+    token = token.removeprefix("-")
+    if token in ("inf", "nan"):
+        return True
+    mantissa, e, exponent = token.partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = lambda t: t == "" or (t.isascii() and t.isdigit())
+    signed = exponent[:1] in ("+", "-") and exponent[1:] != "" and digits(exponent[1:])
+    return whole != "" and digits(whole) and digits(fraction) and (not e or signed)
+
+
 def reference_load(path) -> HermiteCache:
-    """The line-at-a-time loader load_cache replaced, kept as its reference."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    """A line-at-a-time reader of the format save_cache writes, with the
+    rules and messages of load_cache."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data:
         raise ValueError(f"{path}: empty cache file")
-    head = lines[0].split()
-    if len(head) != 5 or head[0] != CACHE_MAGIC or head[1] != "v1":
-        raise ValueError(f"{path}: bad cache header {lines[0]!r}")
-    fields = {}
-    for part in head[2:]:
-        name, _, value = part.partition("=")
-        fields[name] = value
-    try:
-        arity = int(fields["p"])
-        jmax = int(fields["jmax"])
-    except (KeyError, ValueError):
-        raise ValueError(f"{path}: bad cache header {lines[0]!r}") from None
-    if fields.get("policy") != POLICY_ID:
-        raise ValueError(f"{path}: unsupported node policy {fields.get('policy')!r}")
-    table = {}
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{i}: expected 'key<TAB>value'")
-        try:
-            key = tuple(int(c) for c in parts[0].split())
-            value = float(parts[1])
-        except ValueError:
-            raise ValueError(f"{path}:{i}: malformed entry {line!r}") from None
+    header, _, body = data.partition(b"\n")
+    header = header.decode(errors="backslashreplace")
+    fields = header.split(" ")
+    names = [CACHE_MAGIC, "v1", "p=", "jmax=", "policy="]
+    if len(fields) != 5 or any(not f.startswith(n) for f, n in zip(fields, names)):
+        raise ValueError(f"{path}: bad cache header {header!r}")
+    p, jmax, policy = (f.partition("=")[2] for f in fields[2:])
+    canonical = lambda t: t.isascii() and t.isdigit() and str(int(t)) == t
+    if (
+        fields[:2] != names[:2] or not canonical(p) or p == "0" or not canonical(jmax)
+        or any(c.isspace() for c in policy)
+    ):
+        raise ValueError(f"{path}: bad cache header {header!r}")
+    if policy != POLICY_ID:
+        raise ValueError(f"{path}: unsupported node policy {policy!r}")
+    arity, jmax = int(p), int(jmax)
+    table, seen = {}, {}
+    *lines, tail = body.split(b"\n")
+    if tail:  # a last line without its "\n"
+        lines.append(None)
+    for i, raw in enumerate(lines, start=2):
+        line = (raw if raw is not None else tail).decode(errors="backslashreplace")
+        keys, tab, value = line.partition("\t")
+        keys = keys.split(" ")
+        if raw is None or not tab or len(keys) != arity + 1 or not all(map(_is_key, keys)) or not _is_value(value):
+            raise ValueError(f"{path}:{i}: malformed entry {line!r}")
+        key, value = tuple(map(int, keys)), float(value)
         if not math.isfinite(value):
             raise ValueError(f"{path}:{i}: coefficient {value} is not finite")
-        if len(key) != arity + 1 or any(c < 0 for c in key) or list(key) != sorted(key):
+        if list(key) != sorted(key):
             raise ValueError(f"{path}:{i}: key {key} is not a sorted tuple of length {arity + 1}")
         if sum(key) % 2:
             raise ValueError(f"{path}:{i}: odd-parity key {key} should not be stored")
-        if key and key[-1] > jmax:
+        if key[-1] > jmax:
             raise ValueError(f"{path}:{i}: key {key} exceeds declared jmax {jmax}")
-        if key in table:
-            seen = [tuple(map(int, row.split("\t")[0].split())) for row in lines[1 : i - 1]]
-            raise ValueError(f"{path}:{i}: key {key} repeats line {seen.index(key) + 2}")
-        table[key] = value
+        if key in seen:
+            raise ValueError(f"{path}:{i}: key {key} repeats line {seen[key]}")
+        seen[key], table[key] = i, value
     return HermiteCache(arity, table)
 
 
@@ -502,10 +553,20 @@ TAMPERINGS = {
     "exponent_key": _edit_entry(_key_token("1e2")),
     "signed_key": _edit_entry(_key_token("+0")),
     "minus_zero_key": _edit_entry(_key_token("-0")),
+    "leading_zero_key": _edit_entry(_key_token("007")),
+    "int64_max_key": _edit_entry(_key_token(str(2**63 - 1))),
+    "key_past_int64": _edit_entry(_key_token(str(2**63))),
+    "long_zero_key": _edit_entry(_key_token("0" * 20)),
     "nan": _edit_entry(_value("nan")),
     "inf": _edit_entry(_value("inf")),
     "minus_inf": _edit_entry(_value("-Infinity")),
     "overflow": _edit_entry(_value("1e400")),
+    "signed_overflow": _edit_entry(_value("1e+400")),
+    "integer_value": _edit_entry(_value("5")),
+    "bare_point_value": _edit_entry(_value("5.")),
+    "two_points": _edit_entry(_value("1.5.5")),
+    "capital_exponent": _edit_entry(_value("1.5E+3")),
+    "minus_nan": _edit_entry(_value("-nan")),
     "underflow": _edit_entry(_value("1e-400")),
     "short_value": _edit_entry(_value(".5")),
     "signed_value": _edit_entry(_value("+5.E-3")),
@@ -584,11 +645,9 @@ def test_python_only_spellings_load_or_name_their_line(tmp_path, key, value):
     )
     body[at] = f"{key}\t{value}"
     path.write_bytes("\n".join([first, *body]).encode() + b"\n")
-    want = outcome(reference_load, path)
-    assert want[0] == "table"
-    got = outcome(load_cache, path)
-    if got != want:
-        assert got[0] == "error" and got[1].startswith(f"{path}:{at + 2}: "), got
+    # spellings that only Python's int and float read name their line
+    want = ("error", f"{path}:{at + 2}: malformed entry {body[at]!r}")
+    assert outcome(load_cache, path) == outcome(reference_load, path) == want
 
 
 # ------------------------------------------------------ differential builder

@@ -949,3 +949,83 @@ def test_direct_hermite_names_the_degree_limit():
     past = SparseSetSpec(3, 2045, 1, SizeFunction.MAX, naturals(1))
     with pytest.raises(ValueError, match=r"degree 2048 .* integrates degree 2047 at most"):
         direct_sparse_eval(EvalRequest(HermiteCache(3), (u,) * 3, past))
+
+
+# ------------------------------------------------------- int64 edges
+#
+# Each case returns the budgeted sum found over the stored entries in
+# Python ints, or raises a ValueError that names the int64 limit.
+
+def _stored_brute_sum(inputs, spec: SparseSetSpec, coefficient, ells=None):
+    """(values, terms) over every tuple of stored entries within its output's
+    budget, at the outputs ells (every sum of a tuple when None)."""
+    values, terms = {}, 0
+    for js in itertools.product(*inputs):
+        reached = [tuple(map(sum, zip(*js)))] if ells is None else ells
+        for ell in reached:
+            size = spec.size.of(ell) ** spec.alpha * math.prod(map(spec.size.of, js))
+            if size <= spec.level:
+                terms += 1
+                term = coefficient(ell, js) * math.prod(u[j] for j, u in zip(js, inputs))
+                values[ell] = values.get(ell, 0) + term
+    return {ell: v for ell, v in values.items() if v != 0}, terms
+
+
+@pytest.mark.parametrize("level", [2**62, 2**63 - 1, 2**63, 2**80])
+@pytest.mark.parametrize("alpha", [0, 1])
+def test_fourier_budgets_past_int64_match_brute_force(level, alpha):
+    # at alpha = 1 and N = 2**63 - 1 the size cap N + 1 overflowed int64
+    u = fvec({0: 1.0, 1: 0.5, -3: 0.25})
+    spec = SparseSetSpec(2, level, alpha, SizeFunction.PROD, integers(1))
+    want, terms = _stored_brute_sum((u, u), spec, lambda ell, js: 1.0)
+    got = direct_sparse_eval(EvalRequest(UNIT, (u, u), spec))
+    assert dict(got.vector) == want and got.terms == terms == 9
+
+
+@pytest.mark.parametrize("level", [2**63, 2**80])
+def test_hermite_budgets_past_int64_match_brute_force(level):
+    # at alpha = 0 and N = 2**63 the budget of every output overflowed int64
+    u = SpectralVector(HERMITE, {(0,): 1.0, (1,): 0.5, (3,): -0.25})
+    spec = SparseSetSpec(2, level, 0, SizeFunction.MAX, naturals(1))
+    domain = ((0,), (1,), (2,), (4,), (7,))
+    coefficient = lambda ell, js: _hermite_coefficient(tuple(sorted(ell + sum(js, ()))))
+    want, terms = _stored_brute_sum((u, u), spec, coefficient, domain)
+    got = direct_sparse_eval(EvalRequest(HermiteCache(2), (u, u), spec, domain))
+    assert got.terms == terms == 9 * len(domain)
+    assert set(got.vector) == set(want)
+    assert all(abs(got.vector[ell] - v) <= 1e-14 for ell, v in want.items())
+
+
+def test_budgets_that_stay_past_int64_are_named():
+    u = fvec({0: 1.0, 2**62: 0.5})
+    spec = SparseSetSpec(2, 2**80, 0, SizeFunction.MAX, integers(1))
+    with pytest.raises(ValueError, match=f"budget {2**80} reaches the int64 limit"):
+        direct_sparse_eval(EvalRequest(UNIT, (u, u), spec))
+
+
+def test_flat_keys_past_int64_are_named():
+    # c0 * 2001 = 2**64 + 1397: as int64 the flat key of (c0, 0) wrapped onto
+    # that of (0, 1397), which read 1 there and 8 terms against 6 admitted
+    c0 = -(-(2**64) // 2001)
+    u = SpectralVector(Basis.fourier(2), {(0, 0): 1.0, (c0, 0): 0.5, (0, 1000): 0.25})
+    spec = SparseSetSpec(2, 10**16, 0, SizeFunction.MAX, integers(2))
+    domain = ((0, 0), (c0, 0), (0, 1000), (0, 2000), (0, 1397))
+    with pytest.raises(ValueError, match="past the int64 limit"):
+        direct_sparse_eval(EvalRequest(FourierSymbol.unit(2), (u, u), spec, domain))
+    # no tuple fits the budget: nothing is flattened, and nothing is reached
+    tight = SparseSetSpec(2, c0 - 1, 0, SizeFunction.MAX, integers(2))
+    far = SpectralVector(Basis.fourier(2), {(c0, 0): 0.5, (0, c0): 0.25})
+    got = direct_sparse_eval(EvalRequest(FourierSymbol.unit(2), (far, far), tight))
+    assert not got.vector and got.terms == 0
+
+
+def test_dense_fourier_outputs_past_the_coordinate_bound_are_named():
+    # the int64 sum of the factors' lows wrapped, and the outputs sat at -2**63
+    v = fvec({2**62: 1.0, 2**62 + 1: 0.5})
+    with pytest.raises(ValueError, match="past the int64 bound"):
+        dense_oracle_fourier([v, v])
+    w = fvec({2**61: 1.0, 2**61 + 1: 0.5})
+    every = SparseSetSpec(2, 2**200, 0, SizeFunction.MAX, integers(1))  # no budget binds
+    want, _ = _stored_brute_sum((w, w), every, lambda ell, js: 1.0)
+    assert dense_oracle_fourier([w, w]) == SpectralVector(FOURIER, want)
+    assert set(want) == {(2**62,), (2**62 + 1,), (2**62 + 2,)}

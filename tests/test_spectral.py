@@ -148,6 +148,20 @@ def test_array_built_vectors_make_no_per_entry_objects():
     assert u[(128, -3)] == 129.0**-3 and u._lookup is not None
 
 
+@pytest.mark.parametrize("basis", [FOURIER, Basis.fourier(2), HERMITE])
+def test_items_and_values_come_from_the_arrays(basis):
+    u = random_vector(basis, seed=3)
+    twin = random_vector(basis, seed=3)
+    items, values = u.items(), u.values()
+    assert dict(items) == {j: twin[j] for j in twin}
+    assert list(values) == [twin[j] for j in twin]
+    assert len(items) == len(values) == len(u)
+    assert u._lookup is None
+    j = next(iter(u))
+    assert (j, twin[j]) in items and (j, twin[j] + 1) not in items
+    assert twin[j] in values and items == dict(twin.items()).items()
+
+
 def test_only_spectral_names_the_vector_state():
     """Other modules read a vector through as_arrays() and build one through
     _from_arrays, so its representation can change in spectral.py alone."""
