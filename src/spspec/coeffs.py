@@ -268,7 +268,7 @@ def _entry_lines(arity: int) -> bytes:
     A line is arity + 1 keys, each one to 19 digits that fit int64,
     separated by single spaces; then a tab, the value and "\n".  A value is
     an optional minus, then inf, nan, or digits with an optional point,
-    fraction digits and signed exponent, as repr writes every float.
+    fraction digits and signed exponent, which holds repr of every float.
     np.loadtxt reads every line this accepts.  The run is possessive, so it
     holds no backtrack point per line, and it ends where the first line that
     breaks the grammar starts.  Its first branch is the second one narrowed
