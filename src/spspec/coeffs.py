@@ -14,6 +14,7 @@ import math
 import re
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -63,6 +64,14 @@ class FourierSymbol:
                 raise ValueError(f"symbol key {k} is repeated")
             clean[k] = _finite(k, complex(v))
         object.__setattr__(self, "table", dict(sorted((k, v) for k, v in clean.items() if v != 0)))
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table as read-only arrays: (n, dim) int64 keys and complex values."""
+        keys = np.array(list(self.table), dtype=np.int64).reshape(-1, self.dim)
+        vals = np.array(list(self.table.values()), dtype=complex)
+        keys.flags.writeable = vals.flags.writeable = False
+        return keys, vals
 
     @property
     def q(self) -> int:
@@ -272,8 +281,9 @@ def _entry_lines(arity: int) -> bytes:
     np.loadtxt reads every line this accepts.  The run is possessive, so it
     holds no backtrack point per line, and it ends where the first line that
     breaks the grammar starts.  Its first branch is the second one narrowed
-    to keys below 10**18 and finite values, in steps that keep no backtrack
-    state; nearly every line takes it, and it is the faster.
+    to keys below 10**18 and finite values; nearly every line takes it, and
+    it is the faster.  Both count their keys, so the pattern's length does
+    not grow with the arity.
     """
     top = str(np.iinfo(np.int64).max)
     # 18 digits at most, or 19 that fall below top's at digit i, or top
@@ -281,7 +291,7 @@ def _entry_lines(arity: int) -> bytes:
         f"{top[:i]}[0-{int(c) - 1}][0-9]{{{18 - i}}}" for i, c in enumerate(top) if c != "0"
     ])
     number = r"[0-9]++\.?+[0-9]*+(?:e[+-][0-9]++)?+"
-    fast = " ".join(["[0-9]{1,18}+"] * (arity + 1)) + rf"\t-?+{number}\n"
+    fast = rf"[0-9]{{1,18}}+(?: [0-9]{{1,18}}+){{{arity}}}\t-?+{number}\n"
     full = rf"(?:{key})(?: (?:{key})){{{arity}}}\t-?+(?:{number}|inf|nan)\n"
     return f"(?:{fast}|{full})*+".encode()
 
@@ -297,14 +307,13 @@ def load_cache(path) -> HermiteCache:
     for only when there is one.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data:
+        header, body = fh.readline(), fh.read()
+    if not header:
         raise ValueError(f"{path}: empty cache file")
-    header, _, body = data.partition(b"\n")
-    del data
-    header = header.decode(errors="backslashreplace")
+    header = header.removesuffix(b"\n").decode(errors="backslashreplace")
+    number = "[1-9][0-9]{0,18}"  # the 19 digits of an int64 at most
     head = re.fullmatch(
-        rf"{CACHE_MAGIC} {CACHE_VERSION} p=([1-9][0-9]*) jmax=(0|[1-9][0-9]*) policy=(\S*)", header
+        rf"{CACHE_MAGIC} {CACHE_VERSION} p=({number}) jmax=(0|{number}) policy=(\S*)", header
     )
     if not head:
         raise ValueError(f"{path}: bad cache header {header!r}")
@@ -312,7 +321,8 @@ def load_cache(path) -> HermiteCache:
         raise ValueError(f"{path}: unsupported node policy {head[3]!r}")
     cache, jmax = HermiteCache(int(head[1])), int(head[2])
     length = cache.arity + 1
-    # a line holds at least 2 * length + 2 bytes: skip the pattern where none fits
+    # a line holds at least 2 * length + 2 bytes: skip the pattern where none
+    # fits, as past 2**32 keys its counted repeat would not compile
     end = re.match(_entry_lines(cache.arity), body).end() if len(body) > 2 * length + 1 else 0
     if end:  # np.loadtxt warns on input without data
         dtype = [("key", np.int64, (length,)), ("value", float)]
@@ -332,9 +342,11 @@ def load_cache(path) -> HermiteCache:
         if not any(mask.any() for mask, _ in broken):
             cache.table = dict(zip(zip(*keys.T.tolist()), values.tolist()))
         if len(cache.table) < len(keys):  # a row breaks a rule, or a key repeats
-            _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-            broken.append((first[inverse] < np.arange(len(keys)), "key {key} repeats line {line}"))
-            i = int(np.flatnonzero(np.any([mask for mask, _ in broken], axis=0))[0])
+            # a repeat is the first bad row only before the first that breaks a rule
+            n = min([int(mask.argmax()) + 1 for mask, _ in broken if mask.any()], default=len(keys))
+            _, first, inverse = np.unique(keys[:n], axis=0, return_index=True, return_inverse=True)
+            broken.append((first[inverse] < np.arange(n), "key {key} repeats line {line}"))
+            i = int(np.flatnonzero(np.any([mask[:n] for mask, _ in broken], axis=0))[0])
             rule = next(text for mask, text in broken if mask[i])
             key, line = tuple(keys[i].tolist()), int(first[inverse[i]]) + 2
             rule = rule.format(value=float(values[i]), key=key, length=length, jmax=jmax, line=line)

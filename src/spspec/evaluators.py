@@ -147,13 +147,14 @@ def _sizes(coords: np.ndarray, size: SizeFunction, cap: int) -> np.ndarray:
     return out
 
 
-def _reach(keys: Sequence[np.ndarray]) -> tuple[int, ...]:
-    """A bound on each coordinate's magnitude in any sum of one row of each
-    (n, d) array, in Python ints, which cannot wrap."""
-    return tuple(map(sum, zip(*(np.abs(k).max(axis=0, initial=0).tolist() for k in keys))))
+def _reach(keys: np.ndarray) -> tuple[int, ...]:
+    """Each coordinate's largest magnitude in the rows of an (n, d) array, in
+    Python ints; a sum of one row of each of several arrays is bounded by
+    the sum of their reaches, which cannot wrap."""
+    return tuple(np.abs(keys).max(axis=0, initial=0).tolist())
 
 
-def _clipped(spec: SparseSetSpec, inputs: Sequence[SpectralVector], reach) -> SparseSetSpec:
+def _clipped(spec: SparseSetSpec, reaches: Sequence[tuple[int, ...]], reach) -> SparseSetSpec:
     """spec with its budget cut to one that admits the same terms and fits int64.
 
     No input index is larger than its input's reach, so no product of input
@@ -162,7 +163,7 @@ def _clipped(spec: SparseSetSpec, inputs: Sequence[SpectralVector], reach) -> Sp
     budget past m (alpha = 0) or m * e (alpha = 1) admits every tuple at
     every output, as that bound does, and keeps the same outputs.
     """
-    m = math.prod(spec.size.of(_reach([u.as_arrays()[0]])) for u in inputs)
+    m = math.prod(map(spec.size.of, reaches))
     e = spec.level if reach is None else spec.size.of(reach)
     level = min(spec.level, m * e**spec.alpha)
     if level >= COORD_MAX:
@@ -262,23 +263,24 @@ class _BudgetClasses(_Slots):
         self.empty = self.empty or not symbol.table or self.need[0] > spec.level
         if self.empty:
             return
-        bvals = np.array(list(symbol.table.values()))
-        picked = [coords for _, coords, _ in self.slots]
-        picked.append(np.array(list(symbol.table), dtype=np.int64))
-        # the box and its strides in Python ints, where sums cannot wrap
-        lo = [sum(c) for c in zip(*(k.min(axis=0).tolist() for k in picked))]
-        hi = [sum(c) for c in zip(*(k.max(axis=0).tolist() for k in picked))]
+        bkeys, bvals = symbol.arrays
+        picked = [coords for _, coords, _ in self.slots] + [bkeys]
+        # the box, its strides and the reach in Python ints, where sums cannot wrap
+        lows = [k.min(axis=0).tolist() for k in picked]
+        highs = [k.max(axis=0).tolist() for k in picked]
+        lo, hi = [sum(c) for c in zip(*lows)], [sum(c) for c in zip(*highs)]
         width = [h - l + 1 for l, h in zip(lo, hi)]
         strides = [math.prod(width[i + 1 :]) for i in range(len(width))]
-        # every key the kernel forms is that of a point within three times
-        # the reach: at_own_budget takes two keys of sums from an output's
-        span = 3 * sum(r * s for r, s in zip(_reach(picked), strides))
-        if span > COORD_MAX:
-            raise ValueError(f"flat keys span {span}, past the int64 limit {COORD_MAX}")
+        reach = [sum(map(max, (-a for a in ls), hs)) for ls, hs in zip(zip(*lows), zip(*highs))]
+        # every key formed is that of a sum of entries, within the reach,
+        # and every offset read is a difference of two keys in the box
+        span = max(sum(r * s for r, s in zip(reach, strides)), math.prod(width) - 1)
+        if span >= COORD_MAX:
+            raise ValueError(f"flat keys reach {span}, at or past the int64 limit {COORD_MAX}")
         self.lo, self.hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
         self.strides = np.array(strides, dtype=np.int64)
         self.keys = [c @ self.strides for c in picked[:-1]]
-        self.symbol = _line(picked[-1] @ self.strides, bvals)
+        self.symbol = _line(bkeys @ self.strides, bvals)
         self.lines = {(len(self.slots), 0): _Line(0, np.ones(1, dtype=complex), np.ones(1))}
 
     def partial(self, s: int, b: int) -> _Line | None:
@@ -369,7 +371,8 @@ class _BudgetClasses(_Slots):
         for c, h in zip(classes.tolist(), his.tolist()):
             sel = np.flatnonzero(budgets == c)
             r = np.searchsorted(wanted, c // sizes0[:h])
-            pos = targets[sel, None] - keys0[:h] - los[r]
+            # keys0 + los is the key of a sum in the box, so pos stays within its span
+            pos = targets[sel, None] - (keys0[:h] + los[r])
             ok = (pos >= 0) & (pos < lens[r])
             idx = np.where(ok, starts[r] + pos, 0)
             vals[sel] = (np.where(ok, flat_v[idx], 0) * vals0[:h]).sum(axis=1)
@@ -541,16 +544,14 @@ def direct_sparse_eval(request: EvalRequest) -> EvalResult:
     """
     spec = request.spec
     ells = reach = None
+    reaches = [_reach(u.as_arrays()[0]) for u in request.inputs]
     if request.output_domain is not None:
         domain = {spec.lattice.validate(ell) for ell in request.output_domain}
         ells = np.array(sorted(domain), dtype=np.int64).reshape(-1, spec.lattice.dim)
-        reach = _reach([ells])
+        reach = _reach(ells)
     elif isinstance(request.provider, FourierSymbol):
-        keys = [u.as_arrays()[0] for u in request.inputs]
-        table = np.array(list(request.provider.table), dtype=np.int64)
-        keys.append(table.reshape(-1, spec.lattice.dim))
-        reach = _reach(keys)
-    spec = _clipped(spec, request.inputs, reach)
+        reach = tuple(map(sum, zip(*reaches, _reach(request.provider.arrays[0]))))
+    spec = _clipped(spec, reaches, reach)
     if isinstance(request.provider, FourierSymbol):
         ells, vals, terms = _fourier_sum(request.provider, request.inputs, spec, ells)
     else:
@@ -637,8 +638,7 @@ def dense_oracle_fourier(
     if symbol is not None:
         if symbol.dim != basis.dim:
             raise ValueError("symbol dimension does not match the inputs")
-        keys = np.array(list(symbol.table), dtype=np.int64).reshape(-1, basis.dim)
-        factors.append((keys, np.array(list(symbol.table.values()), dtype=complex)))
+        factors.append(symbol.arrays)
     if not all(len(vals) for _, vals in factors):
         return SpectralVector(basis, {})
     lows = [keys.min(axis=0) for keys, _ in factors]

@@ -356,30 +356,40 @@ def test_save_load_round_trip_every_arity(tmp_path, arity):
     assert bits(again.table) == bits(cache.table)
 
 
+def _load_peak(path, error: str) -> int:
+    """The traced peak of load_cache(path), which raises error, if not ''."""
+    tracemalloc.start()
+    try:
+        try:
+            load_cache(path)
+        except ValueError as exc:
+            assert error and str(exc).endswith(error), exc
+        else:
+            assert not error
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_load_cache_memory_stays_flat(tmp_path):
-    # the body-wide match must not hold a backtrack point per line: at some
-    # 150 bytes a line that would add over 3 MB on this file, whose last
-    # line, when it is there, breaks the grammar
     path = tmp_path / "w.cache"
     save_cache(build_cache(2, 64), path)
-    for tail in ("", "0 0 0\t0.5"):
-        with open(path, "a") as fh:
-            fh.write(tail)
-        tracemalloc.start()
-        try:
-            try:
-                load_cache(path)
-            except ValueError as exc:
-                assert tail and str(exc).endswith("malformed entry '0 0 0\\t0.5'"), exc
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * 2**20, tail
+    assert _load_peak(path, "") <= 8 * 2**20
+    with open(path, "a") as fh:
+        fh.write("0 0 0\t0.5")
+    assert _load_peak(path, "malformed entry '0 0 0\\t0.5'") <= 8 * 2**20
     keys = [(a, b) for b in range(1000) for a in range(b % 2, b + 1, 2)]
     table = dict(zip(keys, np.random.default_rng(5).standard_normal(len(keys)).tolist()))
     assert len(table) > 250_000
     save_cache(HermiteCache(1, table), path)
     assert load_cache(path).table == table
+    # the body-wide match must not hold a backtrack point per line: that
+    # adds some 70 MiB on these 250,500 lines, whose body and parse take
+    # 15 MiB.  The first entry breaks a rule, so no table is built and no
+    # repeat is looked for past it.
+    header, body = path.read_text().split("\n", 1)
+    path.write_text(f"{header}\n0 1\t0.5\n{body}")
+    assert _load_peak(path, ":2: odd-parity key (0, 1) should not be stored") <= 24 * 2**20
 
 
 # ------------------------------------------------------ differential loader
@@ -416,7 +426,7 @@ def reference_load(path) -> HermiteCache:
     if len(fields) != 5 or any(not f.startswith(n) for f, n in zip(fields, names)):
         raise ValueError(f"{path}: bad cache header {header!r}")
     p, jmax, policy = (f.partition("=")[2] for f in fields[2:])
-    canonical = lambda t: t.isascii() and t.isdigit() and str(int(t)) == t
+    canonical = lambda t: t.isascii() and t.isdigit() and len(t) <= 19 and str(int(t)) == t
     if (
         fields[:2] != names[:2] or not canonical(p) or p == "0" or not canonical(jmax)
         or any(c.isspace() for c in policy)
@@ -613,7 +623,12 @@ def test_load_matches_the_line_loader_on_tampered_files(tmp_path, name):
 
 @pytest.mark.parametrize(
     "header",
-    ["p=0 jmax=5", "p=2 jmax=-1", "p=2 jmax=x", "p=2", "p=2 jmax=5 extra=1", "p=-1 jmax=5"],
+    [
+        "p=0 jmax=5", "p=2 jmax=-1", "p=2 jmax=x", "p=2", "p=2 jmax=5 extra=1", "p=-1 jmax=5",
+        # 19 digits at most; past 4,300 int() would raise its own error
+        f"p={10**19 - 1} jmax=5", f"p=2 jmax={10**19 - 1}", f"p={10**19} jmax=5",
+        f"p=2 jmax={10**19}", f"p={'9' * 4301} jmax=5", f"p=2 jmax={'9' * 4301}",
+    ],
 )
 def test_load_matches_the_line_loader_on_tampered_headers(tmp_path, header):
     path = tmp_path / "t.cache"

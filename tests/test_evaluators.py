@@ -1019,6 +1019,22 @@ def test_flat_keys_past_int64_are_named():
     assert not got.vector and got.terms == 0
 
 
+@pytest.mark.parametrize("size", [SizeFunction.MAX, SizeFunction.PROD])
+@pytest.mark.parametrize("alpha", [0, 1])
+def test_flat_keys_near_int64_match_brute_force(alpha, size):
+    # keys reach 2**62, whose triple passes int64, while every key formed and
+    # every offset read fits: at alpha = 0 the tuples sum near 2**62, and at
+    # alpha = 1 the far slot-0 entry is never placed on a line.  There the
+    # domain holds every sum of a tuple, since the default grid spans 2**62.
+    far = fvec({2**62: 1.0, 2**62 + 1: 0.5} if alpha == 0 else {0: 1.0, 2**62: 1.0})
+    near = fvec({0: 1.0, 1: 0.5})
+    spec = SparseSetSpec(2, 2**62 + 2 - 2 * alpha, alpha, size, integers(1))
+    domain = None if alpha == 0 else ((0,), (1,), (2**62,), (2**62 + 1,))
+    want, terms = _stored_brute_sum((far, near), spec, lambda ell, js: 1.0)
+    got = direct_sparse_eval(EvalRequest(UNIT, (far, near), spec, domain))
+    assert dict(got.vector) == want and got.terms == terms > 0
+
+
 def test_dense_fourier_outputs_past_the_coordinate_bound_are_named():
     # the int64 sum of the factors' lows wrapped, and the outputs sat at -2**63
     v = fvec({2**62: 1.0, 2**62 + 1: 0.5})
