@@ -196,6 +196,93 @@ def test_dense_hermite_keeps_its_bits():
     assert {name: digest(u) for name, u in hermite_guard_cases().items()} == golden
 
 
+# ---------------------------------------------------------------- direct guard
+#
+# A seeded grid of direct_sparse_eval and iterative_eval outputs, compared
+# with digests of their dump_vector text and their term counts, recorded in
+# vector_golden.json.  It crosses d, p, alpha, both norms, a box, explicit
+# output domains and two symbols.  Half of the inputs carry +-1e-200 entries
+# past both corners of their support and one inside it, so products
+# underflow to exact zeros in the partial sums.
+
+def direct_guard_symbol(d: int, name: str) -> FourierSymbol:
+    if name == "unit":
+        return FourierSymbol.unit(d)
+    if d == 1:
+        return FourierSymbol.inverse_two_minus_cos()
+    # 1 / ((2 - cos x)(2 - cos y)), truncated to 13 x 13 entries
+    axis = FourierSymbol.inverse_two_minus_cos(1e-4).table
+    pairs = itertools.product(axis.items(), repeat=2)
+    return FourierSymbol({a + b: va * vb for (a, va), (b, vb) in pairs}, 2)
+
+
+def direct_guard_vec(rng: random.Random, d: int, tiny: bool, real: bool = True) -> SpectralVector:
+    reach = rng.choice((12, 40) if d == 1 else (3, 6))
+    cells = list(itertools.product(range(-reach, reach + 1), repeat=d))
+    near = list(itertools.product(range(-2, 3), repeat=d))
+    entries = {}
+    for j in rng.sample(near, rng.randint(1, 4)) + rng.sample(cells, rng.randint(0, 12)):
+        im = rng.choice([0.0, -0.0, rng.uniform(-1, 1)]) if real else rng.uniform(-1, 1)
+        entries[j] = complex(rng.uniform(-1, 1), im) * 10.0 ** rng.randint(-4, 4)
+    if tiny:
+        lows = [min(c) - 1 for c in zip(*entries)]
+        highs = [max(c) + 1 for c in zip(*entries)]
+        for j in (tuple(lows), tuple(highs), rng.choice(cells)):
+            entries[j] = rng.choice([1e-200, -1e-200, 1e-200j])
+    return SpectralVector(Basis.fourier(d), entries)
+
+
+def direct_guard_cases() -> dict[str, tuple[SpectralVector, int]]:
+    out = {}
+    grid = itertools.product((1, 2), (1, 2, 3, 4), (0, 1), SizeFunction, (False, True),
+                             (False, True), ("unit", "cos"), range(2))
+    for d, p, alpha, size, boxed, domain, sym, seed in grid:
+        name = (f"d{d}-p{p}-alpha{alpha}-{size.name.lower()}-{'box' if boxed else 'nobox'}"
+                f"-{'domain' if domain else 'grid'}-{sym}-seed{seed}")
+        rng = random.Random(name)
+        inputs = tuple(direct_guard_vec(rng, d, rng.random() < 0.5) for _ in range(p))
+        level = rng.choice((8, 24, 64) if d == 1 else (6, 12, 24))
+        box = rng.choice((2, 5, 12)) if boxed else None
+        spec = SparseSetSpec(p, level, alpha, size, integers(d), box=box)
+        ells = None
+        if domain:
+            near = level + 2 if d == 1 else 5
+            cells = list(itertools.product(range(-near, near + 1), repeat=d))
+            ells = tuple(rng.sample(cells, min(len(cells), 40))) + ((10**6,) * d,)
+        got = direct_sparse_eval(EvalRequest(direct_guard_symbol(d, sym), inputs, spec, ells))
+        out[name] = got.vector, got.terms
+    # alpha = 1 under small boxes, on complex entries: many budget classes
+    # of a few outputs each, whose products are as short as a SIMD lane or
+    # shorter (numpy rounds a lone complex product as Python does, and longer
+    # ones with a fused multiply-add)
+    grid = itertools.product((1, 2, 3, 4), SizeFunction, (None, 2, 3, 5), (False, True),
+                             ("unit", "cos"), range(6))
+    for p, size, box, domain, sym, seed in grid:
+        name = f"classes-p{p}-{size.name.lower()}-box{box}-{'domain' if domain else 'grid'}-{sym}-seed{seed}"
+        rng = random.Random(name)
+        inputs = tuple(direct_guard_vec(rng, 1, rng.random() < 0.5, False) for _ in range(p))
+        spec = SparseSetSpec(p, rng.choice((4, 8, 24, 64)), 1, size, integers(1), box=box)
+        ells = tuple((rng.randint(-12, 12),) for _ in range(rng.randint(1, 6))) if domain else None
+        got = direct_sparse_eval(EvalRequest(direct_guard_symbol(1, sym), inputs, spec, ells))
+        out[name] = got.vector, got.terms
+    grid = itertools.product((1, 2), (2, 3, 4), (0, 1), ("unit", "cos"), range(4))
+    for d, p, alpha, sym, seed in grid:
+        name = f"iterative-d{d}-p{p}-alpha{alpha}-{sym}-seed{seed}"
+        rng = random.Random(name)
+        inputs = tuple(direct_guard_vec(rng, d, rng.random() < 0.5) for _ in range(p))
+        level = rng.choice((8, 24, 64) if d == 1 else (6, 12, 24))
+        got = iterative_eval(direct_guard_symbol(d, sym), inputs, level, alpha)
+        out[name] = got.vector, got.terms
+    return out
+
+
+def test_direct_and_iterative_keep_their_bits():
+    golden = json.loads(GOLDEN.read_text())["direct_sparse_eval"]
+    got = {name: [digest(u), terms] for name, (u, terms) in direct_guard_cases().items()}
+    assert len(got) == 1376
+    assert got == golden
+
+
 def dict_oracle(tables: list[dict]) -> dict:
     """Reference convolution: a dict double loop over every pair of entries."""
     acc = tables[0]
