@@ -16,12 +16,17 @@ memoized sum of the later slots at that budget.  Each basis supplies what a
 block combine computes:
 
 * A Fourier coefficient is a symbol entry b_{ell - sum(js)}, so X is b
-  convolved with the budgeted sum, and a block is one numpy convolution over
-  lines trimmed to their own span.  At alpha = 1, size(ell) * prod size(j)
-  <= N exactly when prod size(j) <= N // size(ell), so X_ell is the alpha =
-  0 sum at budget N // size(ell), read at ell.  Term counts ride through
-  the same convolutions as 0/1 indicator arrays.  Cost and memory follow the
-  span of the input supports, not the number of entries.
+  convolved with the budgeted sum, and a block is one numpy convolution per
+  run of nearby keys, over lines trimmed to their own span.  At alpha = 1,
+  size(ell) * prod size(j) <= N exactly when prod size(j) <= N // size(ell),
+  so X_ell is the alpha = 0 sum at budget N // size(ell), read at ell; the
+  outputs are grouped by that budget with one stable sort, and each group
+  reads its terms with one gather.  Term counts ride through the same
+  convolutions as 0/1 indicator arrays.  np.convolve sums in an order set
+  by its operands' lengths, and numpy rounds a lone complex product apart
+  from a longer one, so the arithmetic on values stays per run and per
+  group, which keeps the outputs' bits.  Cost and memory follow the span of
+  the input supports, not the number of entries.
 * A Hermite coefficient is the integral of chi_ell chi_j1 ... chi_jp, so X
   is the projection onto chi_ell of a budgeted sum of products of
   functions, and a block is a sum of rows multiplied once by the later
@@ -155,20 +160,28 @@ def _reach(keys: np.ndarray) -> tuple[int, ...]:
 
 
 def _clipped(spec: SparseSetSpec, reaches: Sequence[tuple[int, ...]], reach) -> SparseSetSpec:
-    """spec with its budget cut to one that admits the same terms and fits int64.
+    """spec with its budget and box cut to ones that admit the same terms and
+    fit int64.
 
     No input index is larger than its input's reach, so no product of input
     sizes passes m, the product of the reaches' sizes; reach, when known,
     bounds every output coordinate, so no output size passes e.  A
     budget past m (alpha = 0) or m * e (alpha = 1) admits every tuple at
-    every output, as that bound does, and keeps the same outputs.
+    every output, as that bound does, and keeps the same outputs.  A box at
+    or past every reach's size and e caps nothing and is dropped; one that
+    caps something from int64 on is named at alpha = 0, where it alone caps
+    the outputs (at alpha = 1 the kernels read min(N, box)).
     """
     m = math.prod(map(spec.size.of, reaches))
     e = spec.level if reach is None else spec.size.of(reach)
     level = min(spec.level, m * e**spec.alpha)
     if level >= COORD_MAX:
         raise ValueError(f"budget {spec.level} reaches the int64 limit {COORD_MAX} of the kernels")
-    return replace(spec, level=level)
+    top = max(e, *map(spec.size.of, reaches))  # no index in a term is larger
+    box = spec.box if spec.box is not None and spec.box < top else None
+    if box is not None and box >= COORD_MAX and spec.alpha == 0:
+        raise ValueError(f"box {box} reaches the int64 limit {COORD_MAX} of the kernels")
+    return replace(spec, level=level, box=box)
 
 
 class _Slots:
@@ -290,40 +303,46 @@ class _BudgetClasses(_Slots):
     def _blocks(self, s: int, hi: int, starts: np.ndarray, subs: list[_Line]) -> _Line:
         """Sum over the admitted slot-s entries j of u_j * subs[block of j] shifted by key(j).
 
-        A block is cut into runs of nearby keys, each run one np.convolve and
-        a lone key a scaled copy.  The last slot's one block meets the unit
-        line, so its entries are placed as they are.
+        A block is cut into runs of nearby keys, each run one np.convolve of
+        its own value and count lines with the block's sub line, and a lone
+        key a scaled copy of it; the parts are added in run order.  The
+        bookkeeping is done once for all runs: block ids, the cuts, and where
+        each entry's shifted sub line starts.  The last slot's one block
+        meets the unit line, so its entries are placed as they are.
         """
         keys, vals = self.keys[s][:hi], self.slots[s][2][:hi]
         if s == len(self.slots) - 1:
             return _line(keys, vals)
-        first_of_block = np.zeros(hi, dtype=bool)
-        first_of_block[starts] = True
-        group = np.cumsum(first_of_block) - 1
-        sub_lo = np.array([x.lo for x in subs], dtype=np.int64)
-        sub_len = np.array([len(x.vals) for x in subs], dtype=np.int64)
+        # blocks are consecutive in the size order, so sorting by (block,
+        # key) keeps each entry's block id and leaves a run's keys ascending
+        group = np.repeat(np.arange(len(starts)), np.diff(starts, append=hi))
         order = np.lexsort((keys, group))
-        keys, vals, group = keys[order], vals[order], group[order]
-        width = sub_len[group]
-        cut = np.ones(len(keys), dtype=bool)
-        cut[1:] = (group[1:] != group[:-1]) | ((np.diff(keys) - 1) * width[1:] > _HOLE_MACS)
+        keys, vals = keys[order], vals[order]
+        sub_lo = np.array([x.lo for x in subs], dtype=np.int64)
+        width = np.array([len(x.vals) for x in subs], dtype=np.int64)[group]
+        cut = (np.diff(keys, prepend=keys[:1]) - 1) * width > _HOLE_MACS
+        cut[starts] = True
         first = np.flatnonzero(cut)
-        last = np.append(first[1:], len(keys)) - 1
-        lo = int((keys[first] + sub_lo[group[first]]).min())
-        n = int((keys[last] + sub_lo[group[last]] + width[last]).max()) - lo
-        out = _Line(lo, np.zeros(n, dtype=complex), np.zeros(n))
-        shift = (keys + sub_lo[group] - lo).tolist()
-        for a, e, g in zip(first.tolist(), (last + 1).tolist(), group[first].tolist()):
-            sub = subs[g]
+        last = np.append(first[1:], hi) - 1
+        at = keys + sub_lo[group]  # where each entry's shifted sub line starts
+        lo = int(at[first].min())
+        n = int((at[last] + width[last]).max()) - lo
+        out_vals, out_cnts = np.zeros(n, dtype=complex), np.zeros(n)
+        shift = (at - lo).tolist()
+        runs = zip(first.tolist(), (last + 1).tolist(), (keys[last] - keys[first] + 1).tolist())
+        for (a, e, m), g in zip(runs, group[first].tolist()):
+            sub, i = subs[g], shift[a]
             if e - a == 1:
-                part = _Line(shift[a], vals[a] * sub.vals, sub.cnts)
-            else:
-                part = _convolve(_line(keys[a:e], vals[a:e]), sub)
-                part = _Line(part.lo - lo, part.vals, part.cnts)
-            at = slice(part.lo, part.lo + len(part.vals))
-            out.vals[at] += part.vals
-            out.cnts[at] += part.cnts
-        return out
+                part_vals, part_cnts = vals[a] * sub.vals, sub.cnts
+            else:  # a run's keys ascend, so it spans m keys from keys[a] on
+                run_vals, run_cnts = np.zeros(m, dtype=complex), np.zeros(m)
+                rel = keys[a:e] - keys[a]
+                run_vals[rel], run_cnts[rel] = vals[a:e], 1.0
+                part_vals = np.convolve(run_vals, sub.vals)
+                part_cnts = np.convolve(run_cnts, sub.cnts)
+            out_vals[i : i + len(part_vals)] += part_vals
+            out_cnts[i : i + len(part_vals)] += part_cnts
+        return _Line(lo, out_vals, out_cnts)
 
     def at_level(self, coords: np.ndarray):
         """alpha = 0: (symbol * partial(0, N))[ell] for each row ell of coords.
@@ -349,34 +368,42 @@ class _BudgetClasses(_Slots):
         """alpha = 1: X_ell = (symbol * partial(0, budget(ell)))[ell].
 
         partial(0, c) is never formed whole: an ell of class c reads
-        sum over slot-0 entries j of u_j * row(c // size(j))[ell - j], and
-        one gather per class reads those from the rows stored back to back.
+        sum over slot-0 entries j of u_j * row(c // size(j))[ell - j].  One
+        stable sort groups the ells by class, and one gather per class reads
+        its (members, h) block from the rows stored back to back, each
+        between two zeros: an offset clipped to [-1, len] reads the row or a
+        zero beside it.  Each class multiplies and sums its own block, since
+        the bits of a complex product depend on the shape it is taken in.
         Returns (values, term counts) at coords.
         """
         sizes0, _, vals0 = self.slots[0]
-        keys0 = self.keys[0]
         targets = coords @ self.strides
-        classes = np.unique(budgets)
+        order = np.argsort(budgets, kind="stable")  # by class, and by key within one
+        bounds = np.flatnonzero(np.diff(budgets[order], prepend=-1, append=-1)).tolist()
+        classes = budgets[order[bounds[:-1]]]
         his = np.searchsorted(sizes0, classes, side="right")
         wanted = np.unique(np.concatenate([c // sizes0[:h] for c, h in zip(classes, his)]))
-        rows = [self._row(c) for c in wanted.tolist()]
-        lens = np.array([0 if r is None else len(r.vals) for r in rows], dtype=np.int64)
-        los = np.array([0 if r is None else r.lo for r in rows], dtype=np.int64)
-        starts = np.cumsum(lens) - lens
-        kept = [r for r in rows if r is not None]
-        flat_v = np.concatenate([r.vals for r in kept] + [np.zeros(1, dtype=complex)])
-        flat_c = np.concatenate([r.cnts for r in kept] + [np.zeros(1)])
-        vals = np.zeros(len(coords), dtype=complex)
-        cnts = np.zeros(len(coords))
-        for c, h in zip(classes.tolist(), his.tolist()):
-            sel = np.flatnonzero(budgets == c)
+        none = _Line(0, np.zeros(0, dtype=complex), np.zeros(0))
+        rows = [self._row(c) or none for c in wanted.tolist()]
+        lens = np.array([len(r.vals) for r in rows], dtype=np.int64)
+        los = np.array([r.lo for r in rows], dtype=np.int64)
+        # the rows back to back, each between two zeros, row k from bases[k] on
+        bases = np.cumsum(lens + 1) - lens
+        zv, zc = np.zeros(1, dtype=complex), np.zeros(1)
+        flat_v = np.concatenate([zv] + [x for r in rows for x in (r.vals, zv)])
+        flat_c = np.concatenate([zc] + [x for r in rows for x in (r.cnts, zc)])
+        del rows  # copied: the gathers below would otherwise run on top of them
+        vals, cnts = np.zeros(len(coords), dtype=complex), np.zeros(len(coords))
+        for a, e, c, h in zip(bounds, bounds[1:], classes.tolist(), his.tolist()):
+            sel = order[a:e]
             r = np.searchsorted(wanted, c // sizes0[:h])
-            # keys0 + los is the key of a sum in the box, so pos stays within its span
-            pos = targets[sel, None] - (keys0[:h] + los[r])
-            ok = (pos >= 0) & (pos < lens[r])
-            idx = np.where(ok, starts[r] + pos, 0)
-            vals[sel] = (np.where(ok, flat_v[idx], 0) * vals0[:h]).sum(axis=1)
-            cnts[sel] = np.where(ok, flat_c[idx], 0).sum(axis=1)
+            # keys + los is the key of a sum in the box, so an offset stays within
+            # its span; clipped to [-1, len] it reads a row or a zero beside it
+            idx = targets[sel, None] - (self.keys[0][:h] + los[r])
+            np.clip(idx, -1, lens[r], out=idx)
+            idx += bases[r]
+            vals[sel] = (flat_v[idx] * vals0[:h]).sum(axis=1)
+            cnts[sel] = flat_c[idx].sum(axis=1)
         return vals, cnts
 
 
@@ -648,6 +675,8 @@ def dense_oracle_fourier(
     if max(map(abs, low + high)) > COORD_MAX:
         raise ValueError(f"output indices reach past the int64 bound |c| <= {COORD_MAX}")
     box = [h - l + 1 for l, h in zip(low, high)]
+    if math.prod(box) > COORD_MAX:  # no factor's flat keys span more
+        raise ValueError(f"the output box has flat keys past the int64 limit {COORD_MAX}")
     line, off = None, 0
     for (keys, vals), own in zip(factors, lows):
         flat = np.ravel_multi_index(tuple((keys - own).T), box)

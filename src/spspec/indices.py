@@ -323,23 +323,26 @@ def count_sparse(spec: SparseSetSpec, include_ell: bool = False) -> int:
     C(min(b, box)), and tuples(q, b) is the hyperbola convolution of the
     box-capped C with tuples(q - 1, .).  A level costs sum of sqrt(b) over
     the O(sqrt(N)) budgets, O(N^(3/4)), and the last one is needed at N
-    alone.  Python integers do not overflow, so large counts are exact.
+    alone.  When box**slots <= N every boxed tuple is admitted, and the
+    count is C(box)**slots.  Python integers do not overflow, so large
+    counts are exact.
     """
     if include_ell and spec.alpha == 0 and spec.box is None:
         raise ValueError("count over unconstrained ell is infinite for alpha = 0")
     slots = spec.p + (include_ell and spec.alpha == 1)
-    level = spec.level
-    if spec.box is not None:  # a budget of box**slots already admits every boxed tuple
-        level = min(level, spec.box**slots)
-    budgets = _Budgets(level)
-    capped = _index_counts(spec.lattice, spec.size, budgets)
-    if spec.box is not None and spec.box < level:
-        at_box = count_indices_up_to(spec.lattice, spec.size, spec.box)
-        capped = np.where(budgets.keys <= spec.box, capped, at_box)
-    tuples = capped
-    for q in range(2, slots + 1):
-        tuples = budgets.convolve(capped, tuples, len(budgets.keys) - 1 if q == slots else 0)
-    count = int(tuples[-1])
+    if spec.box is not None and spec.box**slots <= spec.level:
+        # no product of slots sizes, each at most box, passes N
+        count = count_indices_up_to(spec.lattice, spec.size, spec.box) ** slots
+    else:
+        budgets = _Budgets(spec.level)
+        capped = _index_counts(spec.lattice, spec.size, budgets)
+        if spec.box is not None and spec.box < spec.level:
+            at_box = count_indices_up_to(spec.lattice, spec.size, spec.box)
+            capped = np.where(budgets.keys <= spec.box, capped, at_box)
+        tuples = capped
+        for q in range(2, slots + 1):
+            tuples = budgets.convolve(capped, tuples, len(budgets.keys) - 1 if q == slots else 0)
+        count = int(tuples[-1])
     if include_ell and spec.alpha == 0:
         count *= count_indices_up_to(spec.lattice, spec.size, spec.box)
     return count

@@ -258,7 +258,8 @@ def direct_guard_cases() -> dict[str, tuple[SpectralVector, int]]:
     grid = itertools.product((1, 2, 3, 4), SizeFunction, (None, 2, 3, 5), (False, True),
                              ("unit", "cos"), range(6))
     for p, size, box, domain, sym, seed in grid:
-        name = f"classes-p{p}-{size.name.lower()}-box{box}-{'domain' if domain else 'grid'}-{sym}-seed{seed}"
+        name = (f"classes-p{p}-{size.name.lower()}-box{box}-{'domain' if domain else 'grid'}"
+                f"-{sym}-seed{seed}")
         rng = random.Random(name)
         inputs = tuple(direct_guard_vec(rng, 1, rng.random() < 0.5, False) for _ in range(p))
         spec = SparseSetSpec(p, rng.choice((4, 8, 24, 64)), 1, size, integers(1), box=box)
@@ -1132,3 +1133,28 @@ def test_dense_fourier_outputs_past_the_coordinate_bound_are_named():
     want, _ = _stored_brute_sum((w, w), every, lambda ell, js: 1.0)
     assert dense_oracle_fourier([w, w]) == SpectralVector(FOURIER, want)
     assert set(want) == {(2**62,), (2**62 + 1,), (2**62 + 2,)}
+
+
+@pytest.mark.parametrize("alpha", [0, 1])
+def test_boxes_past_int64_cap_nothing(alpha):
+    # at alpha = 0 the box reached the size clip unclipped, as a bare OverflowError
+    u = fvec({0: 1.0, 1: 0.5})
+    spec = SparseSetSpec(2, 8, alpha, SizeFunction.MAX, integers(1), box=2**70)
+    got = direct_sparse_eval(EvalRequest(UNIT, (u, u), spec))
+    plain = SparseSetSpec(2, 8, alpha, SizeFunction.MAX, integers(1))
+    want = direct_sparse_eval(EvalRequest(UNIT, (u, u), plain))
+    assert got == want and got.terms == 4
+    # a box that still caps an output's size past int64 is named
+    basis = Basis.fourier(2)
+    far = SpectralVector(basis, {(0, 0): 1.0, (2**40, 2**40): 0.5})
+    spec = SparseSetSpec(2, 8, 0, SizeFunction.PROD, integers(2), box=2**70)
+    with pytest.raises(ValueError, match=f"box {2**70} reaches the int64 limit"):
+        direct_sparse_eval(EvalRequest(FourierSymbol.unit(2), (far, far), spec))
+
+
+def test_dense_fourier_factor_spans_past_int64_are_named():
+    # keys - min wrapped, and numpy raised "Maximum allowed dimension exceeded"
+    wide = fvec({-(2**63) + 1: 1.0, 2**63 - 1: 0.5})
+    for inputs in ([wide], [wide, fvec({0: 1.0})]):
+        with pytest.raises(ValueError, match="flat keys past the int64 limit"):
+            dense_oracle_fourier(inputs)

@@ -403,6 +403,24 @@ def test_count_with_a_box_far_below_the_budget():
     assert count_sparse(spec, include_ell=True) == 5**4
 
 
+@pytest.mark.parametrize("p,d,size", [(p, d, size) for p in (1, 2) for d in (1, 2)
+                                      for size in SizeFunction])
+def test_count_saturates_where_the_box_admits_every_tuple(p, d, size):
+    # from N = box**slots on, every boxed tuple is admitted; one below, not every one
+    lattice = integers(d)
+    for box in (1, 2, 3):
+        for alpha in (0, 1):
+            slots = p + alpha
+            for n in (box**slots - 1, box**slots, box**slots + 1):
+                if n < 1:
+                    continue
+                spec = SparseSetSpec(p, n, alpha, size, lattice, box)
+                assert count_sparse(spec, include_ell=True) == enumerated_count(spec, True), spec
+    # every tuple is admitted at N = 2**62, box 1000: the closed form, at once
+    spec = SparseSetSpec(2, 2**62, 1, size, lattice, box=1000)
+    assert count_sparse(spec, include_ell=True) == count_indices_up_to(lattice, size, 1000) ** 3
+
+
 def test_count_is_a_python_int():
     # cardinalities must never wrap; arbitrary-precision int is the contract
     big = count_sparse(SparseSetSpec(4, 1024, 1, SizeFunction.MAX, integers(1)))
