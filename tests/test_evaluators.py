@@ -1144,7 +1144,10 @@ def test_boxes_past_int64_cap_nothing(alpha):
     plain = SparseSetSpec(2, 8, alpha, SizeFunction.MAX, integers(1))
     want = direct_sparse_eval(EvalRequest(UNIT, (u, u), plain))
     assert got == want and got.terms == 4
-    # a box that still caps an output's size past int64 is named
+
+
+def test_boxes_that_still_cap_past_int64_are_named():
+    # the outputs' sizes reach (1 + 2**41)**2, past the box, and it past int64
     basis = Basis.fourier(2)
     far = SpectralVector(basis, {(0, 0): 1.0, (2**40, 2**40): 0.5})
     spec = SparseSetSpec(2, 8, 0, SizeFunction.PROD, integers(2), box=2**70)
