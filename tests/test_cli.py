@@ -340,6 +340,32 @@ GUARD_CASES = {
     "count-momentum": "count --p 3 --alpha 0 --N 8,16 --q 1",
     "count-momentum-alpha-1": "count --p 3 --alpha 1 --N 8 --q 1",
     "count-naturals-box": "count --p 3 --alpha 1 --N 8,16 --lattice N --box 3",
+    # the parser's surface: help, usage errors, and the checks main and the commands make
+    "help": "--help",
+    "help-converge": "converge --help",
+    "help-count": "count --help",
+    "help-bench": "bench --help",
+    "help-coeffs": "coeffs --help",
+    "help-eval": "eval --help",
+    "usage-no-command": "",
+    "usage-converge-missing-p": f"converge {FOURIER} --alpha 0 --N 4,8",
+    "usage-count-missing-n": "count --p 2 --alpha 0",
+    "usage-bench-bad-alpha": f"bench {FOURIER} --p 2 --alpha 2 --N 4",
+    "usage-coeffs-missing-jmax": "coeffs --p 2 --out {dir}/out.vec",
+    "usage-eval-bad-n": f"{EVAL_F} --p 2 --alpha 0 --N x",
+    "bench-f-bad-n-list": f"bench {FOURIER} --p 2 --alpha 0 --N 4,x",
+    "count-n-zero": "count --p 2 --alpha 0 --N 0",
+    "converge-f-fit-window-no-colon": f"converge {FOURIER} --p 2 --alpha 0 --N 4,8 --fit-window 8-16",
+    "converge-f-fit-window-words": f"converge {FOURIER} --p 2 --alpha 0 --N 4,8 --fit-window a:b",
+    "converge-f-p-0": f"converge {FOURIER} --p 0 --alpha 0 --N 4,8",
+    "converge-f-n-before-window": (
+        f"converge {FOURIER} --p 0 --alpha 0 --N 4,x --fit-window a:b"
+    ),
+    "converge-f-window-before-p": f"converge {FOURIER} --p 0 --alpha 0 --N 4 --fit-window a:b",
+    "count-momentum-negative": "count --p 2 --alpha 0 --N 4 --q -1",
+    "count-momentum-naturals": "count --p 2 --alpha 0 --N 4 --q 1 --lattice N",
+    "count-d-0": "count --p 2 --alpha 0 --N 4 --d 0",
+    "coeffs-p-1": "coeffs --p 1 --jmax 4 --out {dir}/out.vec",
 }
 
 
@@ -376,7 +402,8 @@ def guard_dir(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", sorted(GUARD_CASES))
-def test_cli_outcomes_match_recorded(name, guard_dir):
+def test_cli_outcomes_match_recorded(name, guard_dir, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal width
     golden = json.loads(GOLDEN.read_text())
     assert guard_outcome(GUARD_CASES[name], guard_dir) == golden[name]
 
