@@ -121,6 +121,23 @@ def _setup(u, p, alpha, method, norm, jmax, ell_cap):
     return run
 
 
+def _sweep(run, n_list, repeats, reference, head):
+    """One record per N after head = (method, basis, p, sigma, alpha): the
+    median wall time of `repeats` calls of run(n), and the error of the
+    last call against reference (nan without one), taken outside the
+    timed span."""
+    records = []
+    for n in n_list:
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            res = run(n)
+            times.append(time.perf_counter() - t0)
+        err = math.nan if reference is None else error_report(res.vector, reference)
+        records.append(ConvergenceRecord(*head, n, res.terms, err, statistics.median(times)))
+    return records
+
+
 def cmd_converge(
     basis: str,
     p: int,
@@ -169,14 +186,7 @@ def cmd_converge(
         except ValueError as exc:
             raise CliError(f"reference weaker than test: {exc}") from None
     run = _setup(u, p, alpha, method, norm, jmax, ell_cap)
-
-    records = []
-    for n in n_list:
-        t0 = time.perf_counter()
-        res = run(n)
-        dt = time.perf_counter() - t0
-        err = error_report(res.vector, reference)
-        records.append(ConvergenceRecord(method, basis, p, sigma, alpha, n, res.terms, err, dt))
+    records = _sweep(run, n_list, 1, reference, (method, basis, p, sigma, alpha))
     fit_records = records
     if fit_window is not None:
         lo, hi = fit_window
@@ -196,7 +206,11 @@ def cmd_count(
     q: int | None = None,
     box: int | None = None,
 ):
-    """Exact cardinalities with the matching log-normalized column."""
+    """Exact cardinalities with the matching log-normalized column.
+
+    With q, each counted tuple takes one of (2q+1)^d momenta, a factor on
+    the alpha = 0 count that leaves its growth, and so the column, alone.
+    """
     lattice = Lattice(LatticeKind(lattice_kind), dim)
     if q is not None:
         if alpha != 0:
@@ -205,17 +219,14 @@ def cmd_count(
             raise CliError("momentum-restricted counting applies to the Fourier lattice")
         if q < 0:
             raise CliError(f"momentum radius must be >= 0, got {q}")
+    momenta = 1 if q is None else (2 * q + 1) ** dim
     rows = []
     for n in n_list:
         spec = SparseSetSpec(p, n, alpha, norm, lattice, box)
-        if q is not None:
-            count = count_sparse(spec) * (2 * q + 1) ** dim
-            denom = n**dim * math.log(n + 1.0) ** (p - 1)
-        elif norm is SizeFunction.MAX:
-            count = count_sparse(spec, include_ell=(alpha == 1))
+        count = count_sparse(spec, include_ell=(alpha == 1)) * momenta
+        if norm is SizeFunction.MAX:
             denom = n**dim * math.log(n + 1.0) ** (p - 1 + alpha)
         else:
-            count = count_sparse(spec, include_ell=(alpha == 1))
             denom = n * math.log(n + 1.0) ** (dim * (p + alpha) - 1)
         rows.append((n, count, count / denom))
     return rows
@@ -243,19 +254,7 @@ def cmd_bench(
     n_max = max(n_list)
     u = power_law_vector(sigma, n_max, _basis(basis))
     run = _setup(u, p, alpha, method, norm, p * n_max, ell_cap)
-    records = []
-    for n in n_list:
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            res = run(n)
-            times.append(time.perf_counter() - t0)
-        records.append(
-            ConvergenceRecord(
-                method, basis, p, sigma, alpha, n, res.terms, math.nan, statistics.median(times)
-            )
-        )
-    return records
+    return _sweep(run, n_list, repeats, None, (method, basis, p, sigma, alpha))
 
 
 def cmd_coeffs(p: int, jmax: int, out_path):
@@ -300,24 +299,31 @@ def _write_csv(lines, out_path) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each option's dest is the name of the command parameter it feeds;
+    a metavar keeps the flag's own name in usage and help."""
     parser = argparse.ArgumentParser(
         prog="spspec", description="sparse coefficient-space product experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, **n_args):
+    def command(name, run, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        return sp
+
+    def common(sp, n_dest, **n_args):
         sp.add_argument("--basis", choices=("fourier", "hermite"), required=True)
         sp.add_argument("--p", type=int, required=True, help="number of inputs")
         sp.add_argument("--alpha", type=int, choices=(0, 1), required=True)
-        sp.add_argument("--N", required=True, **n_args)
+        sp.add_argument("--N", dest=n_dest, metavar="N", required=True, **n_args)
         sp.add_argument("--norm", choices=("max", "prod"), default="max")
         sp.add_argument("--method", choices=("direct", "iterative", "transform"), default="direct")
 
     def sweep(sp):
-        common(sp, help="comma-separated budget list")
+        common(sp, "n_list", help="comma-separated budget list")
         sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
-    con = sub.add_parser("converge", help="error sweep against a dense reference")
+    con = command("converge", cmd_converge, "error sweep against a dense reference")
     sweep(con)
     con.add_argument("--sigma", type=float, default=3.0, help="power-law decay exponent")
     con.add_argument("--cutoff", type=int, help=f"input truncation (default {REF_MULT} * max N)")
@@ -326,33 +332,35 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--ell-cap", type=int, default=None, help="output cap for Hermite alpha=0")
     con.add_argument("--fit-window", default=None, help="lo:hi N window for the slope fit")
 
-    cnt = sub.add_parser("count", help="exact sparse-set cardinalities")
+    cnt = command("count", cmd_count, "exact sparse-set cardinalities")
     cnt.add_argument("--p", type=int, required=True)
     cnt.add_argument("--alpha", type=int, choices=(0, 1), required=True)
-    cnt.add_argument("--N", required=True)
+    cnt.add_argument("--N", dest="n_list", metavar="N", required=True)
     cnt.add_argument("--norm", choices=("max", "prod"), default="max")
-    cnt.add_argument("--lattice", choices=("Z", "N"), default="Z")
-    cnt.add_argument("--d", type=int, default=1, help="lattice dimension")
+    cnt.add_argument("--lattice", dest="lattice_kind", choices=("Z", "N"), default="Z")
+    cnt.add_argument("--d", dest="dim", metavar="D", type=int, default=1, help="lattice dimension")
     cnt.add_argument("--q", type=int, default=None, help="momentum radius (alpha=0, Fourier)")
     cnt.add_argument("--box", type=int, default=None, help="per-index size cap")
     cnt.add_argument("--out", default=None)
 
-    ben = sub.add_parser("bench", help="median-of-repeats timing rows")
+    ben = command("bench", cmd_bench, "median-of-repeats timing rows")
     sweep(ben)
     ben.add_argument("--sigma", type=float, default=3.0)
     ben.add_argument("--repeats", type=int, default=3)
     ben.add_argument("--ell-cap", type=int, default=None)
 
-    cof = sub.add_parser("coeffs", help="build and save a Hermite coefficient cache")
+    cof = command("coeffs", cmd_coeffs, "build and save a Hermite coefficient cache")
     cof.add_argument("--p", type=int, required=True)
     cof.add_argument("--jmax", type=int, required=True)
-    cof.add_argument("--out", required=True)
+    cof.add_argument("--out", dest="out_path", metavar="OUT", required=True)
 
-    ev = sub.add_parser("eval", help="evaluate the p-fold product of a serialized vector")
-    ev.add_argument("input", help="vector file, one 'coords<TAB>re<TAB>im' line per entry")
-    common(ev, type=int)
+    ev = command("eval", cmd_eval, "evaluate the p-fold product of a serialized vector")
+    ev.add_argument(
+        "in_path", metavar="input", help="vector file, one 'coords<TAB>re<TAB>im' line per entry"
+    )
+    common(ev, "n", type=int)
     ev.add_argument("--ell-cap", type=int, default=None)
-    ev.add_argument("--out", required=True)
+    ev.add_argument("--out", dest="out_path", metavar="OUT", required=True)
     return parser
 
 
@@ -371,75 +379,37 @@ def _parse_fit_window(text):
     return lo, hi
 
 
+def _report(command: str, result, out) -> None:
+    """CSV rows to out (stdout when None), then diagnostics to stderr."""
+    lines = []
+    if command == "converge":
+        result, slope, notes = result
+        lines = [f"note: {note}" for note in notes] + [f"slope={slope!r}"]
+    if command in ("converge", "bench"):
+        _write_csv([CSV_HEADER] + [r.row() for r in result], out)
+    elif command == "count":
+        _write_csv(["N,count,normalized"] + [f"{n},{c},{z!r}" for n, c, z in result], out)
+    elif command == "coeffs":
+        lines = [f"wrote {result[0]} coefficients to {out} in {result[1]:.3f}s"]
+    else:
+        lines = [f"evaluated {result} terms"]
+    for line in lines:
+        print(line, file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(_build_parser().parse_args(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    command, run, out = args.pop("command"), args.pop("run"), args.pop("out", None)
     try:
-        if args.command == "converge":
-            records, slope, notes = cmd_converge(
-                args.basis,
-                args.p,
-                args.sigma,
-                _parse_n_list(args.N),
-                args.alpha,
-                args.method,
-                norm=SizeFunction(args.norm),
-                cutoff=args.cutoff,
-                ref_nodes=args.ref_nodes,
-                ref_jmax=args.ref_jmax,
-                ell_cap=args.ell_cap,
-                fit_window=_parse_fit_window(args.fit_window),
-            )
-            _write_csv([CSV_HEADER] + [r.row() for r in records], args.out)
-            for note in notes:
-                print(f"note: {note}", file=sys.stderr)
-            print(f"slope={slope!r}", file=sys.stderr)
-        elif args.command == "count":
-            rows = cmd_count(
-                args.p,
-                args.alpha,
-                _parse_n_list(args.N),
-                norm=SizeFunction(args.norm),
-                lattice_kind=args.lattice,
-                dim=args.d,
-                q=args.q,
-                box=args.box,
-            )
-            _write_csv(
-                ["N,count,normalized"] + [f"{n},{c},{z!r}" for n, c, z in rows], args.out
-            )
-        elif args.command == "bench":
-            records = cmd_bench(
-                args.basis,
-                args.p,
-                args.sigma,
-                _parse_n_list(args.N),
-                args.alpha,
-                args.method,
-                args.repeats,
-                norm=SizeFunction(args.norm),
-                ell_cap=args.ell_cap,
-            )
-            _write_csv([CSV_HEADER] + [r.row() for r in records], args.out)
-        elif args.command == "coeffs":
-            entries, elapsed = cmd_coeffs(args.p, args.jmax, args.out)
-            print(f"wrote {entries} coefficients to {args.out} in {elapsed:.3f}s", file=sys.stderr)
-        elif args.command == "eval":
-            terms = cmd_eval(
-                args.input,
-                args.out,
-                args.basis,
-                args.p,
-                args.N,
-                args.alpha,
-                args.method,
-                norm=SizeFunction(args.norm),
-                ell_cap=args.ell_cap,
-            )
-            print(f"evaluated {terms} terms", file=sys.stderr)
+        for name, parse in (
+            ("n_list", _parse_n_list), ("norm", SizeFunction), ("fit_window", _parse_fit_window)
+        ):
+            if name in args:
+                args[name] = parse(args[name])
+        _report(command, run(**args), args.get("out_path", out))
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

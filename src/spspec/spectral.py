@@ -189,7 +189,7 @@ def dump_vector(u: SpectralVector) -> str:
 
 
 def parse_vector(text: str, basis: Basis) -> SpectralVector:
-    entries = {}
+    entries, lattice = {}, basis.lattice
     lines = text.splitlines()
     for i, line in enumerate(lines, start=1):
         if not line.strip():
@@ -200,10 +200,11 @@ def parse_vector(text: str, basis: Basis) -> SpectralVector:
         try:
             j = tuple(int(c) for c in parts[0].split())
             v = _finite(j, complex(float(parts[1]), float(parts[2])))
+            if len(j) != basis.dim:
+                raise ValueError(f"expected {basis.dim} coordinates, got {len(j)}")
+            j = lattice.validate(j)
         except ValueError as exc:
             raise ValueError(f"line {i}: {exc}") from None
-        if len(j) != basis.dim:
-            raise ValueError(f"line {i}: expected {basis.dim} coordinates, got {len(j)}")
         if j in entries:
             seen = [tuple(map(int, row.split("\t")[0].split())) for row in lines[: i - 1]]
             raise ValueError(f"line {i}: index {j} repeats line {seen.index(j) + 1}")

@@ -17,6 +17,7 @@ from spspec.cli import (
 )
 from spspec.coeffs import build_cache, load_cache
 from spspec.evaluators import dense_oracle_fourier
+from spspec.indices import COORD_MAX, SizeFunction
 from spspec.spectral import Basis, SpectralVector, read_vector, write_vector
 
 
@@ -103,6 +104,19 @@ def test_count_momentum_mode_validation():
         cmd_count(2, 0, [8], q=0, lattice_kind="N")
     with pytest.raises(CliError):
         cmd_count(2, 0, [8], q=-1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("norm", list(SizeFunction))
+def test_count_momentum_is_a_factor_on_the_plain_count(norm, dim):
+    # under the product norm at d = 2 the --q column divided by the max-norm growth
+    ns = [4, 16, 64]
+    plain = cmd_count(2, 0, ns, norm=norm, dim=dim)
+    assert cmd_count(2, 0, ns, norm=norm, dim=dim, q=0) == plain
+    widened = cmd_count(2, 0, ns, norm=norm, dim=dim, q=1)
+    assert [(n, c) for n, c, _ in widened] == [(n, c * 3**dim) for n, c, _ in plain]
+    for (_, _, z), (_, _, z1) in zip(plain, widened):
+        assert z1 == pytest.approx(z * 3**dim, rel=1e-12)
 
 
 def test_bench_median_rows():
@@ -254,6 +268,22 @@ def test_main_eval_rejects_coordinates_past_the_bound(tmp_path, capsys):
     assert not (tmp_path / "o.tsv").exists()
 
 
+@pytest.mark.parametrize("basis, entry, message", [
+    ("hermite", "-1\t0.5\t0.0", "index (-1,) not in N^1"),
+    ("fourier", "18446744073709551616\t0.25\t0.0",
+     f"index (18446744073709551616,) has a coordinate past the bound |c| <= {COORD_MAX}"),
+], ids=["off-the-lattice", "past-the-bound"])
+def test_main_eval_names_the_line_of_a_bad_index(basis, entry, message, tmp_path, capsys):
+    vec = tmp_path / "u.tsv"
+    vec.write_text(f"0\t1.0\t0.0\n{entry}\n")
+    assert run_main(
+        ["eval", str(vec), "--basis", basis, "--p", "2", "--alpha", "1",
+         "--N", "4", "--out", str(tmp_path / "o.tsv")]
+    ) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: line 2: {message}"]
+    assert not (tmp_path / "o.tsv").exists()
+
+
 def test_main_rejects_missing_input_file(tmp_path):
     assert run_main(
         ["eval", str(tmp_path / "absent.tsv"), "--basis", "fourier", "--p", "2",
@@ -340,6 +370,7 @@ GUARD_CASES = {
     "count-momentum": "count --p 3 --alpha 0 --N 8,16 --q 1",
     "count-momentum-alpha-1": "count --p 3 --alpha 1 --N 8 --q 1",
     "count-naturals-box": "count --p 3 --alpha 1 --N 8,16 --lattice N --box 3",
+    "count-momentum-prod-d2": "count --p 2 --alpha 0 --N 4,16 --norm prod --d 2 --q 1",
     # the parser's surface: help, usage errors, and the checks main and the commands make
     "help": "--help",
     "help-converge": "converge --help",
@@ -355,7 +386,9 @@ GUARD_CASES = {
     "usage-eval-bad-n": f"{EVAL_F} --p 2 --alpha 0 --N x",
     "bench-f-bad-n-list": f"bench {FOURIER} --p 2 --alpha 0 --N 4,x",
     "count-n-zero": "count --p 2 --alpha 0 --N 0",
-    "converge-f-fit-window-no-colon": f"converge {FOURIER} --p 2 --alpha 0 --N 4,8 --fit-window 8-16",
+    "converge-f-fit-window-no-colon": (
+        f"converge {FOURIER} --p 2 --alpha 0 --N 4,8 --fit-window 8-16"
+    ),
     "converge-f-fit-window-words": f"converge {FOURIER} --p 2 --alpha 0 --N 4,8 --fit-window a:b",
     "converge-f-p-0": f"converge {FOURIER} --p 0 --alpha 0 --N 4,8",
     "converge-f-n-before-window": (

@@ -130,6 +130,15 @@ def test_vector_files_are_held_to_the_coordinate_bound():
         parse_vector("0\t1.0\t0.0\n18446744073709551616\t1.0\t0.0\n", FOURIER)
 
 
+def test_parse_names_the_line_of_an_index_off_the_lattice():
+    with pytest.raises(ValueError, match=r"^line 3: index \(-1,\) not in N\^1$"):
+        parse_vector("0\t1.0\t0.0\n\n-1\t0.5\t0.0\n", HERMITE)
+    with pytest.raises(ValueError, match=r"^line 2: index \(18446744073709551616,\) has a"):
+        parse_vector("0\t1.0\t0.0\n18446744073709551616\t1.0\t0.0\n", FOURIER)
+    with pytest.raises(ValueError, match=r"^line 1: expected 1 coordinates, got 2$"):
+        parse_vector("0 -1\t1.0\t0.0\n", HERMITE)
+
+
 def test_array_built_vectors_make_no_per_entry_objects():
     # 66,049 entries: 2 MiB of arrays, 4.1 MiB traced with temporaries; 18.7 MiB with a tuple-key dict
     basis = Basis.fourier(2)
