@@ -126,15 +126,14 @@ def test_non_finite_coordinates_are_rejected(c):
 
 
 def test_vector_files_are_held_to_the_coordinate_bound():
-    with pytest.raises(ValueError, match=r"index \(18446744073709551616,\) has a coordinate"):
+    message = r"^line 2: index \(18446744073709551616,\) has a coordinate past the bound"
+    with pytest.raises(ValueError, match=message):
         parse_vector("0\t1.0\t0.0\n18446744073709551616\t1.0\t0.0\n", FOURIER)
 
 
 def test_parse_names_the_line_of_an_index_off_the_lattice():
     with pytest.raises(ValueError, match=r"^line 3: index \(-1,\) not in N\^1$"):
         parse_vector("0\t1.0\t0.0\n\n-1\t0.5\t0.0\n", HERMITE)
-    with pytest.raises(ValueError, match=r"^line 2: index \(18446744073709551616,\) has a"):
-        parse_vector("0\t1.0\t0.0\n18446744073709551616\t1.0\t0.0\n", FOURIER)
     with pytest.raises(ValueError, match=r"^line 1: expected 1 coordinates, got 2$"):
         parse_vector("0 -1\t1.0\t0.0\n", HERMITE)
 
