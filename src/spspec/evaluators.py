@@ -31,8 +31,9 @@ block combine computes:
   is the projection onto chi_ell of a budgeted sum of products of
   functions, and a block is a sum of rows multiplied once by the later
   slots' sum, at the nodes of one Gauss-Hermite rule that integrates every
-  term exactly.  The same blocks tally the terms on integers first.  No
-  coefficient is looked up.
+  term exactly.  The same blocks tally the terms first, once per distinct
+  budget, as folds of Python ints over per-input prefix counts of odd keys.
+  No coefficient is looked up.
 
 Both are deterministic: every sum is accumulated in a fixed order.
 """
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -213,9 +215,9 @@ class _Slots:
         if not self.empty:
             least = [int(sizes[0]) for sizes, _, _ in self.slots]
             self.need = [math.prod(least[s:]) for s in range(len(least) + 1)]
-        self.plans: dict[tuple[int, int], tuple[int, np.ndarray, list[int]]] = {}
+        self.plans: dict[tuple[int, int], tuple[int, list[int], list[int]]] = {}
 
-    def plan(self, s: int, b: int) -> tuple[int, np.ndarray, list[int]]:
+    def plan(self, s: int, b: int) -> tuple[int, list[int], list[int]]:
         """(hi, starts, budgets) of slot s at budget b >= need[s].
 
         The entries [:hi] of the size order are admitted; the block starting
@@ -227,13 +229,13 @@ class _Slots:
             sizes = self.slots[s][0]
             hi = int(np.searchsorted(sizes, b // self.need[s + 1], side="right"))
             if s == len(self.slots) - 1:
-                self.plans[key] = hi, np.zeros(1, dtype=np.intp), [0]
+                self.plans[key] = hi, [0], [0]
             else:
                 cs = b // sizes[:hi]
                 first = np.ones(hi, dtype=bool)
                 first[1:] = cs[1:] != cs[:-1]
                 starts = first.nonzero()[0]
-                self.plans[key] = hi, starts, cs[starts].tolist()
+                self.plans[key] = hi, starts.tolist(), cs[starts].tolist()
         return self.plans[key]
 
     def fold(self, memo: dict, combine, s: int, b: int):
@@ -300,7 +302,7 @@ class _BudgetClasses(_Slots):
         """None when no tuple of slots s..p-1 fits in budget b."""
         return self.fold(self.lines, self._blocks, s, b) if b >= self.need[s] else None
 
-    def _blocks(self, s: int, hi: int, starts: np.ndarray, subs: list[_Line]) -> _Line:
+    def _blocks(self, s: int, hi: int, starts: list[int], subs: list[_Line]) -> _Line:
         """Sum over the admitted slot-s entries j of u_j * subs[block of j] shifted by key(j).
 
         A block is cut into runs of nearby keys, each run one np.convolve of
@@ -456,41 +458,50 @@ class _HermiteClasses(_Slots):
     chi_j(-x) = (-1)**j chi_j(x), so P is kept as an even part (tuples of
     even degree sum) and an odd part, each at the rule's nonnegative nodes
     only; chi_ell meets the part of its own parity, and the other part
-    integrates to zero exactly.  tally folds the same blocks on integers
+    integrates to zero exactly.  tally folds the same blocks on Python ints
     first: it counts the tuples of either parity and finds the largest
-    degree, which sizes the rule before any row is evaluated.
+    degree, which sizes the rule before any row is evaluated.  Per distinct
+    input it keeps the keys in size order and the prefix count of odd keys,
+    so a block is read as three numbers with no numpy call.
     """
 
     def __init__(self, inputs: Sequence[SpectralVector], spec: SparseSetSpec):
         super().__init__(inputs, spec)
         self.tallies = {(len(self.slots), 0): _Tally(1, 0, 0)}
+        self.prefix = {}  # per distinct input: keys in size order, odd-key prefix counts
+        for _, coords, _ in self.slots:
+            if id(coords) not in self.prefix:
+                keys = coords[:, 0].tolist()
+                self.prefix[id(coords)] = keys, list(accumulate((k & 1 for k in keys), initial=0))
 
     def tally(self, b: int) -> _Tally:
         """The tuples of all slots within budget b >= need[0]."""
         return self.fold(self.tallies, self._count, 0, b)
 
-    def _count(self, s: int, hi: int, starts: np.ndarray, subs: list[_Tally]) -> _Tally:
-        keys = self.slots[s][1][:hi, 0]
-        odd = np.add.reduceat(keys & 1, starts).tolist()
-        lens = np.diff(starts, append=hi).tolist()
-        tops = np.maximum.reduceat(keys, starts).tolist()
+    def _count(self, s: int, hi: int, starts: list[int], subs: list[_Tally]) -> _Tally:
+        """A block [a, e) holds odd[e] - odd[a] odd keys, and its largest key
+        is keys[e - 1]: keys ascend with size on the Hermite lattice."""
+        keys, odd = self.prefix[id(self.slots[s][1])]
         even_n = odd_n = 0
         deg = -1
-        for o, n, k, sub in zip(odd, lens, tops, subs):
-            even_n += (n - o) * sub.even + o * sub.odd
-            odd_n += (n - o) * sub.odd + o * sub.even
-            deg = max(deg, k + sub.deg)
+        for a, e, sub in zip(starts, starts[1:] + [hi], subs):
+            o = odd[e] - odd[a]
+            even_n += (e - a - o) * sub.even + o * sub.odd
+            odd_n += (e - a - o) * sub.odd + o * sub.even
+            deg = max(deg, keys[e - 1] + sub.deg)
         return _Tally(even_n, odd_n, deg)
 
     def project(self, ells: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-        """X_ell for each ell; every ell must have a term of its parity.
+        """X_ell for each ell; the ells ascend, and each must have a term of
+        its parity.
 
         The integrand chi_ell * prod chi_j is a polynomial of degree
         D = ell + sum(js) times exp(-(p+1) x^2 / 2).  Substituting y = c x
         with c = sqrt((p+1)/2) turns that into exp(-y^2), which a rule of
         ceil((D + 1) / 2) nodes integrates exactly.
         """
-        deg = max(ell + self.tally(b).deg for ell, b in zip(ells.tolist(), budgets.tolist()))
+        largest = dict(zip(budgets.tolist(), ells.tolist()))  # each budget's last ell
+        deg = max(ell + self.tally(b).deg for b, ell in largest.items())
         n = deg // 2 + 1
         if n > MAX_NODES:
             raise ValueError(
@@ -524,7 +535,7 @@ class _HermiteClasses(_Slots):
             out[at] = (chi[ells[at]] * own) @ weights
         return out
 
-    def _product(self, s: int, hi: int, starts: np.ndarray, subs: list) -> tuple:
+    def _product(self, s: int, hi: int, starts: list[int], subs: list) -> tuple:
         """Even and odd parts of P(s, b) at the nonnegative nodes."""
         even_rows, odd_rows = self.rows[id(self.slots[s][1])]
         be = np.add.reduceat(even_rows[:hi], starts, axis=0)
@@ -547,11 +558,12 @@ def _hermite_sum(inputs: Sequence[SpectralVector], spec: SparseSetSpec, ells: np
     # an ell whose budget admits no tuple has no term
     fits = budgets >= kernel.need[0]
     ells, budgets = ells[fits], budgets[fits]
-    tallies = [kernel.tally(b) for b in budgets.tolist()]
-    terms = sum(t.even + t.odd for t in tallies)
+    per_ell = budgets.tolist()
+    tallies = {b: kernel.tally(b) for b in set(per_ell)}
+    terms = sum(tallies[b].even + tallies[b].odd for b in per_ell)
     # the terms of the other parity integrate to zero: an ell with no term
     # of its own parity stays out, as does one with no term at all
-    own = [t.odd if ell & 1 else t.even for ell, t in zip(ells.tolist(), tallies)]
+    own = [tallies[b].odd if ell & 1 else tallies[b].even for ell, b in zip(ells.tolist(), per_ell)]
     present = np.array([n > 0 for n in own], dtype=bool)
     if not present.any():
         return _nothing(spec, terms)
@@ -732,12 +744,15 @@ def dense_oracle_hermite(
     xs = rule.nodes / c
     chi = hermite_batch(max(max(degs, default=0), jmax_out), xs)
     prod = np.asarray(rule.scaled_weights / c, dtype=complex)
+    sums = {}  # per distinct input: the sum of u_j chi_j at the nodes
     for u in inputs:
-        keys, coeffs = u.as_arrays()
-        vals = np.zeros(len(xs), dtype=complex)
-        for j, v in zip(keys[:, 0].tolist(), coeffs.tolist()):
-            vals += v * chi[j]
-        prod *= vals
+        if id(u) not in sums:
+            keys, coeffs = u.as_arrays()
+            # the rows are added in key order; summed as float pairs, so that
+            # a one-node rule does not sum them pairwise
+            rows = coeffs[:, None] * chi[keys[:, 0]]
+            sums[id(u)] = rows.view(float).sum(axis=0).view(complex)
+        prod *= sums[id(u)]
     proj = chi[: jmax_out + 1] @ prod
     return SpectralVector._from_arrays(basis, np.arange(jmax_out + 1).reshape(-1, 1), proj)
 

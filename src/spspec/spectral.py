@@ -24,6 +24,13 @@ def _finite(j: Index, v: complex) -> complex:
     return v
 
 
+def _sorted_arrays(entries: dict[Index, complex], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, dim) int64 keys of entries in lexicographic order, and their values."""
+    order = sorted(entries)
+    keys = np.array(order, dtype=np.int64).reshape(len(order), dim)
+    return keys, np.array([entries[j] for j in order], dtype=complex)
+
+
 class BasisKind(Enum):
     FOURIER = "fourier"
     HERMITE = "hermite"
@@ -75,9 +82,7 @@ class SpectralVector(Mapping):
             if j in clean:  # pruned or not
                 raise ValueError(f"index {j} is repeated")
             clean[j] = _finite(j, complex(v))
-        order = sorted(clean)
-        keys = np.array(order, dtype=np.int64).reshape(len(order), basis.dim)
-        self._store(basis, keys, np.array([clean[j] for j in order], dtype=complex))
+        self._store(basis, *_sorted_arrays(clean, basis.dim))
 
     @classmethod
     def _from_arrays(cls, basis: Basis, keys: np.ndarray, vals: np.ndarray) -> "SpectralVector":
@@ -209,7 +214,8 @@ def parse_vector(text: str, basis: Basis) -> SpectralVector:
             seen = [tuple(map(int, row.split("\t")[0].split())) for row in lines[: i - 1]]
             raise ValueError(f"line {i}: index {j} repeats line {seen.index(j) + 1}")
         entries[j] = v
-    return SpectralVector(basis, entries)
+    # each index was validated on its line; __init__ would validate it again
+    return SpectralVector._from_arrays(basis, *_sorted_arrays(entries, basis.dim))
 
 
 def write_vector(u: SpectralVector, path) -> None:

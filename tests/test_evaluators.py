@@ -14,6 +14,7 @@ from spspec.coeffs import FourierSymbol, HermiteCache, hermite_product_integral
 from spspec.evaluators import (
     EvalRequest,
     EvalResult,
+    _HermiteClasses,
     dense_oracle_fourier,
     dense_oracle_hermite,
     direct_sparse_eval,
@@ -120,6 +121,29 @@ def test_dense_hermite_rejects_underresolved_rules():
         dense_oracle_hermite((u, u), 20, 30)
     # non-strict mode keeps going; used for fixed-resolution transforms
     dense_oracle_hermite((u, u), 20, 30, strict=False)
+
+
+@pytest.mark.parametrize("n_nodes", [1, 2, 7])
+def test_dense_hermite_adds_each_inputs_rows_in_key_order(n_nodes):
+    # reference: the per-entry loop, from zeros; at one node a plain complex
+    # sum over the entries would add them pairwise and round differently
+    rng = random.Random(n_nodes)
+    u, v = (SpectralVector(HERMITE, {
+        (j,): complex(rng.uniform(-1, 1), rng.choice([0.0, -0.0, rng.uniform(-1, 1)]))
+        * 10.0 ** rng.randint(-3, 3) for j in rng.sample(range(30), 12)
+    }) for _ in range(2))
+    for inputs in ((u, u, u), (u, v), (u, SpectralVector(HERMITE, {}))):
+        rule = gauss_hermite_rule(n_nodes)
+        c = math.sqrt((len(inputs) + 1) / 2.0)
+        chi = hermite_batch(30, rule.nodes / c)
+        prod = np.asarray(rule.scaled_weights / c, dtype=complex)
+        for w in inputs:
+            vals = np.zeros(n_nodes, dtype=complex)
+            for (j,), x in w.items():
+                vals += x * chi[j]
+            prod *= vals
+        want = SpectralVector._from_arrays(HERMITE, np.arange(11).reshape(-1, 1), chi[:11] @ prod)
+        assert dump_vector(dense_oracle_hermite(inputs, n_nodes, 10, strict=False)) == dump_vector(want)
 
 
 # ---------------------------------------------------------------- oracle guard
@@ -1037,6 +1061,87 @@ def test_direct_hermite_names_the_degree_limit():
     past = SparseSetSpec(3, 2045, 1, SizeFunction.MAX, naturals(1))
     with pytest.raises(ValueError, match=r"degree 2048 .* integrates degree 2047 at most"):
         direct_sparse_eval(EvalRequest(HermiteCache(3), (u,) * 3, past))
+
+
+@pytest.mark.parametrize("size", list(SizeFunction))
+@pytest.mark.parametrize("box", [None, 3])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_hermite_tally_matches_brute_force(p, box, size):
+    # keys 0 and 1 share size 1 under the max norm, so the size order has a
+    # tie at its start; the sparse input's 40 enters only one slot's blocks
+    inputs = [HERMITE_GUARD_INPUTS[name] for name in ("sparse", "power", "odd")[:p]]
+    spec = SparseSetSpec(p, HERMITE_GUARD_LEVEL, 1, size, naturals(1), box=box)
+    kernel = _HermiteClasses(inputs, spec)
+    stored = [[j for (j,) in u if box is None or size.of((j,)) <= box] for u in inputs]
+    for b in range(kernel.need[0], HERMITE_GUARD_LEVEL + 1):
+        sums = [sum(js) for js in itertools.product(*stored)
+                if math.prod(size.of((j,)) for j in js) <= b]
+        want = (sum(s % 2 == 0 for s in sums), sum(s % 2 for s in sums), max(sums))
+        assert tuple(kernel.tally(b)) == want, b
+
+
+# ------------------------------------------------------- Hermite direct guard
+#
+# A seeded grid of Hermite direct_sparse_eval and iterative_eval outputs,
+# compared with digests of their dump_vector text and their term counts,
+# recorded in hermite_golden.json.  It crosses p, alpha, both norms, a box,
+# explicit output domains (alpha = 0 without one reads every ell up to
+# N + 2), the same vector in every slot or distinct ones, and sigma-law
+# inputs with random signs or random complex inputs.
+
+HERMITE_GOLDEN = Path(__file__).with_name("hermite_golden.json")
+
+
+def hermite_guard_vec(rng: random.Random, law: bool) -> SpectralVector:
+    if law:
+        u = power_law_vector(rng.choice((2.0, 3.0, 10.0)), rng.choice((8, 24, 64)), HERMITE)
+        return SpectralVector(HERMITE, {j: v * rng.choice((1, -1, 1j)) for j, v in u.items()})
+    keys = rng.sample(range(5), rng.randint(1, 3)) + rng.sample(range(40), rng.randint(0, 8))
+    return SpectralVector(HERMITE, {
+        (k,): complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10.0 ** rng.randint(-3, 3)
+        for k in keys
+    })
+
+
+def hermite_direct_guard_cases() -> dict[str, tuple[SpectralVector, int]]:
+    out = {}
+    grid = itertools.product((1, 2, 3, 4), (0, 1), SizeFunction, (False, True), (False, True),
+                             (False, True), ("law", "random"), range(2))
+    for p, alpha, size, boxed, domain, same, kind, seed in grid:
+        name = (f"p{p}-alpha{alpha}-{size.name.lower()}-{'box' if boxed else 'nobox'}"
+                f"-{'domain' if domain else 'grid'}-{'same' if same else 'distinct'}-{kind}"
+                f"-seed{seed}")
+        rng = random.Random(name)
+        count = 1 if same else p
+        inputs = tuple(hermite_guard_vec(rng, kind == "law") for _ in range(count)) * (p // count)
+        level = rng.choice((4, 8, 16, 32, 64))
+        box = rng.choice((2, 3, 7, 20)) if boxed else None
+        spec = SparseSetSpec(p, level, alpha, size, naturals(1), box=box)
+        ells = None
+        if domain:
+            top = (2 - alpha) * level + 4  # at alpha = 1 every ell past N is dropped
+            ells = tuple((rng.randint(0, top),) for _ in range(rng.randint(1, 12)))
+        elif alpha == 0:
+            ells = tuple((ell,) for ell in range(level + 3))
+        got = direct_sparse_eval(EvalRequest(HermiteCache(p), inputs, spec, ells))
+        out[name] = got.vector, got.terms
+    grid = itertools.product((2, 3, 4), (0, 1), (False, True), ("law", "random"), range(3))
+    for p, alpha, same, kind, seed in grid:
+        name = f"iterative-p{p}-alpha{alpha}-{'same' if same else 'distinct'}-{kind}-seed{seed}"
+        rng = random.Random(name)
+        count = 1 if same else p
+        inputs = tuple(hermite_guard_vec(rng, kind == "law") for _ in range(count)) * (p // count)
+        level = rng.choice((4, 8, 16, 32))
+        got = iterative_eval(HermiteCache(2), inputs, level, alpha, ell_cap=level + 2)
+        out[name] = got.vector, got.terms
+    return out
+
+
+def test_direct_and_iterative_hermite_keep_their_bits():
+    golden = json.loads(HERMITE_GOLDEN.read_text())
+    got = {name: [digest(u), terms] for name, (u, terms) in hermite_direct_guard_cases().items()}
+    assert len(got) == 584
+    assert got == golden
 
 
 # ------------------------------------------------------- int64 edges

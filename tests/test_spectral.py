@@ -10,7 +10,7 @@ import pytest
 from scipy.special import zeta
 
 from spspec import spectral
-from spspec.indices import COORD_MAX, SizeFunction
+from spspec.indices import COORD_MAX, Lattice, SizeFunction
 from spspec.spectral import (
     Basis,
     BasisKind,
@@ -307,6 +307,19 @@ def test_round_trip_through_text_and_file(tmp_path):
         path = tmp_path / f"v{seed}.tsv"
         write_vector(u, path)
         assert read_vector(path, basis) == u
+
+
+@pytest.mark.parametrize("basis", [FOURIER, Basis.fourier(2), HERMITE])
+def test_parse_validates_each_index_once(basis, monkeypatch):
+    # the last line's value is pruned, and its index is still checked once
+    text = dump_vector(random_vector(basis, 24)) + " ".join(["30"] * basis.dim) + "\t1e-301\t0.0\n"
+    calls = []
+    validate = Lattice.validate
+    monkeypatch.setattr(Lattice, "validate", lambda self, j: calls.append(j) or validate(self, j))
+    u = parse_vector(text, basis)
+    assert len(calls) == len(text.splitlines()) == len(u) + 1
+    monkeypatch.undo()
+    assert u == SpectralVector(basis, {j: v for j, v in u.items()})
 
 
 def test_empty_vector_round_trip():

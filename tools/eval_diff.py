@@ -2,14 +2,16 @@
 
 Usage:
 
-    PYTHONPATH=PARENT/src python3 tools/eval_diff.py run CASES parent.json
-    PYTHONPATH=CHANGE/src python3 tools/eval_diff.py run CASES change.json
+    PYTHONPATH=PARENT/src python3 tools/eval_diff.py run CASES parent.json [HERMITE]
+    PYTHONPATH=CHANGE/src python3 tools/eval_diff.py run CASES change.json [HERMITE]
     PYTHONPATH=src python3 tools/eval_diff.py compare parent.json change.json
 
-`run` draws CASES Fourier evaluations from seeds 0 .. CASES - 1 and writes,
-per case, the sha256 of its `dump_vector` text with its term count and
-length, or the type and message of the error it raised.  The draw depends on
-the seed alone, not on the tree, so two trees run the same cases.  A case
+`run` draws CASES Fourier evaluations from seeds 0 .. CASES - 1, and HERMITE
+(CASES // 2 when not given) Hermite evaluations from seeds 0 .. HERMITE - 1
+under the keys `h<seed>`, and writes, per case, the sha256 of its
+`dump_vector` text with its term count and length, or the type and message
+of the error it raised.  The draw depends on the seed alone, not on the
+tree, so two trees run the same cases.  A Fourier case
 crosses d in {1, 2}, p in 1..4, alpha, both norms, no box or a box from 2 to
 2**70, the default output grid or an explicit domain, the unit and
 1/(2 - cos x) symbols (its tensor square in d = 2), and one of: random entries with +-0.0 or random
@@ -17,7 +19,13 @@ imaginary parts and +-1e-200 entries past both corners of the support and
 inside it; random entries with complex parts only; or sigma = 1.5 or 3
 power laws with random phases, the same vector in every slot or not.  About
 one case in seven folds iteratively.  A case with box 2**70 is also run
-without the box, under the key `<seed>n`.
+without the box, under the key `<seed>n`.  A Hermite case crosses p in
+1..4, alpha, both norms, no box or a box from 2 to 2**70, the default
+outputs or an explicit domain (always at alpha = 0; at times with an index
+of 10**6; at p <= 2 sometimes with a budget of 2**70), and one of: random
+complex entries, some with +-0.0 imaginary parts, or sigma = 2, 3 or 10
+power laws with random signs; the same vector in every slot or not.  About
+one max-norm case in seven at p >= 2 folds iteratively on an arity-2 cache.
 
 `compare` counts the cases whose records agree bit for bit, and lists the
 others; a case that raised at the first tree and returns, at the second,
@@ -34,9 +42,9 @@ import sys
 
 import numpy as np
 
-from spspec.coeffs import FourierSymbol
+from spspec.coeffs import FourierSymbol, HermiteCache
 from spspec.evaluators import EvalRequest, direct_sparse_eval, iterative_eval
-from spspec.indices import SizeFunction, SparseSetSpec, integers
+from spspec.indices import SizeFunction, SparseSetSpec, integers, naturals
 from spspec.spectral import Basis, SpectralVector, dump_vector, power_law_vector
 
 FAR_BOX = 2**70
@@ -111,9 +119,51 @@ def evaluate(seed: int, boxed: bool = True):
     return "direct", direct_sparse_eval(EvalRequest(sym, inputs, spec, ells))
 
 
-def record(seed: int, boxed: bool):
+def hermite_vector(rng: random.Random, law: bool) -> SpectralVector:
+    basis = Basis.hermite()
+    if law:
+        u = power_law_vector(rng.choice((2.0, 3.0, 10.0)), rng.choice((8, 32, 64)), basis)
+        return SpectralVector(basis, {j: v * rng.choice((1, -1)) for j, v in u.items()})
+    reach = rng.choice((12, 40, 200))
+    keys = rng.sample(range(5), rng.randint(1, 3)) + rng.sample(range(reach), rng.randint(0, 12))
+    entries = {}
+    for k in keys:
+        im = rng.choice([0.0, -0.0, rng.uniform(-1, 1)])
+        entries[(k,)] = complex(rng.uniform(-1, 1), im) * 10.0 ** rng.randint(-4, 4)
+    return SpectralVector(basis, entries)
+
+
+def evaluate_hermite(seed: int):
+    """(kind, result) of the Hermite case drawn from seed."""
+    rng = random.Random(f"h{seed}")
+    p = rng.randint(1, 4)
+    alpha = rng.randint(0, 1)
+    size = rng.choice(list(SizeFunction))
+    law = rng.random() < 0.5
+    inputs = tuple(hermite_vector(rng, law) for _ in range(p))
+    if rng.random() < 0.5:
+        inputs = (inputs[0],) * p
+    level = rng.choice((4, 8, 16, 32, 64, 128))
+    if rng.random() < 0.15 and size is SizeFunction.MAX and p >= 2:
+        got = iterative_eval(HermiteCache(2), inputs, level, alpha, ell_cap=level + 2)
+        return "iterative", got
+    box = rng.choice((None, None, 2, 3, 7, 20, 100, FAR_BOX))
+    ells = None
+    if alpha == 0 or rng.random() < 0.3:
+        if rng.random() < 0.3:
+            ells = tuple((ell,) for ell in range(level + 3))
+        else:
+            ells = tuple((rng.randint(0, 2 * level + 8),) for _ in range(rng.randint(1, 40)))
+            ells += ((10**6,),) if rng.random() < 0.1 else ()
+        if p <= 2 and rng.random() < 0.2:
+            level = FAR_BOX  # cut to what the inputs and the domain can reach
+    spec = SparseSetSpec(p, level, alpha, size, naturals(1), box=box)
+    return "direct", direct_sparse_eval(EvalRequest(HermiteCache(p), inputs, spec, ells))
+
+
+def record(seed: int, boxed: bool, hermite: bool = False):
     try:
-        out = evaluate(seed, boxed)
+        out = evaluate_hermite(seed) if hermite else evaluate(seed, boxed)
     except Exception as e:  # recorded: the two trees may raise differently
         return ["error", type(e).__name__, str(e)]
     if out is None:
@@ -123,19 +173,23 @@ def record(seed: int, boxed: bool):
     return [kind, hashlib.sha256(text).hexdigest()[:16], got.terms, len(got.vector)]
 
 
-def run(cases: int, path: str) -> None:
+def run(cases: int, path: str, hermite: int) -> None:
     out = {}
     for seed in range(cases):
         for key, boxed in ((str(seed), True), (f"{seed}n", False)):
             rec = record(seed, boxed)
             if rec is not None:
                 out[key] = rec
+    for seed in range(hermite):
+        out[f"h{seed}"] = record(seed, True, hermite=True)
     with open(path, "w") as f:
         json.dump(out, f)
-    base = [v for k, v in out.items() if not k.endswith("n")]
-    errors = sum(v[0] == "error" for v in base)
-    empty = sum(v[0] != "error" and v[3] == 0 for v in base)
-    print(f"{len(base)} cases: {errors} raised, {empty} returned no entry")
+    for name, hermite_key in (("Fourier", False), ("Hermite", True)):
+        base = [v for k, v in out.items()
+                if k.startswith("h") == hermite_key and not k.endswith("n")]
+        errors = sum(v[0] == "error" for v in base)
+        empty = sum(v[0] != "error" and v[3] == 0 for v in base)
+        print(f"{len(base)} {name} cases: {errors} raised, {empty} returned no entry")
 
 
 def compare(first_path: str, second_path: str) -> int:
@@ -147,7 +201,9 @@ def compare(first_path: str, second_path: str) -> int:
     same = [k for k in cases if first[k] == second.get(k)]
     mended = [k for k in cases if first[k][0] == "error" and second.get(k) == first.get(k + "n")]
     other = [k for k in cases if k not in same and k not in mended]
-    print(f"{len(cases)} cases: {len(same)} identical, {len(mended)} raised at the first tree and"
+    hermite = sum(k.startswith("h") for k in cases)
+    print(f"{len(cases)} cases ({len(cases) - hermite} Fourier, {hermite} Hermite):"
+          f" {len(same)} identical, {len(mended)} raised at the first tree and"
           f" now equal its output without the box, {len(other)} differ")
     for k in other:
         print(f"  {k}: {first[k]} -> {second.get(k)}")
@@ -155,8 +211,9 @@ def compare(first_path: str, second_path: str) -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 4 and sys.argv[1] == "run":
-        run(int(sys.argv[2]), sys.argv[3])
+    if len(sys.argv) in (4, 5) and sys.argv[1] == "run":
+        cases = int(sys.argv[2])
+        run(cases, sys.argv[3], int(sys.argv[4]) if len(sys.argv) == 5 else cases // 2)
     elif len(sys.argv) == 4 and sys.argv[1] == "compare":
         sys.exit(compare(sys.argv[2], sys.argv[3]))
     else:
