@@ -492,15 +492,14 @@ class _HermiteClasses(_Slots):
         return _Tally(even_n, odd_n, deg)
 
     def project(self, ells: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-        """X_ell for each ell; the ells ascend, and each must have a term of
-        its parity.
+        """X_ell for each ell; each must have a term of its parity.
 
         The integrand chi_ell * prod chi_j is a polynomial of degree
         D = ell + sum(js) times exp(-(p+1) x^2 / 2).  Substituting y = c x
         with c = sqrt((p+1)/2) turns that into exp(-y^2), which a rule of
         ceil((D + 1) / 2) nodes integrates exactly.
         """
-        largest = dict(zip(budgets.tolist(), ells.tolist()))  # each budget's last ell
+        largest = dict(sorted(zip(budgets.tolist(), ells.tolist())))  # each budget's largest ell
         deg = max(ell + self.tally(b).deg for b, ell in largest.items())
         n = deg // 2 + 1
         if n > MAX_NODES:

@@ -15,6 +15,7 @@ from spspec.evaluators import (
     EvalRequest,
     EvalResult,
     _HermiteClasses,
+    _outputs,
     dense_oracle_fourier,
     dense_oracle_hermite,
     direct_sparse_eval,
@@ -1078,6 +1079,21 @@ def test_hermite_tally_matches_brute_force(p, box, size):
                 if math.prod(size.of((j,)) for j in js) <= b]
         want = (sum(s % 2 == 0 for s in sums), sum(s % 2 for s in sums), max(sums))
         assert tuple(kernel.tally(b)) == want, b
+
+
+@pytest.mark.parametrize("alpha", [0, 1])
+def test_hermite_projection_does_not_depend_on_output_order(alpha):
+    # at alpha = 0 every ell shares one budget, whose largest ell sets the rule
+    inputs = [HERMITE_GUARD_INPUTS[name] for name in ("power", "odd")]
+    spec = SparseSetSpec(2, HERMITE_GUARD_LEVEL, alpha, SizeFunction.MAX, naturals(1))
+    kernel = _HermiteClasses(inputs, spec)
+    ells, budgets = _outputs(spec, np.arange(HERMITE_GUARD_LEVEL + 3)[:, None])
+    ells = ells[:, 0]
+    own = [kernel.tally(b)[ell & 1] for ell, b in zip(ells.tolist(), budgets.tolist())]
+    ells, budgets = ells[np.array(own) > 0], budgets[np.array(own) > 0]
+    want = kernel.project(ells, budgets)
+    got = kernel.project(ells[::-1], budgets[::-1])[::-1]
+    assert want.tobytes() == got.tobytes()
 
 
 # ------------------------------------------------------- Hermite direct guard

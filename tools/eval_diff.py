@@ -2,15 +2,14 @@
 
 Usage:
 
-    PYTHONPATH=PARENT/src python3 tools/eval_diff.py run CASES parent.json [HERMITE]
-    PYTHONPATH=CHANGE/src python3 tools/eval_diff.py run CASES change.json [HERMITE]
+    PYTHONPATH=PARENT/src python3 tools/eval_diff.py run CASES parent.json
+    PYTHONPATH=CHANGE/src python3 tools/eval_diff.py run CASES change.json
     PYTHONPATH=src python3 tools/eval_diff.py compare parent.json change.json
 
-`run` draws CASES Fourier evaluations from seeds 0 .. CASES - 1, and HERMITE
-(CASES // 2 when not given) Hermite evaluations from seeds 0 .. HERMITE - 1
-under the keys `h<seed>`, and writes, per case, the sha256 of its
-`dump_vector` text with its term count and length, or the type and message
-of the error it raised.  The draw depends on the seed alone, not on the
+`run` draws CASES Fourier evaluations from seeds 0 .. CASES - 1, and CASES
+Hermite evaluations from the same seeds under the keys `h<seed>`, and
+writes, per case, the sha256 of its `dump_vector` text with its term count
+and length, or the type and message of the error it raised.  The draw depends on the seed alone, not on the
 tree, so two trees run the same cases.  A Fourier case
 crosses d in {1, 2}, p in 1..4, alpha, both norms, no box or a box from 2 to
 2**70, the default output grid or an explicit domain, the unit and
@@ -173,14 +172,14 @@ def record(seed: int, boxed: bool, hermite: bool = False):
     return [kind, hashlib.sha256(text).hexdigest()[:16], got.terms, len(got.vector)]
 
 
-def run(cases: int, path: str, hermite: int) -> None:
+def run(cases: int, path: str) -> None:
     out = {}
     for seed in range(cases):
         for key, boxed in ((str(seed), True), (f"{seed}n", False)):
             rec = record(seed, boxed)
             if rec is not None:
                 out[key] = rec
-    for seed in range(hermite):
+    for seed in range(cases):
         out[f"h{seed}"] = record(seed, True, hermite=True)
     with open(path, "w") as f:
         json.dump(out, f)
@@ -211,9 +210,8 @@ def compare(first_path: str, second_path: str) -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) in (4, 5) and sys.argv[1] == "run":
-        cases = int(sys.argv[2])
-        run(cases, sys.argv[3], int(sys.argv[4]) if len(sys.argv) == 5 else cases // 2)
+    if len(sys.argv) == 4 and sys.argv[1] == "run":
+        run(int(sys.argv[2]), sys.argv[3])
     elif len(sys.argv) == 4 and sys.argv[1] == "compare":
         sys.exit(compare(sys.argv[2], sys.argv[3]))
     else:
