@@ -41,6 +41,7 @@ Both are deterministic: every sum is accumulated in a fixed order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import NamedTuple, Sequence
@@ -781,8 +782,17 @@ def error_report(
     gaps = np.hypot(diff.real, diff.imag).tolist()
     if s == 0:  # size(j) ** 0 * x == x exactly; skip the size and the power
         return float(sum(gaps))
-    union = map(tuple, ranked[first].tolist())
-    return float(sum(size.of(j) ** s * g for j, g in zip(union, gaps)))
+    # every term is >= +0.0, so leaving out the zero gaps keeps the sum's bits,
+    # and a weight is formed only where its gap counts
+    held = [i for i, g in enumerate(gaps) if g]
+    union = list(map(tuple, ranked[first][held].tolist()))
+    try:
+        return float(sum(size.of(j) ** s * gaps[i] for j, i in zip(union, held)))
+    except OverflowError:  # the weight grows with the size, so the largest passes
+        j = max(union, key=size.of)
+        raise ValueError(
+            f"index {j}: size {size.of(j)} ** {s} passes the float limit {sys.float_info.max!r}"
+        ) from None
 
 
 class RatePrediction(NamedTuple):

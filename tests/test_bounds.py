@@ -71,6 +71,11 @@ def test_kernel_bound_report_csv():
     assert len(text.splitlines()) == 1  # no violations, header only
 
 
+def test_kernel_bound_report_csv_lists_violations():
+    rep = KernelBoundReport(2, 3, 0.5, 1, 1.5, (2, (1, 3)), ((2, (1, 3), 3.0, 2.0),))
+    assert rep.csv() == "ell_size,j1_size,j2_size,lhs,rhs\n2,1,3,3.0,2.0\n"
+
+
 def test_kernel_bound_validation():
     with pytest.raises(ValueError):
         check_kernel_bound(1, 10, 0.5)

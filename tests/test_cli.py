@@ -57,6 +57,13 @@ def test_converge_refuses_weak_fourier_reference():
         cmd_converge("fourier", 2, 3.0, [4, 8, 16], 0, "direct", cutoff=8)
 
 
+def test_unknown_basis_and_alpha_are_refused():
+    with pytest.raises(CliError, match="^unknown basis 'laguerre'$"):
+        cmd_bench("laguerre", 2, 3.0, [4], 1, "direct")
+    with pytest.raises(CliError, match="^alpha must be 0 or 1, got 2$"):
+        cmd_converge("fourier", 2, 3.0, [4], 2, "direct")
+
+
 def test_converge_refuses_weak_hermite_reference():
     with pytest.raises(CliError, match="reference"):
         cmd_converge("hermite", 2, 6.0, [4, 8], 1, "direct", ref_jmax=6)

@@ -142,6 +142,8 @@ def test_product_integral_rejects_negative_indices():
     # chi[-1] would wrap around to the top row
     with pytest.raises(ValueError, match=">= 0"):
         hermite_product_integral((3, -1))
+    with pytest.raises(ValueError, match="^need at least one index$"):
+        hermite_product_integral(())
 
 
 def resident_mb() -> float:
@@ -218,6 +220,8 @@ def test_build_cache_small_cases():
     assert build_cache(2, 0).table.keys() == {(0, 0, 0)}
     with pytest.raises(ValueError):
         build_cache(1, 3)
+    with pytest.raises(ValueError, match="^jmax must be >= 0, got -1$"):
+        build_cache(2, -1)
 
 
 def test_small_coefficients_are_kept():
@@ -256,6 +260,13 @@ def test_empty_cache_saves_header_only(tmp_path):
     save_cache(HermiteCache(2), path)
     assert len(path.read_text().splitlines()) == 1
     assert load_cache(path).table == {}
+
+
+def test_load_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "empty.cache"
+    path.write_text("")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty cache file$"):
+        load_cache(path)
 
 
 def test_load_rejects_tampered_files(tmp_path):

@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import random
+import re
+import sys
 import time
 from pathlib import Path
 
@@ -145,6 +147,32 @@ def test_dense_hermite_adds_each_inputs_rows_in_key_order(n_nodes):
             prod *= vals
         want = SpectralVector._from_arrays(HERMITE, np.arange(11).reshape(-1, 1), chi[:11] @ prod)
         assert dump_vector(dense_oracle_hermite(inputs, n_nodes, 10, strict=False)) == dump_vector(want)
+
+
+def test_dense_oracles_check_their_inputs():
+    f, h = fvec({0: 1.0}), SpectralVector(HERMITE, {(0,): 1.0})
+    plane = SpectralVector(Basis.fourier(2), {(0, 0): 1.0})
+    for oracle in (dense_oracle_fourier, lambda inputs: dense_oracle_hermite(inputs, 4, 2)):
+        with pytest.raises(ValueError, match="^need at least one input$"):
+            oracle([])
+    with pytest.raises(ValueError, match="^the convolution oracle applies to Fourier inputs$"):
+        dense_oracle_fourier([h, h])
+    with pytest.raises(ValueError, match="^the transform oracle applies to Hermite inputs$"):
+        dense_oracle_hermite([f, f], 4, 2)
+    with pytest.raises(ValueError, match="^all inputs must share one basis$"):
+        dense_oracle_fourier([f, plane])
+    with pytest.raises(ValueError, match="^all inputs must share one basis$"):
+        dense_oracle_hermite([h, f], 4, 2)
+    with pytest.raises(ValueError, match="^symbol dimension does not match the inputs$"):
+        dense_oracle_fourier([f], symbol=FourierSymbol.unit(2))
+    with pytest.raises(ValueError, match="^jmax_out must be >= 0, got -1$"):
+        dense_oracle_hermite([h], 4, -1)
+
+
+def test_dense_fourier_stops_when_a_product_underflows():
+    tiny = fvec({0: 1e-200})
+    assert len(dense_oracle_fourier([tiny, tiny, fvec({0: 1.0, 1: 2.0})])) == 0
+    assert dense_oracle_fourier([tiny, tiny]) == fvec({})
 
 
 # ---------------------------------------------------------------- oracle guard
@@ -446,6 +474,8 @@ def test_request_validation():
         EvalRequest(HermiteCache(2), (u, u), spec2)  # provider/lattice clash
     with pytest.raises(ValueError):
         EvalRequest(HermiteCache(3), (h, h), SparseSetSpec(2, 4, 1, SizeFunction.MAX, naturals(1)))
+    with pytest.raises(ValueError, match="^sparse-set lattice does not match the provider basis$"):
+        EvalRequest(UNIT, (u, u), SparseSetSpec(2, 4, 0, SizeFunction.MAX, naturals(1)))
 
 
 def test_term_accounting_matches_set_cardinality():
@@ -620,6 +650,11 @@ def test_iterative_bitwise_equal_at_p_two():
         assert iter_res.terms == direct_res.terms
 
 
+def test_iterative_needs_an_input():
+    with pytest.raises(ValueError, match="^need at least one input$"):
+        iterative_eval(UNIT, [], 4, 0)
+
+
 def test_iterative_needs_max_norm():
     u = fvec({0: 1.0})
     with pytest.raises(ValueError):
@@ -663,6 +698,17 @@ def test_error_report_examples():
     assert error_report(v, z, s=2.0) == 4.0
     with pytest.raises(ValueError):
         error_report(u, SpectralVector(HERMITE, {(0,): 1.0}))
+
+
+def test_error_report_weights_only_the_nonzero_gaps():
+    # (2**62) ** 40 passes the float range, so that weight is formed only
+    # where its gap is not 0, and then it is named
+    far = fvec({2**62: 1.0})
+    assert error_report(far, far, s=40.0) == 0.0
+    assert error_report(fvec({2**62: 1.0, 1: 0.5}), far, s=40.0) == 0.5
+    text = f"index (2**62,): size 2**62 ** 40.0 passes the float limit {sys.float_info.max!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(text.replace("2**62", str(2**62))) + "$"):
+        error_report(far, fvec({}), s=40.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

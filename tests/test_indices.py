@@ -120,6 +120,13 @@ def test_indices_up_to_matches_count():
                 assert count_indices_up_to(lattice, size, cap) == len(listed)
 
 
+@pytest.mark.parametrize("lattice", [integers(1), naturals(2)])
+@pytest.mark.parametrize("size", list(SizeFunction))
+def test_no_index_fits_under_cap_zero(lattice, size):
+    assert list(indices_up_to(lattice, size, 0)) == []
+    assert count_indices_up_to(lattice, size, 0) == 0
+
+
 # ---------------------------------------------------------------- enumeration
 
 ENVELOPE_1D = [
@@ -226,6 +233,8 @@ def test_spec_validation():
         SparseSetSpec(2, 0, 0, SizeFunction.MAX, integers(1))
     with pytest.raises(ValueError):
         SparseSetSpec(2, 4, 2, SizeFunction.MAX, integers(1))
+    with pytest.raises(ValueError, match="^box cap must be >= 1, got 0$"):
+        SparseSetSpec(2, 4, 0, SizeFunction.MAX, integers(1), box=0)
 
 
 @pytest.mark.parametrize(

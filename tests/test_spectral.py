@@ -77,6 +77,20 @@ def test_equality_requires_same_basis():
     assert u == SpectralVector(FOURIER, {(0,): 1.0 + 0j})
 
 
+def test_bases_check_their_dimension():
+    with pytest.raises(ValueError, match="^basis dimension must be >= 1, got 0$"):
+        Basis(BasisKind.FOURIER, 0)
+    with pytest.raises(ValueError, match="^the Hermite basis is one-dimensional$"):
+        Basis(BasisKind.HERMITE, 2)
+
+
+def test_a_vector_equals_no_dict_and_names_its_size():
+    empty = SpectralVector(FOURIER, {})
+    assert (empty == {}) is False
+    assert empty != {}
+    assert repr(SpectralVector(HERMITE, {(0,): 1.0, (3,): 2.0})) == "SpectralVector(hermite, 2 entries)"
+
+
 def test_mapping_interface_is_read_only():
     u = SpectralVector(FOURIER, {(0,): 1.0})
     with pytest.raises(TypeError):
@@ -262,6 +276,11 @@ def test_power_law_rejects_non_summable_exponent():
         power_law_vector(0.5, 4, HERMITE)
     with pytest.raises(ValueError, match="power-law exponent must be > 1, got nan"):
         power_law_vector(math.nan, 3, FOURIER)
+
+
+def test_power_law_rejects_a_negative_cutoff():
+    with pytest.raises(ValueError, match="^cutoff must be >= 0, got -1$"):
+        power_law_vector(3.0, -1, FOURIER)
 
 
 @pytest.mark.parametrize("basis", [FOURIER, Basis.fourier(2), HERMITE])
