@@ -89,10 +89,10 @@ def _setup(u, p, alpha, method, norm, jmax, ell_cap):
     """run(n) -> EvalResult: the p-fold product of u with itself at budget n.
 
     The basis comes from u.  Fourier runs use the unit symbol.  Hermite
-    runs give direct and iterative an empty cache of the arity they need
-    (2 for iterative, p for direct), gate alpha = 0 outputs to 0..ell_cap
-    (default jmax), and send transform to the pointwise route with
-    min(n - 1, jmax) projected coefficients.
+    runs give direct and iterative one empty HermiteCache(p), which fixes
+    only the basis (no evaluator reads its table), gate alpha = 0 outputs
+    to 0..ell_cap (default jmax), and send transform to the pointwise route
+    with min(n - 1, jmax) projected coefficients.
     """
     if ell_cap is not None and ell_cap < 0:
         raise CliError(f"--ell-cap must be >= 0, got {ell_cap}")
@@ -103,7 +103,7 @@ def _setup(u, p, alpha, method, norm, jmax, ell_cap):
         provider = FourierSymbol.unit(1)
         domain = None
     elif method != "transform":
-        provider = HermiteCache(2 if method == "iterative" else p)
+        provider = HermiteCache(p)
         ell_cap = ell_cap if ell_cap is not None else jmax
         domain = tuple((l,) for l in range(ell_cap + 1)) if alpha == 0 else None
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .indices import Index, integers, momentum
 from .quadrature import MAX_NODES, gauss_hermite_rule, hermite_batch
-from .spectral import Basis, _finite
+from .spectral import Basis, _valid_entries
 
 # Node policy for a product of q Hermite functions of degree at most D:
 # the substituted integrand is a polynomial of degree <= q*D, integrated
@@ -57,12 +57,7 @@ class FourierSymbol:
     decay: tuple[float, float] | None = None  # (amplitude, rate): |b_k| <= A*exp(-rate*|k|)
 
     def __post_init__(self) -> None:
-        lattice, clean = integers(self.dim), {}
-        for k, v in self.table.items():
-            k = lattice.validate(k)
-            if k in clean:  # zero or not
-                raise ValueError(f"symbol key {k} is repeated")
-            clean[k] = _finite(k, complex(v))
+        clean = _valid_entries(integers(self.dim), self.table.items(), "symbol key")
         object.__setattr__(self, "table", dict(sorted((k, v) for k, v in clean.items() if v != 0)))
 
     @cached_property

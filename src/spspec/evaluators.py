@@ -72,10 +72,6 @@ class EvalRequest:
                 raise ValueError(f"basis mismatch: provider {basis} vs input {u.basis}")
         if basis.lattice != self.spec.lattice:
             raise ValueError("sparse-set lattice does not match the provider basis")
-        if isinstance(self.provider, HermiteCache) and self.provider.arity != self.spec.p:
-            raise ValueError(
-                f"coefficient cache has arity {self.provider.arity}, spec needs {self.spec.p}"
-            )
 
 
 @dataclass(frozen=True)
@@ -199,20 +195,24 @@ class _Slots:
     less than need[s + 1] heads no tuple and is cut.  The remaining entries
     that leave the same budget c form one block, combined as a whole with
     the next slot's fold at budget c.  The kernels supply the combine.
+
+    Each distinct input is kept once, in self.inputs, and slot s reads
+    self.inputs[self.at[s]]; the kernels' per-input tables follow that list.
     """
 
     def __init__(self, inputs: Sequence[SpectralVector], spec: SparseSetSpec):
         cap = _cap(spec)
-        trimmed = {}  # per distinct input: sizes, coordinates, values, sorted by size then key
-        for u in inputs:
-            if id(u) not in trimmed:
-                coords, vals = u.as_arrays()
-                sizes = _sizes(coords, spec.size, cap)
-                order = np.flatnonzero(sizes <= cap)
-                order = order[np.argsort(sizes[order], kind="stable")]
-                trimmed[id(u)] = sizes[order], coords[order], vals[order]
-        self.slots = [trimmed[id(u)] for u in inputs]
-        self.empty = any(len(sizes) == 0 for sizes, _, _ in self.slots)
+        place = {}  # the place of each distinct input in self.inputs, in order of first use
+        self.at = [place.setdefault(id(u), len(place)) for u in inputs]
+        self.inputs = []  # per distinct input: sizes, coordinates, values, sorted by size then key
+        for u in {id(u): u for u in inputs}.values():
+            coords, vals = u.as_arrays()
+            sizes = _sizes(coords, spec.size, cap)
+            order = np.flatnonzero(sizes <= cap)
+            order = order[np.argsort(sizes[order], kind="stable")]
+            self.inputs.append((sizes[order], coords[order], vals[order]))
+        self.slots = [self.inputs[i] for i in self.at]
+        self.empty = any(len(sizes) == 0 for sizes, _, _ in self.inputs)
         if not self.empty:
             least = [int(sizes[0]) for sizes, _, _ in self.slots]
             self.need = [math.prod(least[s:]) for s in range(len(least) + 1)]
@@ -295,7 +295,7 @@ class _BudgetClasses(_Slots):
             raise ValueError(f"flat keys reach {span}, at or past the int64 limit {COORD_MAX}")
         self.lo, self.hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
         self.strides = np.array(strides, dtype=np.int64)
-        self.keys = [c @ self.strides for c in picked[:-1]]
+        self.keys = [coords @ self.strides for _, coords, _ in self.inputs]
         self.symbol = _line(bkeys @ self.strides, bvals)
         self.lines = {(len(self.slots), 0): _Line(0, np.ones(1, dtype=complex), np.ones(1))}
 
@@ -313,7 +313,7 @@ class _BudgetClasses(_Slots):
         each entry's shifted sub line starts.  The last slot's one block
         meets the unit line, so its entries are placed as they are.
         """
-        keys, vals = self.keys[s][:hi], self.slots[s][2][:hi]
+        keys, vals = self.keys[self.at[s]][:hi], self.slots[s][2][:hi]
         if s == len(self.slots) - 1:
             return _line(keys, vals)
         # blocks are consecutive in the size order, so sorting by (block,
@@ -402,7 +402,7 @@ class _BudgetClasses(_Slots):
             r = np.searchsorted(wanted, c // sizes0[:h])
             # keys + los is the key of a sum in the box, so an offset stays within
             # its span; clipped to [-1, len] it reads a row or a zero beside it
-            idx = targets[sel, None] - (self.keys[0][:h] + los[r])
+            idx = targets[sel, None] - (self.keys[self.at[0]][:h] + los[r])
             np.clip(idx, -1, lens[r], out=idx)
             idx += bases[r]
             vals[sel] = (flat_v[idx] * vals0[:h]).sum(axis=1)
@@ -469,11 +469,8 @@ class _HermiteClasses(_Slots):
     def __init__(self, inputs: Sequence[SpectralVector], spec: SparseSetSpec):
         super().__init__(inputs, spec)
         self.tallies = {(len(self.slots), 0): _Tally(1, 0, 0)}
-        self.prefix = {}  # per distinct input: keys in size order, odd-key prefix counts
-        for _, coords, _ in self.slots:
-            if id(coords) not in self.prefix:
-                keys = coords[:, 0].tolist()
-                self.prefix[id(coords)] = keys, list(accumulate((k & 1 for k in keys), initial=0))
+        keys = [coords[:, 0].tolist() for _, coords, _ in self.inputs]
+        self.prefix = [(k, list(accumulate((x & 1 for x in k), initial=0))) for k in keys]
 
     def tally(self, b: int) -> _Tally:
         """The tuples of all slots within budget b >= need[0]."""
@@ -482,7 +479,7 @@ class _HermiteClasses(_Slots):
     def _count(self, s: int, hi: int, starts: list[int], subs: list[_Tally]) -> _Tally:
         """A block [a, e) holds odd[e] - odd[a] odd keys, and its largest key
         is keys[e - 1]: keys ascend with size on the Hermite lattice."""
-        keys, odd = self.prefix[id(self.slots[s][1])]
+        keys, odd = self.prefix[self.at[s]]
         even_n = odd_n = 0
         deg = -1
         for a, e, sub in zip(starts, starts[1:] + [hi], subs):
@@ -515,16 +512,15 @@ class _HermiteClasses(_Slots):
         if n % 2:
             weights[0] /= 2.0  # the node at 0 has no mirror image
         chi = hermite_batch(deg, rule.nodes[half:] / c)
-        self.rows = {}
-        for _, coords, vals in self.slots:
-            if id(coords) not in self.rows:
-                # no term of these ells holds a key past deg; keys ascend with
-                # size on the Hermite lattice, so the rest is a prefix
-                keys = coords[:, 0]
-                held = keys <= deg
-                rows = vals[held, None] * chi[keys[held]]
-                odd = (keys[held] & 1).astype(bool)[:, None]
-                self.rows[id(coords)] = np.where(odd, 0.0, rows), np.where(odd, rows, 0.0)
+        self.rows = []  # per distinct input: its even-key and odd-key rows
+        for _, coords, vals in self.inputs:
+            # no term of these ells holds a key past deg; keys ascend with
+            # size on the Hermite lattice, so the rest is a prefix
+            keys = coords[:, 0]
+            held = keys <= deg
+            rows = vals[held, None] * chi[keys[held]]
+            odd = (keys[held] & 1).astype(bool)[:, None]
+            self.rows.append((np.where(odd, 0.0, rows), np.where(odd, rows, 0.0)))
         unit = np.ones(len(weights), dtype=complex), np.zeros(len(weights), dtype=complex)
         parts = {(len(self.slots), 0): unit}
         out = np.empty(len(ells), dtype=complex)
@@ -537,7 +533,7 @@ class _HermiteClasses(_Slots):
 
     def _product(self, s: int, hi: int, starts: list[int], subs: list) -> tuple:
         """Even and odd parts of P(s, b) at the nonnegative nodes."""
-        even_rows, odd_rows = self.rows[id(self.slots[s][1])]
+        even_rows, odd_rows = self.rows[self.at[s]]
         be = np.add.reduceat(even_rows[:hi], starts, axis=0)
         bo = np.add.reduceat(odd_rows[:hi], starts, axis=0)
         se, so = (np.array(x) for x in zip(*subs))
@@ -579,7 +575,7 @@ def direct_sparse_eval(request: EvalRequest) -> EvalResult:
     {ell : size(ell) <= N} and alpha = 0 requires an explicit domain since
     nothing else bounds the output range.  An explicit domain must hold
     indices of the provider's lattice.  A Hermite provider fixes only the
-    basis and the arity; its table is never read.
+    basis: no coefficient is looked up, and no table is read.
     """
     spec = request.spec
     ells = reach = None
@@ -615,7 +611,7 @@ def iterative_eval(
     symbol is applied on the first fold only and the remaining folds use the
     plain product, which keeps the composition equal to the direct p-ary sum
     when the symbol is b = 1 and matches it bit for bit at p = 2.  A Hermite
-    provider must be an arity-2 cache, passed to every fold.
+    provider fixes only the basis, and every fold is a Hermite product.
     """
     if not inputs:
         raise ValueError("need at least one input")
@@ -624,24 +620,34 @@ def iterative_eval(
     if len(inputs) == 1:
         return EvalResult(inputs[0], 0)
     basis = inputs[0].basis
-    hermite = isinstance(provider, HermiteCache)
-    if hermite and provider.arity != 2:
-        raise ValueError("iterative evaluation needs an arity-2 coefficient cache")
+    fourier = isinstance(provider, FourierSymbol)
     pair_spec = SparseSetSpec(2, level, alpha, size, basis.lattice)
     domain = None
-    if hermite and alpha == 0:
+    if not fourier and alpha == 0:
         if ell_cap is None:
             raise ValueError("alpha = 0 with a Hermite provider needs ell_cap")
         domain = tuple((l,) for l in range(ell_cap + 1))
-    unit = FourierSymbol.unit(basis.dim) if not hermite else None
+    later = FourierSymbol.unit(basis.dim) if fourier else provider  # the folds after the first
     acc = inputs[0]
     terms = 0
     for i, u in enumerate(inputs[1:]):
-        prov = provider if (hermite or i == 0) else unit
+        prov = later if i else provider
         res = direct_sparse_eval(EvalRequest(prov, (acc, u), pair_spec, domain))
         acc = res.vector
         terms += res.terms
     return EvalResult(acc, terms)
+
+
+def _shared_basis(inputs: Sequence[SpectralVector], kind: BasisKind, oracle: str) -> Basis:
+    """The basis all inputs share, which must be of the kind the named oracle applies to."""
+    if not inputs:
+        raise ValueError("need at least one input")
+    basis = inputs[0].basis
+    if basis.kind is not kind:
+        raise ValueError(f"the {oracle} oracle applies to {kind.value.capitalize()} inputs")
+    if any(u.basis != basis for u in inputs):
+        raise ValueError("all inputs must share one basis")
+    return basis
 
 
 def dense_oracle_fourier(
@@ -659,14 +665,7 @@ def dense_oracle_fourier(
     optional cutoff truncates every input to coordinate magnitudes <= cutoff
     first; an optional symbol applies b as one more factor.
     """
-    if not inputs:
-        raise ValueError("need at least one input")
-    basis = inputs[0].basis
-    if basis.kind is not BasisKind.FOURIER:
-        raise ValueError("the convolution oracle applies to Fourier inputs")
-    for u in inputs:
-        if u.basis != basis:
-            raise ValueError("all inputs must share one basis")
+    basis = _shared_basis(inputs, BasisKind.FOURIER, "convolution")
     factors = []
     for u in inputs:
         keys, vals = u.as_arrays()
@@ -722,14 +721,7 @@ def dense_oracle_hermite(
     the polynomial degree involved; strict=False emulates a practical
     fixed-resolution transform.
     """
-    if not inputs:
-        raise ValueError("need at least one input")
-    basis = inputs[0].basis
-    if basis.kind is not BasisKind.HERMITE:
-        raise ValueError("the transform oracle applies to Hermite inputs")
-    for u in inputs:
-        if u.basis != basis:
-            raise ValueError("all inputs must share one basis")
+    basis = _shared_basis(inputs, BasisKind.HERMITE, "transform")
     if jmax_out < 0:
         raise ValueError(f"jmax_out must be >= 0, got {jmax_out}")
     degs = [u.max_degree() for u in inputs]
@@ -784,15 +776,12 @@ def error_report(
         return float(sum(gaps))
     # every term is >= +0.0, so leaving out the zero gaps keeps the sum's bits,
     # and a weight is formed only where its gap counts
-    held = [i for i, g in enumerate(gaps) if g]
-    union = list(map(tuple, ranked[first][held].tolist()))
+    held = [(tuple(j), g) for j, g in zip(ranked[first].tolist(), gaps) if g]
     try:
-        return float(sum(size.of(j) ** s * gaps[i] for j, i in zip(union, held)))
+        return float(sum(size.of(j) ** s * g for j, g in held))
     except OverflowError:  # the weight grows with the size, so the largest passes
-        j = max(union, key=size.of)
-        raise ValueError(
-            f"index {j}: size {size.of(j)} ** {s} passes the float limit {sys.float_info.max!r}"
-        ) from None
+        j, limit = max((j for j, _ in held), key=size.of), sys.float_info.max
+        raise ValueError(f"index {j}: size ** {s} passes the float limit {limit!r}") from None
 
 
 class RatePrediction(NamedTuple):

@@ -24,6 +24,18 @@ def _finite(j: Index, v: complex) -> complex:
     return v
 
 
+def _valid_entries(lattice: Lattice, items: Iterable, noun: str = "index") -> dict[Index, complex]:
+    """{j: v} of (j, v) pairs, each j a valid index of lattice given once, each
+    v finite; noun names a repeated j."""
+    clean = {}
+    for j, v in items:
+        j = lattice.validate(j)
+        if j in clean:  # whether its value is kept or not
+            raise ValueError(f"{noun} {j} is repeated")
+        clean[j] = _finite(j, complex(v))
+    return clean
+
+
 def _sorted_arrays(entries: dict[Index, complex], dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The (n, dim) int64 keys of entries in lexicographic order, and their values."""
     order = sorted(entries)
@@ -74,15 +86,8 @@ class SpectralVector(Mapping):
     __slots__ = ("basis", "_keys", "_vals", "_lookup")
 
     def __init__(self, basis: Basis, entries: Mapping | Iterable[tuple[Index, complex]]):
-        lattice = basis.lattice
         items = entries.items() if isinstance(entries, Mapping) else entries
-        clean = {}
-        for j, v in items:
-            j = lattice.validate(j)
-            if j in clean:  # pruned or not
-                raise ValueError(f"index {j} is repeated")
-            clean[j] = _finite(j, complex(v))
-        self._store(basis, *_sorted_arrays(clean, basis.dim))
+        self._store(basis, *_sorted_arrays(_valid_entries(basis.lattice, items), basis.dim))
 
     @classmethod
     def _from_arrays(cls, basis: Basis, keys: np.ndarray, vals: np.ndarray) -> "SpectralVector":
