@@ -53,9 +53,10 @@ def test_a_traced_run_misses_only_the_branches_not_taken(tmp_path):
     path.write_text(SOURCE)
     sys.path.insert(0, str(tmp_path))
     try:
-        executed = untested.traced(lambda: importlib.import_module("synthetic"), tmp_path)
+        module, executed = untested.traced(lambda: importlib.import_module("synthetic"), tmp_path)
     finally:
         sys.path.remove(str(tmp_path))
         sys.modules.pop("synthetic", None)
+    assert module.f(2) == 4
     assert set(executed) == {str(path)}
     assert untested.untested(SOURCE, executed[str(path)]) == [(13, "raise"), (25, "return -1")]

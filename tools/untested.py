@@ -7,7 +7,8 @@ Usage:
 It runs pytest in this process, with the given arguments (none: the suite as
 pyproject.toml configures it), under sys.settrace, and records the lines
 executed in the files of src/spspec.  Then it prints `file:line  source` for
-each statement that never ran, and their count.  A statement is counted at
+each statement that never ran, and their count, and exits with pytest's
+status.  A statement is counted at
 its first line, where the tracer reports it.  Strings that stand alone as
 statements (docstrings) and nonlocal and global declarations compile to no
 code, so they are left out.  Code that the tests run in a child process is
@@ -46,9 +47,9 @@ def untested(source: str, executed: set[int]) -> list[tuple[int, str]]:
     return [(n, text[n - 1].strip()) for n in sorted(statement_lines(source) - executed)]
 
 
-def traced(run, root: Path) -> dict[str, set[int]]:
-    """Call run() and return the lines it executed in each file under root,
-    by absolute path."""
+def traced(run, root: Path) -> tuple[object, dict[str, set[int]]]:
+    """Call run() and return what it returns, with the lines it executed in
+    each file under root, by absolute path."""
     hits: set[tuple[str, int]] = set()
     inside: dict[str, bool] = {}
     prefix = str(root) + os.sep
@@ -68,29 +69,28 @@ def traced(run, root: Path) -> dict[str, set[int]]:
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        run()
+        result = run()
     finally:
         sys.settrace(outer[0])
         threading.settrace(outer[1])
     executed: dict[str, set[int]] = {}
     for name, line in hits:
         executed.setdefault(os.path.abspath(name), set()).add(line)
-    return executed
+    return result, executed
 
 
 def main(argv: list[str]) -> int:
     import pytest
 
     os.chdir(ROOT)
-    status = []
-    executed = traced(lambda: status.append(pytest.main(argv)), SRC)
+    status, executed = traced(lambda: pytest.main(argv), SRC)
     missed = 0
     for path in sorted(SRC.glob("*.py")):
         for line, text in untested(path.read_text(), executed.get(str(path), set())):
             print(f"{path.relative_to(ROOT)}:{line}  {text}")
             missed += 1
-    print(f"{missed} statements never executed (pytest exit status {int(status[0])})")
-    return 0
+    print(f"{missed} statements never executed")
+    return int(status)
 
 
 if __name__ == "__main__":
