@@ -34,7 +34,6 @@ from .indices import (
     indices_up_to,
     integers,
     max_norm,
-    momentum,
     naturals,
     prod_norm,
 )

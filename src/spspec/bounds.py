@@ -7,7 +7,6 @@ sizes 1..B covers all indices with max-norm at most B exactly.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,14 +48,6 @@ class KernelBoundReport:
     max_ratio: float
     argmax: tuple[int, tuple[int, ...]]  # (ell size, j sizes)
     violations: tuple[tuple[int, tuple[int, ...], float, float], ...]
-
-    def csv(self) -> str:
-        """Violation rows as CSV: ell size, j sizes, lhs, rhs."""
-        buf = io.StringIO()
-        buf.write("ell_size," + ",".join(f"j{i+1}_size" for i in range(self.p)) + ",lhs,rhs\n")
-        for ell_sz, j_sz, lhs, rhs in self.violations:
-            buf.write(f"{ell_sz}," + ",".join(str(s) for s in j_sz) + f",{lhs!r},{rhs!r}\n")
-        return buf.getvalue()
 
 
 def check_kernel_bound(p: int, size_max: int, theta: float) -> KernelBoundReport:

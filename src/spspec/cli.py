@@ -14,6 +14,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .evaluators import (
     iterative_eval,
 )
 from .indices import Lattice, LatticeKind, SizeFunction, SparseSetSpec, count_sparse
+from .quadrature import MAX_NODES
 from .spectral import Basis, BasisKind, l1s_norm, power_law_vector, read_vector, write_vector
 
 CSV_HEADER = "method,basis,p,sigma,alpha,N,terms,error_l1,wall_time_s"
@@ -180,6 +182,8 @@ def cmd_converge(
         jmax = ref_jmax if ref_jmax is not None else p * n_max
         if jmax < n_max:
             raise CliError(f"reference weaker than test: output range {jmax} < max N {n_max}")
+        if ref_nodes > MAX_NODES:
+            raise CliError(f"--ref-nodes {ref_nodes} exceeds the supported maximum {MAX_NODES}")
         u = power_law_vector(sigma, cut, input_basis)
         try:
             reference = dense_oracle_hermite([u] * p, ref_nodes, jmax, strict=True)
@@ -225,11 +229,31 @@ def cmd_count(
         spec = SparseSetSpec(p, n, alpha, norm, lattice, box)
         count = count_sparse(spec, include_ell=(alpha == 1)) * momenta
         if norm is SizeFunction.MAX:
-            denom = n**dim * math.log(n + 1.0) ** (p - 1 + alpha)
+            scale, power = n**dim, p - 1 + alpha
         else:
-            denom = n * math.log(n + 1.0) ** (dim * (p + alpha) - 1)
-        rows.append((n, count, count / denom))
+            scale, power = n, dim * (p + alpha) - 1
+        rows.append((n, count, _normalized(count, n, scale, power)))
     return rows
+
+
+def _normalized(count: int, n: int, scale: int, power: int) -> float:
+    """count / (scale * log(n + 1)**power), the count column's normalization.
+
+    In Python floats wherever every step stays in their range, which keeps
+    the bits of those rows; elsewhere exactly, from the float log of n + 1,
+    rounded once.  A value past the float range, or a nonzero one that
+    rounds to 0, is refused.
+    """
+    try:
+        z = count / (scale * math.log(n + 1.0) ** power)
+    except (OverflowError, ZeroDivisionError):
+        z = 0.0
+    if not 0 < z < math.inf:  # count >= 1, so a step left the float range
+        exact = Fraction(count) / (scale * Fraction(math.log(n + 1)) ** power)
+        if not math.ulp(0.0) <= exact <= sys.float_info.max:
+            raise CliError(f"normalized count at N={n} is outside the float range")
+        z = float(exact)
+    return z
 
 
 def cmd_bench(

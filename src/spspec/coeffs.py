@@ -15,11 +15,10 @@ import re
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .indices import Index, integers, momentum
+from .indices import Index, integers
 from .quadrature import MAX_NODES, gauss_hermite_rule, hermite_batch
 from .spectral import Basis, _valid_entries
 
@@ -44,17 +43,12 @@ _chi_tables: OrderedDict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = 
 FACTOR_BYTES = 2**20
 
 
-def _radius(k: Index) -> int:
-    return max((abs(c) for c in k), default=0)
-
-
 @dataclass(frozen=True)
 class FourierSymbol:
     """Finite table of symbol coefficients b_k; a_{ell;js} = b_{ell - sum js}."""
 
     table: dict[Index, complex]
     dim: int = 1
-    decay: tuple[float, float] | None = None  # (amplitude, rate): |b_k| <= A*exp(-rate*|k|)
 
     def __post_init__(self) -> None:
         clean = _valid_entries(integers(self.dim), self.table.items(), "symbol key")
@@ -69,16 +63,8 @@ class FourierSymbol:
         return keys, vals
 
     @property
-    def q(self) -> int:
-        """Momentum radius: largest coordinate magnitude with b_k != 0."""
-        return max((_radius(k) for k in self.table), default=0)
-
-    @property
     def basis(self) -> Basis:
         return Basis.fourier(self.dim)
-
-    def coefficient(self, ell: Index, js: Sequence[Index]) -> complex:
-        return self.table.get(momentum(ell, js), 0j)
 
     @staticmethod
     def unit(dim: int = 1) -> "FourierSymbol":
@@ -89,8 +75,7 @@ class FourierSymbol:
     def inverse_two_minus_cos(tol: float = 1e-16) -> "FourierSymbol":
         """b(x) = 1/(2 - cos x): b_k = r**|k| / sqrt(3) with r = 2 - sqrt(3).
 
-        The table is truncated where |b_k| < tol.  The coefficients decay
-        geometrically, recorded in the decay field.
+        The table is truncated where |b_k| < tol.
         """
         if not tol > 0:  # r**k underflows to 0, which is never below tol <= 0
             raise ValueError(f"tol must be > 0, got {tol}")
@@ -106,7 +91,7 @@ class FourierSymbol:
             if k > 0:
                 table[(-k,)] = v
             k += 1
-        return FourierSymbol(table, 1, decay=(amp, -math.log(r)))
+        return FourierSymbol(table, 1)
 
 
 def hermite_product_integral(indices: tuple[int, ...], node_factor: int = 1) -> float:

@@ -76,10 +76,6 @@ class QuadratureRule:
     nodes: np.ndarray
     scaled_weights: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
 
 def hermite_batch(nmax: int, x) -> np.ndarray:
     """All chi_0(x), ..., chi_nmax(x) as rows, for scalar or array x."""

@@ -64,18 +64,6 @@ def test_kernel_bound_sweep_is_clean(p, theta):
     assert abs(rep.max_ratio - 0.5) < 1e-12
 
 
-def test_kernel_bound_report_csv():
-    rep = check_kernel_bound(2, 4, 0.5)
-    text = rep.csv()
-    assert text.splitlines()[0] == "ell_size,j1_size,j2_size,lhs,rhs"
-    assert len(text.splitlines()) == 1  # no violations, header only
-
-
-def test_kernel_bound_report_csv_lists_violations():
-    rep = KernelBoundReport(2, 3, 0.5, 1, 1.5, (2, (1, 3)), ((2, (1, 3), 3.0, 2.0),))
-    assert rep.csv() == "ell_size,j1_size,j2_size,lhs,rhs\n2,1,3,3.0,2.0\n"
-
-
 def test_kernel_bound_validation():
     with pytest.raises(ValueError):
         check_kernel_bound(1, 10, 0.5)

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import runpy
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -111,6 +113,37 @@ def test_count_momentum_mode_validation():
         cmd_count(2, 0, [8], q=0, lattice_kind="N")
     with pytest.raises(CliError):
         cmd_count(2, 0, [8], q=-1)
+
+
+@pytest.mark.parametrize("argv, scale_power, power", [
+    # N**d past the float range: OverflowError at the conversion
+    ("count --p 2 --alpha 0 --N 1000000 --d 60", 60, 1),
+    # log(N + 1)**(p - 1) past it: OverflowError (34, 'Numerical result out of range')
+    ("count --p 2000 --alpha 0 --N 10", 1, 1999),
+    # N * log(N + 1)**2 past it, which printed 0.0 for the 27 boxed tuples
+    ("count --p 3 --alpha 0 --N 1" + "0" * 306 + " --box 1", 1, 2),
+], ids=["n-power", "log-power", "box"])
+def test_count_column_past_the_float_steps_is_written(argv, scale_power, power, capsys):
+    assert main(argv.split()) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    n, count, z = row.split(",")
+    n, count, z = int(n), int(count), float(z)
+    want = math.log(count) - scale_power * math.log(n) - power * math.log(math.log(n + 1.0))
+    assert abs(math.log(z) - want) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    # count * (2q+1)**d past the float range: OverflowError at the division
+    "count --p 2 --alpha 0 --N 4 --d 2 --q " + "1" + "0" * 200,
+    # log(2)**3999 underflows to 0: ZeroDivisionError
+    "count --p 2 --alpha 0 --N 1 --norm prod --d 2000",
+], ids=["momenta", "log-underflow"])
+def test_count_column_past_the_float_range_is_refused(argv, capsys):
+    n = argv.split()[argv.split().index("--N") + 1]
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: normalized count at N={n} is outside the float range\n"
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -298,6 +331,29 @@ def test_main_rejects_missing_input_file(tmp_path):
     ) == 2
 
 
+def test_module_entry_point_exits_with_mains_status(monkeypatch, capsys):
+    # runs cli.py's own `sys.exit(main())` in this process, under the line tracer
+    monkeypatch.setattr(sys, "argv", ["spspec", "count", "--p", "2", "--alpha", "0", "--N", "1,2"])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):  # spspec.cli is imported
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_module("spspec.cli", run_name="__main__")
+    assert stop.value.code == 0
+    rows = [f"{n},{c},{z!r}" for n, c, z in cmd_count(2, 0, [1, 2])]
+    assert capsys.readouterr().out.splitlines() == ["N,count,normalized"] + rows
+
+
+@pytest.mark.parametrize("argv", [
+    "count --p 2 --alpha 0 --N 1 --norm prod --d 2000",  # past the float range
+    f"count --p 2 --alpha 0 --N {2**70}",  # past the budget limit: 256 GiB asked at 2**70
+], ids=["float-range", "budget-limit"])
+def test_module_entry_point_refuses_without_a_traceback(argv, run_capped):
+    child = run_capped("-m", "spspec.cli", *argv.split())
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert len(child.stderr.splitlines()) == 1
+    assert child.stderr.startswith("error: ") and "Traceback" not in child.stderr
+
+
 # ---------------------------------------------------------------- CLI guard
 #
 # Every case runs main() on small inputs and is compared exactly with the
@@ -341,6 +397,9 @@ GUARD_CASES = {
     "converge-h-transform-a1": f"converge {HERMITE} --p 3 --alpha 1 --N 2,4 --method transform",
     "converge-h-weak-ref-jmax": f"converge {HERMITE} --p 2 --alpha 1 --N 2,4 --ref-jmax 3",
     "converge-h-weak-ref-nodes": f"converge {HERMITE} --p 2 --alpha 1 --N 2,4 --ref-nodes 4",
+    "converge-h-ref-nodes-past-cap": (
+        f"converge {HERMITE} --p 2 --alpha 1 --N 4,8 --ref-nodes 5000"
+    ),
     "bench-f-direct-a0": f"bench {FOURIER} --p 3 --alpha 0 --N 4,8",
     "bench-f-iterative-a1": f"bench {FOURIER} --p 3 --alpha 1 --N 4,8 --method iterative",
     "bench-f-direct-a1-prod": f"bench {FOURIER} --p 2 --alpha 1 --N 8 --norm prod --repeats 4",

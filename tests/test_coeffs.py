@@ -46,21 +46,6 @@ QUAD_ORACLE = {
 
 # ---------------------------------------------------------------- fourier
 
-def test_unit_symbol_is_the_momentum_kronecker():
-    sym = FourierSymbol.unit(1)
-    assert sym.q == 0
-    assert sym.coefficient((3,), ((1,), (2,))) == 1.0
-    assert sym.coefficient((3,), ((1,), (1,))) == 0.0
-    assert sym.coefficient((0,), ((5,), (-5,))) == 1.0
-
-
-def test_table_symbol_lookup():
-    sym = FourierSymbol({(1,): 2.0 + 0j})
-    assert sym.q == 1
-    assert sym.coefficient((3,), ((1,), (1,))) == 2.0
-    assert sym.coefficient((4,), ((1,), (1,))) == 0.0
-
-
 @pytest.mark.parametrize("table, message", [
     ({(0,): 1.0, (0.7,): 5.0}, r"non-integer coordinate in index \(0.7,\)"),
     ({(0,): 1.0, (2**63,): 5.0}, r"index \(9223372036854775808,\) has a coordinate past the bound"),
@@ -81,7 +66,7 @@ def test_two_minus_cos_symbol_closed_form():
     amp = 1.0 / math.sqrt(3.0)
     for (k,), b in sym.table.items():
         assert abs(b - amp * r ** abs(k)) < 1e-16
-    assert sym.q == 27
+    assert max(sym.table) == (27,)
     assert abs(amp * r**27) >= 1e-16
     assert abs(amp * r**28) < 1e-16
 
@@ -101,13 +86,6 @@ def test_two_minus_cos_rejects_non_positive_tol(tol):
     # r**k underflows to 0, never below such a tol: the table would grow forever
     with pytest.raises(ValueError, match="tol"):
         FourierSymbol.inverse_two_minus_cos(tol)
-
-
-def test_two_minus_cos_decay_metadata():
-    sym = FourierSymbol.inverse_two_minus_cos()
-    amp, rho = sym.decay
-    for (k,), b in sym.table.items():
-        assert abs(b) <= amp * math.exp(-rho * abs(k)) * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------- hermite

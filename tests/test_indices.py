@@ -18,7 +18,6 @@ from spspec.indices import (
     indices_up_to,
     integers,
     max_norm,
-    momentum,
     naturals,
     prod_norm,
 )
@@ -81,17 +80,6 @@ def test_sandwich_inequality():
         for j in itertools.product(range(-10, 11), repeat=d):
             m, q = max_norm(j), prod_norm(j)
             assert m <= q <= 2**d * m**d
-
-
-def test_momentum_values():
-    assert momentum((5,), ((2,), (3,))) == (0,)
-    assert momentum((0,), ((1,), (-1,))) == (0,)
-    assert momentum((2, 1), ((1, 0), (0, 2))) == (1, -1)
-
-
-def test_momentum_dimension_mismatch():
-    with pytest.raises(ValueError):
-        momentum((1, 2), ((1,),))
 
 
 # ---------------------------------------------------------------- lattices
@@ -443,6 +431,41 @@ def test_count_above_int64_is_exact():
     spec_of = lambda n: SparseSetSpec(40, n, 0, SizeFunction.MAX, integers(1))
     assert count_sparse(spec_of(1)) == 3**40 > 2**63
     assert count_sparse(spec_of(2)) == 3**40 + 80 * 3**39
+
+
+def test_count_past_the_budget_limit_is_refused():
+    limit = f"exceeds {2**36}, the largest a count tabulates"
+    spec = SparseSetSpec(2, indices.BUDGET_MAX + 1, 0, SizeFunction.MAX, integers(1))
+    with pytest.raises(ValueError, match=limit):
+        count_sparse(spec)
+    # a box closed form that would count from the product-norm table of the box
+    spec = SparseSetSpec(1, 2**40, 0, SizeFunction.PROD, integers(1), box=2**40)
+    with pytest.raises(ValueError, match=limit):
+        count_sparse(spec)
+    # the max-norm box closed form needs no table, at any budget
+    assert count_sparse(SparseSetSpec(2, 2**80, 0, SizeFunction.MAX, integers(1), box=3)) == 7**2
+
+
+def test_huge_budgets_are_refused_before_their_table(run_capped):
+    # at 2**63 the budget table asked numpy for 22.6 GiB and raised a bare
+    # MemoryError; the child's capped address space keeps such a request there
+    child = run_capped("-c", """
+import tracemalloc
+from spspec.indices import SizeFunction, SparseSetSpec, count_sparse, integers
+tracemalloc.start()
+for n in (2**62, 2**63, 2**80):
+    try:
+        count_sparse(SparseSetSpec(2, n, 0, SizeFunction.MAX, integers(1)))
+    except ValueError as exc:
+        print(exc)
+print(tracemalloc.get_traced_memory()[1])
+""")
+    assert child.returncode == 0, child.stderr
+    *errors, peak = child.stdout.splitlines()
+    assert errors == [
+        f"budget {n} exceeds {2**36}, the largest a count tabulates" for n in (2**62, 2**63, 2**80)
+    ]
+    assert int(peak) < 2**20
 
 
 @pytest.mark.parametrize("size", SizeFunction)

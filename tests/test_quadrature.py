@@ -27,7 +27,7 @@ def plain_weights(rule) -> np.ndarray:
 
 def test_one_point_rule():
     rule = gauss_hermite_rule(1)
-    assert rule.n == 1
+    assert len(rule.nodes) == 1
     assert rule.nodes[0] == 0.0
     assert abs(plain_weights(rule)[0] - SQRT_PI) < 1e-14
 
@@ -48,7 +48,7 @@ def test_three_point_rule():
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 21, 34, 64, 128, 256])
 def test_rule_shape_invariants(n):
     rule = gauss_hermite_rule(n)
-    assert rule.n == n
+    assert len(rule.nodes) == n
     assert np.all(np.diff(rule.nodes) > 0)
     assert np.max(np.abs(rule.nodes + rule.nodes[::-1])) < 1e-13
     assert np.all(plain_weights(rule) > 0)
@@ -77,7 +77,7 @@ def test_rule_not_exact_beyond_its_degree():
 def test_large_rules_stay_usable():
     # plain weights would underflow towards the tails here; the scaled ones must not
     rule = gauss_hermite_rule(MAX_NODES)
-    assert rule.n == MAX_NODES
+    assert len(rule.nodes) == MAX_NODES
     assert np.all(np.isfinite(rule.scaled_weights))
     assert np.all(rule.scaled_weights > 0)
 
