@@ -41,12 +41,8 @@ def a_theta(ell: Index, js: Sequence[Index], theta: float) -> float:
 class KernelBoundReport:
     """Outcome of one exhaustive sweep of size(ell)*A_theta <= 2*mu1(js)."""
 
-    p: int
-    size_max: int
-    theta: float
     checked: int
     max_ratio: float
-    argmax: tuple[int, tuple[int, ...]]  # (ell size, j sizes)
     violations: tuple[tuple[int, tuple[int, ...], float, float], ...]
 
 
@@ -68,19 +64,10 @@ def check_kernel_bound(p: int, size_max: int, theta: float) -> KernelBoundReport
     kernel = g / (g + prof[:, 0] - prof[:, 1])
     lhs = grid[:, 0] * kernel
     rhs = 2.0 * grid[:, 1:].max(axis=1)
-    ratio = lhs / rhs
-    top = int(np.argmax(ratio))
     bad = np.nonzero(lhs > rhs * (1.0 + 1e-12))[0]
     violations = tuple(
         (int(grid[i, 0]), tuple(int(s) for s in grid[i, 1:]), float(lhs[i]), float(rhs[i]))
         for i in bad
     )
-    return KernelBoundReport(
-        p=p,
-        size_max=size_max,
-        theta=theta,
-        checked=len(grid),
-        max_ratio=float(ratio[top]),
-        argmax=(int(grid[top, 0]), tuple(int(s) for s in grid[top, 1:])),
-        violations=violations,
-    )
+    max_ratio = float((lhs / rhs).max())
+    return KernelBoundReport(checked=len(grid), max_ratio=max_ratio, violations=violations)

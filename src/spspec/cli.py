@@ -60,9 +60,9 @@ class ConvergenceRecord:
         )
 
 
-def fit_slope(ns, errors, floor: float = ERROR_FLOOR) -> float:
+def fit_slope(ns, errors) -> float:
     """Least-squares slope of log error against log N, skipping saturated rows."""
-    pts = [(math.log(n), math.log(e)) for n, e in zip(ns, errors) if e > floor]
+    pts = [(math.log(n), math.log(e)) for n, e in zip(ns, errors) if e > ERROR_FLOOR]
     if len(pts) < 2:
         return math.nan
     x, y = zip(*pts)
@@ -79,14 +79,6 @@ def _parse_n_list(text: str) -> list[int]:
     return ns
 
 
-def _basis(name: str) -> Basis:
-    if name == "fourier":
-        return Basis.fourier(1)
-    if name == "hermite":
-        return Basis.hermite()
-    raise CliError(f"unknown basis {name!r}")
-
-
 def _setup(u, p, alpha, method, norm, jmax, ell_cap):
     """run(n) -> EvalResult: the p-fold product of u with itself at budget n.
 
@@ -94,7 +86,8 @@ def _setup(u, p, alpha, method, norm, jmax, ell_cap):
     runs give direct and iterative one empty HermiteCache(p), which fixes
     only the basis (no evaluator reads its table), gate alpha = 0 outputs
     to 0..ell_cap (default jmax), and send transform to the pointwise route
-    with min(n - 1, jmax) projected coefficients.
+    with min(n - 1, jmax) projected coefficients.  Iterative runs take the
+    max-norm size only; another norm is refused when run(n) is called.
     """
     if ell_cap is not None and ell_cap < 0:
         raise CliError(f"--ell-cap must be >= 0, got {ell_cap}")
@@ -114,7 +107,9 @@ def _setup(u, p, alpha, method, norm, jmax, ell_cap):
         if method == "direct":
             return direct_sparse_eval(EvalRequest(provider, (u,) * p, spec, domain))
         if method == "iterative":
-            return iterative_eval(provider, [u] * p, n, alpha, size=norm, ell_cap=ell_cap)
+            if norm is not SizeFunction.MAX:
+                raise CliError("iterative evaluation is defined for the max-norm size only")
+            return iterative_eval(provider, [u] * p, n, alpha, ell_cap=ell_cap)
         out = min(n - 1, jmax) if n > 1 else 0
         vec = dense_oracle_hermite([u] * p, n, out, strict=False)
         # transform work units: nodes times projected coefficients
@@ -167,7 +162,7 @@ def cmd_converge(
     n_max = max(n_list)
     notes = []
     jmax = None
-    input_basis = _basis(basis)
+    input_basis = Basis(BasisKind(basis))
     if input_basis.kind is BasisKind.FOURIER:
         cut = cutoff if cutoff is not None else REF_MULT * n_max
         if cut < n_max:
@@ -276,7 +271,7 @@ def cmd_bench(
     if repeats < 3:
         raise CliError(f"need at least 3 repeats for a stable median, got {repeats}")
     n_max = max(n_list)
-    u = power_law_vector(sigma, n_max, _basis(basis))
+    u = power_law_vector(sigma, n_max, Basis(BasisKind(basis)))
     run = _setup(u, p, alpha, method, norm, p * n_max, ell_cap)
     return _sweep(run, n_list, repeats, None, (method, basis, p, sigma, alpha))
 
@@ -303,7 +298,7 @@ def cmd_eval(
     ell_cap: int | None = None,
 ):
     """Evaluate the p-fold product of one serialized vector with itself."""
-    u = read_vector(in_path, _basis(basis))
+    u = read_vector(in_path, Basis(BasisKind(basis)))
     jmax = ell_cap if ell_cap is not None else p * n
     run = _setup(u, p, alpha, method, norm, jmax, ell_cap)
     if basis == "hermite" and alpha == 0 and method != "transform" and ell_cap is None:

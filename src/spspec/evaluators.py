@@ -602,26 +602,24 @@ def iterative_eval(
     level: int,
     alpha: int,
     *,
-    size: SizeFunction = SizeFunction.MAX,
     ell_cap: int | None = None,
 ) -> EvalResult:
     """Left fold of budgeted binary products: X(..X(X(u1,u2),u3).., up).
 
-    Each fold reuses the same budget N and alpha.  For a Fourier symbol the
-    symbol is applied on the first fold only and the remaining folds use the
-    plain product, which keeps the composition equal to the direct p-ary sum
-    when the symbol is b = 1 and matches it bit for bit at p = 2.  A Hermite
-    provider fixes only the basis, and every fold is a Hermite product.
+    Each fold reuses the same budget N and alpha under the max-norm size.
+    For a Fourier symbol the symbol is applied on the first fold only and
+    the remaining folds use the plain product, which keeps the composition
+    equal to the direct p-ary sum when the symbol is b = 1 and matches it
+    bit for bit at p = 2.  A Hermite provider fixes only the basis, and
+    every fold is a Hermite product.
     """
     if not inputs:
         raise ValueError("need at least one input")
-    if size is not SizeFunction.MAX:
-        raise ValueError("iterative evaluation is defined for the max-norm size only")
     if len(inputs) == 1:
         return EvalResult(inputs[0], 0)
     basis = inputs[0].basis
     fourier = isinstance(provider, FourierSymbol)
-    pair_spec = SparseSetSpec(2, level, alpha, size, basis.lattice)
+    pair_spec = SparseSetSpec(2, level, alpha, SizeFunction.MAX, basis.lattice)
     domain = None
     if not fourier and alpha == 0:
         if ell_cap is None:
@@ -652,7 +650,6 @@ def _shared_basis(inputs: Sequence[SpectralVector], kind: BasisKind, oracle: str
 
 def dense_oracle_fourier(
     inputs: Sequence[SpectralVector],
-    cutoff: int | None = None,
     symbol: FourierSymbol | None = None,
 ) -> SpectralVector:
     """Full convolution of the stored entries, with no sparsity at all.
@@ -662,17 +659,10 @@ def dense_oracle_fourier(
     box, so the flat key of a sum is the sum of the flat keys, and the
     factors are folded by np.convolve on dense lines.  Cost and memory
     follow the span of the inputs' box, not their number of entries.  An
-    optional cutoff truncates every input to coordinate magnitudes <= cutoff
-    first; an optional symbol applies b as one more factor.
+    optional symbol applies b as one more factor.
     """
     basis = _shared_basis(inputs, BasisKind.FOURIER, "convolution")
-    factors = []
-    for u in inputs:
-        keys, vals = u.as_arrays()
-        if cutoff is not None:
-            keep = np.abs(keys).max(axis=1) <= cutoff
-            keys, vals = keys[keep], vals[keep]
-        factors.append((keys, vals))
+    factors = [u.as_arrays() for u in inputs]
     if symbol is not None:
         if symbol.dim != basis.dim:
             raise ValueError("symbol dimension does not match the inputs")
@@ -719,7 +709,8 @@ def dense_oracle_hermite(
     nodes are substituted with c = sqrt((p+1)/2) and combined with scaled
     weights.  With strict=True the node count must make the rule exact for
     the polynomial degree involved; strict=False emulates a practical
-    fixed-resolution transform.
+    fixed-resolution transform.  Either way no input or output degree may
+    pass 2 * MAX_NODES - 1, which no other Hermite route passes either.
     """
     basis = _shared_basis(inputs, BasisKind.HERMITE, "transform")
     if jmax_out < 0:
@@ -730,11 +721,14 @@ def dense_oracle_hermite(
         raise ValueError(
             f"{n_nodes} nodes cannot integrate degree {needed}; need at least {(needed + 2) // 2}"
         )
+    top = max(max(degs, default=0), jmax_out)  # the chi rows evaluated at every node
+    if top > 2 * MAX_NODES - 1:
+        raise ValueError(f"degree {top} exceeds {2 * MAX_NODES - 1}, the Hermite degree limit")
     q = len(inputs) + 1
     rule = gauss_hermite_rule(n_nodes)
     c = math.sqrt(q / 2.0)
     xs = rule.nodes / c
-    chi = hermite_batch(max(max(degs, default=0), jmax_out), xs)
+    chi = hermite_batch(top, xs)
     prod = np.asarray(rule.scaled_weights / c, dtype=complex)
     sums = {}  # per distinct input: the sum of u_j chi_j at the nodes
     for u in inputs:

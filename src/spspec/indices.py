@@ -280,13 +280,12 @@ def _index_counts(lattice: Lattice, size: SizeFunction, budgets: _Budgets) -> np
 
     The max norm has a closed form.  Under the product norm Z^d's indices
     are d-tuples of Z^1 indices under a product budget, so C is the d-fold
-    hyperbola convolution of the line count C1(b) = 2b - 1 (b on N).
+    hyperbola convolution of the line count.
     """
     b = budgets.keys.astype(object)
     if size is SizeFunction.MAX:
         return _max_norm_count(lattice, b)
-    line = 2 * b - 1 if lattice.kind is LatticeKind.INTEGERS else b
-    total = line
+    total = line = _line_count(lattice.kind, b)
     for _ in range(lattice.dim - 1):
         total = budgets.convolve(line, total)
     return total
@@ -297,12 +296,19 @@ def _max_norm_count(lattice: Lattice, b):
     return (2 * b + 1 if lattice.kind is LatticeKind.INTEGERS else b + 1) ** lattice.dim
 
 
+def _line_count(kind: LatticeKind, b):
+    """#{c : 1 + |c| <= b} on one axis of Z (2b - 1) or N (b), for b >= 1."""
+    return 2 * b - 1 if kind is LatticeKind.INTEGERS else b
+
+
 def count_indices_up_to(lattice: Lattice, size: SizeFunction, cap: int) -> int:
     """Cardinality of {j : size(j) <= cap} without enumerating it."""
     if cap < 1:
         return 0
     if size is SizeFunction.MAX:  # no budget table, so any cap is O(1)
         return _max_norm_count(lattice, cap)
+    if lattice.dim == 1:  # nor on one axis under the product norm
+        return _line_count(lattice.kind, cap)
     return int(_index_counts(lattice, size, _Budgets(cap))[-1])
 
 

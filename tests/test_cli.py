@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import io
 import json
 import math
@@ -11,6 +13,7 @@ import pytest
 from spspec.cli import (
     CSV_HEADER,
     CliError,
+    _build_parser,
     cmd_bench,
     cmd_converge,
     cmd_count,
@@ -60,7 +63,8 @@ def test_converge_refuses_weak_fourier_reference():
 
 
 def test_unknown_basis_and_alpha_are_refused():
-    with pytest.raises(CliError, match="^unknown basis 'laguerre'$"):
+    # CliError is a ValueError, and main maps both to exit status 2
+    with pytest.raises(ValueError, match="^'laguerre' is not a valid BasisKind$"):
         cmd_bench("laguerre", 2, 3.0, [4], 1, "direct")
     with pytest.raises(CliError, match="^alpha must be 0 or 1, got 2$"):
         cmd_converge("fourier", 2, 3.0, [4], 2, "direct")
@@ -354,6 +358,16 @@ def test_module_entry_point_refuses_without_a_traceback(argv, run_capped):
     assert child.stderr.startswith("error: ") and "Traceback" not in child.stderr
 
 
+def test_every_command_parameter_has_its_flag():
+    # each option's dest names the command parameter it feeds, so a parameter
+    # without a flag is a knob the command line cannot reach; main takes --out
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sp in commands.choices.items():
+        dests = {a.dest for a in sp._actions} - {"help", "out"}
+        assert set(inspect.signature(sp.get_default("run")).parameters) == dests, name
+
+
 # ---------------------------------------------------------------- CLI guard
 #
 # Every case runs main() on small inputs and is compared exactly with the
@@ -402,6 +416,9 @@ GUARD_CASES = {
     ),
     "bench-f-direct-a0": f"bench {FOURIER} --p 3 --alpha 0 --N 4,8",
     "bench-f-iterative-a1": f"bench {FOURIER} --p 3 --alpha 1 --N 4,8 --method iterative",
+    "bench-f-iterative-prod": (
+        f"bench {FOURIER} --p 3 --alpha 1 --N 4,8 --method iterative --norm prod"
+    ),
     "bench-f-direct-a1-prod": f"bench {FOURIER} --p 2 --alpha 1 --N 8 --norm prod --repeats 4",
     "bench-f-repeats-2": f"bench {FOURIER} --p 2 --alpha 0 --N 4 --repeats 2",
     "bench-f-transform": f"bench {FOURIER} --p 2 --alpha 0 --N 4 --method transform",
@@ -418,6 +435,7 @@ GUARD_CASES = {
     "eval-f-direct-a1": f"{EVAL_F} --p 3 --alpha 1 --N 8",
     "eval-f-direct-a1-prod": f"{EVAL_F} --p 2 --alpha 1 --N 6 --norm prod",
     "eval-f-iterative-a1": f"{EVAL_F} --p 3 --alpha 1 --N 8 --method iterative",
+    "eval-f-iterative-prod": f"{EVAL_F} --p 3 --alpha 1 --N 8 --method iterative --norm prod",
     "eval-f-transform": f"{EVAL_F} --p 2 --alpha 0 --N 4 --method transform",
     "eval-f-missing-file": "eval {dir}/absent.vec --basis fourier --p 2 --alpha 0 --N 4 "
     "--out {dir}/out.vec",

@@ -126,6 +126,17 @@ def test_dense_hermite_rejects_underresolved_rules():
     dense_oracle_hermite((u, u), 20, 30, strict=False)
 
 
+def test_loose_dense_hermite_names_its_degree_limit():
+    # refused before any chi row is evaluated: rows to degree D cost time linear in D
+    limit = "exceeds 2047, the Hermite degree limit$"
+    with pytest.raises(ValueError, match=f"^degree 10000 {limit}"):
+        dense_oracle_hermite((SpectralVector(HERMITE, {(10**4,): 1.0}),), 8, 2, strict=False)
+    one = SpectralVector(HERMITE, {(0,): 1.0})
+    with pytest.raises(ValueError, match=f"^degree 2048 {limit}"):
+        dense_oracle_hermite((one,), 8, 2048, strict=False)
+    assert max(dense_oracle_hermite((one,), 8, 2047, strict=False)) == (2047,)
+
+
 @pytest.mark.parametrize("n_nodes", [1, 2, 7])
 def test_dense_hermite_adds_each_inputs_rows_in_key_order(n_nodes):
     # reference: the per-entry loop, from zeros; at one node a plain complex
@@ -206,15 +217,23 @@ def guard_fvec(rng: random.Random, tiny: bool) -> SpectralVector:
     return fvec(entries)
 
 
+def truncated(u: SpectralVector, cutoff: int | None) -> SpectralVector:
+    """u's entries with every coordinate magnitude <= cutoff; all of them for None."""
+    if cutoff is None:
+        return u
+    return SpectralVector(u.basis, {k: v for k, v in u.items() if max(map(abs, k)) <= cutoff})
+
+
 def oracle_guard_cases(p: int) -> dict[str, SpectralVector]:
     out = {}
     for seed in range(13):
         rng = random.Random(100 * p + seed)
         inputs = [guard_fvec(rng, seed % 2 == 0) for _ in range(p)]
         for cutoff in (None, 4, 9):
+            cut = [truncated(u, cutoff) for u in inputs]
             for sym in (None, FourierSymbol.inverse_two_minus_cos()):
                 name = f"p{p}-cutoff{cutoff}-{'sym' if sym else 'plain'}-seed{seed}"
-                out[name] = dense_oracle_fourier(inputs, cutoff, sym)
+                out[name] = dense_oracle_fourier(cut, sym)
     return out
 
 
@@ -368,14 +387,12 @@ def test_dense_fourier_matches_the_dict_double_loop(d, p):
 
         inputs = [SpectralVector(basis, table(rng.randint(1, 60), 6)) for _ in range(p)]
         cutoff = rng.choice([None, 2, 4])
+        inputs = [truncated(u, cutoff) for u in inputs]
         symbol = FourierSymbol(table(rng.randint(1, 9), 2), d) if seed % 2 else None
-        tables = [
-            {k: v for k, v in u.items() if cutoff is None or max(map(abs, k)) <= cutoff}
-            for u in inputs
-        ] + ([symbol.table] if symbol else [])
+        tables = [dict(u) for u in inputs] + ([symbol.table] if symbol else [])
         want = dict_oracle(tables)
         mass = dict_oracle([{k: abs(v) for k, v in t.items()} for t in tables])
-        got = dense_oracle_fourier(inputs, cutoff, symbol)
+        got = dense_oracle_fourier(inputs, symbol)
         assert set(got) <= set(want)
         for k, m in mass.items():
             assert abs(got.get(k, 0j) - want[k]) <= 1e-15 * m.real, (seed, k)
@@ -386,7 +403,7 @@ def test_dense_fourier_matches_the_dict_double_loop(d, p):
 def test_dense_fourier_2d_takes_under_a_second():
     u = power_law_vector(3.0, 32, Basis.fourier(2))
     start = time.perf_counter()
-    got = dense_oracle_fourier((u, u), cutoff=32)
+    got = dense_oracle_fourier((u, u))
     assert time.perf_counter() - start < 1.0
     assert len(got) == 129**2
 
@@ -651,12 +668,6 @@ def test_iterative_bitwise_equal_at_p_two():
 def test_iterative_needs_an_input():
     with pytest.raises(ValueError, match="^need at least one input$"):
         iterative_eval(UNIT, [], 4, 0)
-
-
-def test_iterative_needs_max_norm():
-    u = fvec({0: 1.0})
-    with pytest.raises(ValueError):
-        iterative_eval(UNIT, (u, u), 4, 0, size=SizeFunction.PROD)
 
 
 def test_iterative_hermite_uses_pair_cache():

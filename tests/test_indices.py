@@ -439,9 +439,13 @@ def test_count_past_the_budget_limit_is_refused():
     with pytest.raises(ValueError, match=limit):
         count_sparse(spec)
     # a box closed form that would count from the product-norm table of the box
-    spec = SparseSetSpec(1, 2**40, 0, SizeFunction.PROD, integers(1), box=2**40)
+    spec = SparseSetSpec(1, 2**40, 0, SizeFunction.PROD, integers(2), box=2**40)
     with pytest.raises(ValueError, match=limit):
         count_sparse(spec)
+    # on one axis the product-norm count is the line count, with no table
+    for lattice, want in ((integers(1), 2 * 2**40 - 1), (naturals(1), 2**40)):
+        spec = SparseSetSpec(1, 2**40, 0, SizeFunction.PROD, lattice, box=2**40)
+        assert count_sparse(spec) == want
     # the max-norm box closed form needs no table, at any budget
     assert count_sparse(SparseSetSpec(2, 2**80, 0, SizeFunction.MAX, integers(1), box=3)) == 7**2
 
