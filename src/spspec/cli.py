@@ -20,6 +20,7 @@ import numpy as np
 
 from .coeffs import FourierSymbol, HermiteCache, build_cache, save_cache
 from .evaluators import (
+    HERMITE_ELL_CAP,
     EvalRequest,
     EvalResult,
     dense_oracle_fourier,
@@ -85,9 +86,10 @@ def _setup(u, p, alpha, method, norm, jmax, ell_cap):
     The basis comes from u.  Fourier runs use the unit symbol.  Hermite
     runs give direct and iterative one empty HermiteCache(p), which fixes
     only the basis (no evaluator reads its table), gate alpha = 0 outputs
-    to 0..ell_cap (default jmax), and send transform to the pointwise route
-    with min(n - 1, jmax) projected coefficients.  Iterative runs take the
-    max-norm size only; another norm is refused when run(n) is called.
+    to 0..ell_cap (default jmax, at most HERMITE_ELL_CAP), and send
+    transform to the pointwise route with min(n - 1, jmax) projected
+    coefficients.  Iterative runs take the max-norm size only; another norm
+    is refused when run(n) is called.
     """
     if ell_cap is not None and ell_cap < 0:
         raise CliError(f"--ell-cap must be >= 0, got {ell_cap}")
@@ -99,7 +101,7 @@ def _setup(u, p, alpha, method, norm, jmax, ell_cap):
         domain = None
     elif method != "transform":
         provider = HermiteCache(p)
-        ell_cap = ell_cap if ell_cap is not None else jmax
+        ell_cap = min(ell_cap if ell_cap is not None else jmax, HERMITE_ELL_CAP)
         domain = tuple((l,) for l in range(ell_cap + 1)) if alpha == 0 else None
 
     def run(n):
@@ -345,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     con = command("converge", cmd_converge, "error sweep against a dense reference")
     sweep(con)
     con.add_argument("--sigma", type=float, default=3.0, help="power-law decay exponent")
-    con.add_argument("--cutoff", type=int, help=f"input truncation (default {REF_MULT} * max N)")
+    cutoff = f"input truncation (default {REF_MULT} * max N for Fourier, max N for Hermite)"
+    con.add_argument("--cutoff", type=int, help=cutoff)
     con.add_argument("--ref-nodes", type=int, default=500, help="Hermite reference transform nodes")
     con.add_argument("--ref-jmax", type=int, default=None, help="Hermite reference output range")
     con.add_argument("--ell-cap", type=int, default=None, help="output cap for Hermite alpha=0")

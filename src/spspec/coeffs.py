@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .indices import Index, integers
+from .indices import Index, integers, naturals
 from .quadrature import MAX_NODES, gauss_hermite_rule, hermite_batch
 from .spectral import Basis, _valid_entries
 
@@ -199,18 +199,11 @@ class HermiteCache:
     def basis(self) -> Basis:
         return Basis.hermite()
 
-    @property
-    def jmax(self) -> int:
-        return max((k[-1] for k in self.table), default=0)
-
-    def coefficient(self, ell, js) -> float:
-        """a_{ell; j_1..j_p}, memoized under the sorted key."""
-        parts = [ell, *js]
-        flat = tuple(int(x[0]) if isinstance(x, tuple) else int(x) for x in parts)
+    def coefficient(self, ell: Index, js) -> float:
+        """a_{ell; j_1..j_p} of indices of N^1, memoized under the sorted key."""
+        flat = tuple(j for (j,) in map(naturals(1).validate, (ell, *js)))
         if len(flat) != self.arity + 1:
             raise ValueError(f"expected {self.arity} input indices, got {len(flat) - 1}")
-        if any(x < 0 for x in flat):
-            raise ValueError(f"Hermite indices must be >= 0, got {flat}")
         if sum(flat) % 2:
             return 0.0
         key = tuple(sorted(flat))
@@ -242,9 +235,8 @@ def build_cache(p: int, jmax: int) -> HermiteCache:
 
 def save_cache(cache: HermiteCache, path) -> None:
     """Text format: header line, then one sorted key and value per line."""
-    lines = [
-        f"{CACHE_MAGIC} {CACHE_VERSION} p={cache.arity} jmax={cache.jmax} policy={POLICY_ID}"
-    ]
+    jmax = max((key[-1] for key in cache.table), default=0)
+    lines = [f"{CACHE_MAGIC} {CACHE_VERSION} p={cache.arity} jmax={jmax} policy={POLICY_ID}"]
     entry = " ".join(["%d"] * (cache.arity + 1)) + "\t%r"
     lines += [entry % (*key, cache.table[key]) for key in sorted(cache.table)]
     with open(path, "w") as fh:

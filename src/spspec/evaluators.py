@@ -48,10 +48,17 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .coeffs import FourierSymbol, HermiteCache
+from .coeffs import FourierSymbol, HermiteCache, _chi_table
 from .indices import COORD_MAX, Index, SizeFunction, SparseSetSpec
-from .quadrature import MAX_NODES, gauss_hermite_rule, hermite_batch
+from .quadrature import MAX_DEGREE, MAX_NODES, gauss_hermite_rule, hermite_batch
 from .spectral import Basis, BasisKind, SpectralVector
+
+# The last Hermite candidate output.  Sizes grow with ell on N^1, so of 2048
+# and 2049 the one of a later ell's parity has a budget at least as large:
+# where the later ell has a term of its parity, so does that one, and the
+# projection refuses its degree, which passes MAX_DEGREE.  Later candidates
+# would change only the degree that the refusal names.
+HERMITE_ELL_CAP = MAX_DEGREE + 2
 
 
 @dataclass(frozen=True)
@@ -499,12 +506,12 @@ class _HermiteClasses(_Slots):
         """
         largest = dict(sorted(zip(budgets.tolist(), ells.tolist())))  # each budget's largest ell
         deg = max(ell + self.tally(b).deg for b, ell in largest.items())
-        n = deg // 2 + 1
-        if n > MAX_NODES:
+        if deg > MAX_DEGREE:
             raise ValueError(
                 f"the terms reach degree {deg} (ell + j_1 + ... + j_p); a {MAX_NODES}-node"
-                f" Gauss-Hermite rule integrates degree {2 * MAX_NODES - 1} at most"
+                f" Gauss-Hermite rule integrates degree {MAX_DEGREE} at most"
             )
+        n = deg // 2 + 1
         rule = gauss_hermite_rule(n)
         c = math.sqrt((len(self.slots) + 1) / 2.0)
         half = n // 2  # nodes[half:] are the nonnegative nodes
@@ -543,7 +550,7 @@ class _HermiteClasses(_Slots):
 def _hermite_sum(inputs: Sequence[SpectralVector], spec: SparseSetSpec, ells: np.ndarray | None):
     """(ells, values, terms) as _fourier_sum returns them."""
     if ells is None:  # alpha = 1 here
-        ells = np.arange(_cap(spec) + 1)[:, None]
+        ells = np.arange(min(_cap(spec), HERMITE_ELL_CAP) + 1)[:, None]
     ells, budgets = _outputs(spec, ells)
     ells = ells[:, 0]
     if not len(ells):
@@ -572,10 +579,11 @@ def direct_sparse_eval(request: EvalRequest) -> EvalResult:
 
     For Fourier providers the output domain defaults to the momentum
     closure of the admitted tuples; for Hermite, alpha = 1 defaults to
-    {ell : size(ell) <= N} and alpha = 0 requires an explicit domain since
-    nothing else bounds the output range.  An explicit domain must hold
-    indices of the provider's lattice.  A Hermite provider fixes only the
-    basis: no coefficient is looked up, and no table is read.
+    {ell <= HERMITE_ELL_CAP : size(ell) <= N} and alpha = 0 requires an
+    explicit domain since nothing else bounds the output range.  An
+    explicit domain must hold indices of the provider's lattice.  A Hermite
+    provider fixes only the basis: no coefficient is looked up, and no
+    table is read.
     """
     spec = request.spec
     ells = reach = None
@@ -611,7 +619,8 @@ def iterative_eval(
     the remaining folds use the plain product, which keeps the composition
     equal to the direct p-ary sum when the symbol is b = 1 and matches it
     bit for bit at p = 2.  A Hermite provider fixes only the basis, and
-    every fold is a Hermite product.
+    every fold is a Hermite product; at alpha = 0 its outputs are
+    0..ell_cap, and at most HERMITE_ELL_CAP.
     """
     if not inputs:
         raise ValueError("need at least one input")
@@ -624,7 +633,7 @@ def iterative_eval(
     if not fourier and alpha == 0:
         if ell_cap is None:
             raise ValueError("alpha = 0 with a Hermite provider needs ell_cap")
-        domain = tuple((l,) for l in range(ell_cap + 1))
+        domain = tuple((l,) for l in range(min(ell_cap, HERMITE_ELL_CAP) + 1))
     later = FourierSymbol.unit(basis.dim) if fourier else provider  # the folds after the first
     acc = inputs[0]
     terms = 0
@@ -710,26 +719,22 @@ def dense_oracle_hermite(
     weights.  With strict=True the node count must make the rule exact for
     the polynomial degree involved; strict=False emulates a practical
     fixed-resolution transform.  Either way no input or output degree may
-    pass 2 * MAX_NODES - 1, which no other Hermite route passes either.
+    pass MAX_DEGREE, which no other Hermite route passes either.
     """
     basis = _shared_basis(inputs, BasisKind.HERMITE, "transform")
     if jmax_out < 0:
         raise ValueError(f"jmax_out must be >= 0, got {jmax_out}")
-    degs = [u.max_degree() for u in inputs]
+    degs = [int(u.as_arrays()[0].max(initial=0)) for u in inputs]
     needed = sum(degs) + jmax_out
     if strict and 2 * n_nodes - 1 < needed:
         raise ValueError(
             f"{n_nodes} nodes cannot integrate degree {needed}; need at least {(needed + 2) // 2}"
         )
     top = max(max(degs, default=0), jmax_out)  # the chi rows evaluated at every node
-    if top > 2 * MAX_NODES - 1:
-        raise ValueError(f"degree {top} exceeds {2 * MAX_NODES - 1}, the Hermite degree limit")
-    q = len(inputs) + 1
-    rule = gauss_hermite_rule(n_nodes)
-    c = math.sqrt(q / 2.0)
-    xs = rule.nodes / c
-    chi = hermite_batch(top, xs)
-    prod = np.asarray(rule.scaled_weights / c, dtype=complex)
+    if top > MAX_DEGREE:
+        raise ValueError(f"degree {top} exceeds {MAX_DEGREE}, the Hermite degree limit")
+    weights, chi = _chi_table(n_nodes, len(inputs) + 1, top)
+    prod = weights.astype(complex)
     sums = {}  # per distinct input: the sum of u_j chi_j at the nodes
     for u in inputs:
         if id(u) not in sums:

@@ -32,6 +32,7 @@ from scipy.linalg import eigh_tridiagonal
 # The largest rule built: the Hermite kernel's degree limit and the node
 # policy of coeffs (with its limits 1016, 677 and 508) derive from it.
 MAX_NODES = 1024
+MAX_DEGREE = 2 * MAX_NODES - 1  # the largest degree that a rule integrates
 
 _TINY = np.finfo(float).tiny
 _LOG2E = math.log2(math.e)

@@ -139,10 +139,6 @@ class SpectralVector(Mapping):
         order, read-only."""
         return self._keys, self._vals
 
-    def max_degree(self) -> int:
-        """Largest raw coordinate magnitude in the support (0 if empty)."""
-        return int(np.abs(self._keys).max(initial=0))
-
 
 class _Items(ItemsView):
     """The Mapping view, iterated from the arrays without a lookup."""

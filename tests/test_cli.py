@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import math
+import re
 import runpy
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -538,6 +539,17 @@ def test_cache_flag_is_rejected(argv, guard_dir, tmp_path):
     assert outcome["code"] == 2
     assert outcome["stdout"] == [] and outcome["eval_out"] is None
     assert any("unrecognized arguments: --cache" in line for line in outcome["stderr"])
+
+
+def test_huge_ell_cap_is_refused_by_its_degree(guard_dir):
+    # the outputs stop at HERMITE_ELL_CAP: the domain 0..10**6 took 3.6 s
+    # and 382 MB to build, and the refusal named degree 1000005
+    outcome = guard_outcome(f"{EVAL_H} --p 2 --alpha 0 --N 4 --ell-cap 1000000", guard_dir)
+    assert outcome["code"] == 2
+    assert outcome["stdout"] == [] and outcome["eval_out"] is None
+    [line] = outcome["stderr"]
+    assert line.endswith("integrates degree 2047 at most")
+    assert 2047 < int(re.search(r"reach degree (\d+)", line)[1]) <= 2060
 
 
 def test_ref_mult_flag_is_rejected(guard_dir):

@@ -171,11 +171,6 @@ def test_cache_permutation_symmetry_is_exact():
     assert len(vals) == 1
 
 
-def test_cache_accepts_bare_integers():
-    cache = HermiteCache(2)
-    assert cache.coefficient(2, (1, 1)) == cache.coefficient((2,), ((1,), (1,)))
-
-
 def test_cache_validates_arity_and_sign():
     cache = HermiteCache(2)
     with pytest.raises(ValueError):
@@ -184,6 +179,13 @@ def test_cache_validates_arity_and_sign():
         cache.coefficient((-1,), ((1,), (0,)))
     with pytest.raises(ValueError):
         HermiteCache(0)
+
+
+@pytest.mark.parametrize("ell", [(2, 5), (2.7,), ("2",), (-1,)])
+def test_cache_refuses_malformed_indices(ell):
+    # the first three were read as degree 2 and returned its coefficient
+    with pytest.raises(ValueError, match=re.escape(f"index {ell}")):
+        HermiteCache(2).coefficient(ell, ((1,), (1,)))
 
 
 def test_hermite_cache_coefficient_closed_form():

@@ -249,7 +249,7 @@ def hermite_guard_cases() -> dict[str, SpectralVector]:
                 })
                 for _ in range(p)
             ]
-            degree = sum(u.max_degree() for u in inputs) + 8
+            degree = sum(int(u.as_arrays()[0].max(initial=0)) for u in inputs) + 8
             out[f"p{p}-seed{seed}"] = dense_oracle_hermite(inputs, degree // 2 + 1, 8)
             out[f"p{p}-seed{seed}-loose"] = dense_oracle_hermite(inputs, 6, 8, strict=False)
     return out
@@ -446,7 +446,8 @@ def test_direct_hermite_single_mode():
     got = direct([u, u], 4, 1, provider=HermiteCache(2))
     cache = HermiteCache(2)
     for ell in (0, 2, 4):
-        assert abs(got.vector.get((ell,), 0j).real - cache.coefficient(ell, (0, 0))) < 1e-14
+        want = cache.coefficient((ell,), ((0,), (0,)))
+        assert abs(got.vector.get((ell,), 0j).real - want) < 1e-14
     assert (1,) not in got.vector
     assert (5,) not in got.vector  # size(5) > N
 
@@ -1117,6 +1118,36 @@ def test_direct_hermite_names_the_degree_limit():
     past = SparseSetSpec(3, 2045, 1, SizeFunction.MAX, naturals(1))
     with pytest.raises(ValueError, match=r"degree 2048 .* integrates degree 2047 at most"):
         direct_sparse_eval(EvalRequest(HermiteCache(3), (u,) * 3, past))
+
+
+def test_direct_hermite_refuses_a_huge_budget_by_its_degree(run_capped):
+    # the default outputs 0..N asked numpy for 7.45 GiB at N = 10**9 and
+    # raised a bare MemoryError; they stop at HERMITE_ELL_CAP
+    child = run_capped("-c", """
+from spspec.coeffs import HermiteCache
+from spspec.evaluators import EvalRequest, direct_sparse_eval
+from spspec.indices import SizeFunction, SparseSetSpec, naturals
+from spspec.spectral import Basis, SpectralVector
+u = SpectralVector(Basis.hermite(), {(0,): 1.0, (3,): 0.5})
+spec = SparseSetSpec(2, 10**9, 1, SizeFunction.MAX, naturals(1))
+try:
+    direct_sparse_eval(EvalRequest(HermiteCache(2), (u, u), spec))
+except ValueError as exc:
+    print(exc)
+""")
+    assert child.returncode == 0, child.stderr
+    refusal = re.fullmatch(r"the terms reach degree (\d+) .* integrates degree 2047 at most\n",
+                           child.stdout)
+    assert refusal and 2047 < int(refusal[1]) <= 2060
+
+
+def test_iterative_hermite_refuses_a_huge_ell_cap_by_its_degree():
+    # the domain 0..ell_cap stops at HERMITE_ELL_CAP: the refusal names a
+    # degree near it, not ell_cap + 3
+    u = SpectralVector(HERMITE, {(0,): 1.0, (3,): 0.5})
+    with pytest.raises(ValueError, match=r"integrates degree 2047 at most") as refusal:
+        iterative_eval(HermiteCache(2), [u, u], 4, 0, ell_cap=10**5)
+    assert 2047 < int(re.search(r"reach degree (\d+)", str(refusal.value))[1]) <= 2060
 
 
 @pytest.mark.parametrize("size", list(SizeFunction))

@@ -97,13 +97,6 @@ def test_mapping_interface_is_read_only():
         u[(1,)] = 2.0  # type: ignore[index]
 
 
-def test_max_degree():
-    u = SpectralVector(FOURIER, {(-4,): 1.0, (2,): 1.0})
-    assert u.max_degree() == 4 and type(u.max_degree()) is int
-    assert SpectralVector(FOURIER, {}).max_degree() == 0
-    assert SpectralVector(Basis.fourier(2), {(1, -7): 1.0, (3, 2): 1.0}).max_degree() == 7
-
-
 def test_lookup_and_arrays():
     u = SpectralVector(Basis.fourier(2), {(1, -2): 2.0, (-3, 0): 1j})
     assert u.get((1, -2)) == 2.0 + 0j
@@ -124,12 +117,9 @@ def test_lookup_and_arrays():
 @pytest.mark.parametrize("basis, j", [(FOURIER, (-2**63,)), (FOURIER, (2**70,)),
                                       (Basis.fourier(3), (0, 2**63, -1)), (HERMITE, (2**64,))])
 def test_coordinates_past_the_bound_are_rejected(basis, j):
-    # -2**63 fits int64, but np.abs wraps it and max_degree read 0
     message = re.escape(f"index {j} has a coordinate past the bound |c| <= {COORD_MAX}")
     with pytest.raises(ValueError, match=message):
         SpectralVector(basis, {(0,) * basis.dim: 1.0, j: 0.5})
-    edge = (COORD_MAX,) + (-COORD_MAX,) * (basis.dim - 1)
-    assert SpectralVector(basis, {edge: 1.0}).max_degree() == COORD_MAX
 
 
 @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])

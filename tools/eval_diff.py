@@ -17,8 +17,7 @@ crosses d in {1, 2}, p in 1..4, alpha, both norms, no box or a box from 2 to
 imaginary parts and +-1e-200 entries past both corners of the support and
 inside it; random entries with complex parts only; or sigma = 1.5 or 3
 power laws with random phases, the same vector in every slot or not.  About
-one case in seven folds iteratively.  A case with box 2**70 is also run
-without the box, under the key `<seed>n`.  A Hermite case crosses p in
+one case in seven folds iteratively.  A Hermite case crosses p in
 1..4, alpha, both norms, no box or a box from 2 to 2**70, the default
 outputs or an explicit domain (always at alpha = 0; at times with an index
 of 10**6; at p <= 2 sometimes with a budget of 2**70), and one of: random
@@ -27,8 +26,7 @@ power laws with random signs; the same vector in every slot or not.  About
 one max-norm case in seven at p >= 2 folds iteratively on an arity-2 cache.
 
 `compare` counts the cases whose records agree bit for bit, and lists the
-others; a case that raised at the first tree and returns, at the second,
-the first tree's output without its box counts apart.
+others.
 """
 
 from __future__ import annotations
@@ -84,9 +82,8 @@ def power_vector(rng: random.Random, d: int) -> SpectralVector:
     return SpectralVector(Basis.fourier(d), {k: v * f for (k, v), f in zip(u.items(), phases)})
 
 
-def evaluate(seed: int, boxed: bool = True):
-    """(kind, result) of the case drawn from seed; None for a companion
-    without the box when the case has no far box."""
+def evaluate(seed: int):
+    """(kind, result) of the Fourier case drawn from seed."""
     rng = random.Random(seed)
     d = rng.choice((1, 1, 2))
     p = rng.randint(1, 4)
@@ -105,16 +102,14 @@ def evaluate(seed: int, boxed: bool = True):
     level = rng.choice((4, 8, 24, 64, 256, 1024) if d == 1 else (4, 9, 24, 64))
     level = min(level, level_cap or level)
     if rng.random() < 0.15 and size is SizeFunction.MAX:
-        return ("iterative", iterative_eval(sym, inputs, level, alpha)) if boxed else None
+        return "iterative", iterative_eval(sym, inputs, level, alpha)
     box = rng.choice((None, None, 2, 3, 5, 12, 100, FAR_BOX))
     ells = None
     if rng.random() < 0.3:
         near = min(level + 2, 300) if d == 1 else 8
         cells = list(itertools.product(range(-near, near + 1), repeat=d))
         ells = tuple(rng.sample(cells, min(len(cells), 60))) + ((10**6,) * d,)
-    if not boxed and box != FAR_BOX:
-        return None
-    spec = SparseSetSpec(p, level, alpha, size, integers(d), box=box if boxed else None)
+    spec = SparseSetSpec(p, level, alpha, size, integers(d), box=box)
     return "direct", direct_sparse_eval(EvalRequest(sym, inputs, spec, ells))
 
 
@@ -160,32 +155,22 @@ def evaluate_hermite(seed: int):
     return "direct", direct_sparse_eval(EvalRequest(HermiteCache(p), inputs, spec, ells))
 
 
-def record(seed: int, boxed: bool, hermite: bool = False):
+def record(seed: int, hermite: bool):
     try:
-        out = evaluate_hermite(seed) if hermite else evaluate(seed, boxed)
+        kind, got = evaluate_hermite(seed) if hermite else evaluate(seed)
     except Exception as e:  # recorded: the two trees may raise differently
         return ["error", type(e).__name__, str(e)]
-    if out is None:
-        return None
-    kind, got = out
     text = dump_vector(got.vector).encode()
     return [kind, hashlib.sha256(text).hexdigest()[:16], got.terms, len(got.vector)]
 
 
 def run(cases: int, path: str) -> None:
-    out = {}
-    for seed in range(cases):
-        for key, boxed in ((str(seed), True), (f"{seed}n", False)):
-            rec = record(seed, boxed)
-            if rec is not None:
-                out[key] = rec
-    for seed in range(cases):
-        out[f"h{seed}"] = record(seed, True, hermite=True)
+    out = {str(seed): record(seed, hermite=False) for seed in range(cases)}
+    out.update({f"h{seed}": record(seed, hermite=True) for seed in range(cases)})
     with open(path, "w") as f:
         json.dump(out, f)
     for name, hermite_key in (("Fourier", False), ("Hermite", True)):
-        base = [v for k, v in out.items()
-                if k.startswith("h") == hermite_key and not k.endswith("n")]
+        base = [v for k, v in out.items() if k.startswith("h") == hermite_key]
         errors = sum(v[0] == "error" for v in base)
         empty = sum(v[0] != "error" and v[3] == 0 for v in base)
         print(f"{len(base)} {name} cases: {errors} raised, {empty} returned no entry")
@@ -196,14 +181,10 @@ def compare(first_path: str, second_path: str) -> int:
         first = json.load(f)
     with open(second_path) as f:
         second = json.load(f)
-    cases = [k for k in first if not k.endswith("n")]
-    same = [k for k in cases if first[k] == second.get(k)]
-    mended = [k for k in cases if first[k][0] == "error" and second.get(k) == first.get(k + "n")]
-    other = [k for k in cases if k not in same and k not in mended]
-    hermite = sum(k.startswith("h") for k in cases)
-    print(f"{len(cases)} cases ({len(cases) - hermite} Fourier, {hermite} Hermite):"
-          f" {len(same)} identical, {len(mended)} raised at the first tree and"
-          f" now equal its output without the box, {len(other)} differ")
+    other = [k for k in first if first[k] != second.get(k)]
+    hermite = sum(k.startswith("h") for k in first)
+    print(f"{len(first)} cases ({len(first) - hermite} Fourier, {hermite} Hermite):"
+          f" {len(first) - len(other)} identical, {len(other)} differ")
     for k in other:
         print(f"  {k}: {first[k]} -> {second.get(k)}")
     return 1 if other else 0
