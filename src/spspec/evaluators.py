@@ -21,12 +21,16 @@ block combine computes:
   size(ell) * prod size(j) <= N exactly when prod size(j) <= N // size(ell),
   so X_ell is the alpha = 0 sum at budget N // size(ell), read at ell; the
   outputs are grouped by that budget with one stable sort, and each group
-  reads its terms with one gather.  Term counts ride through the same
-  convolutions as 0/1 indicator arrays.  np.convolve sums in an order set
-  by its operands' lengths, and numpy rounds a lone complex product apart
-  from a longer one, so the arithmetic on values stays per run and per
-  group, which keeps the outputs' bits.  Cost and memory follow the span of
-  the input supports, not the number of entries.
+  reads its terms with one gather.  The work is split in two passes.  The
+  plan reads only the supports, the symbol's keys, the spec and the
+  explicit domain: it lays out every run and line, and it alone forms the
+  count lines (the same convolutions over 0/1 indicators), which fix the
+  outputs that have a term and the number of terms.  The value pass runs
+  the laid-out convolutions on the values.  np.convolve sums in an order
+  set by its operands' lengths, and numpy rounds a lone complex product
+  apart from a longer one, so the arithmetic on values stays per run and
+  per group, which keeps the outputs' bits.  Cost and memory follow the
+  span of the input supports, not the number of entries.
 * A Hermite coefficient is the integral of chi_ell chi_j1 ... chi_jp, so X
   is the projection onto chi_ell of a budgeted sum of products of
   functions, and a block is a sum of rows multiplied once by the later
@@ -85,27 +89,6 @@ class EvalRequest:
 class EvalResult:
     vector: SpectralVector
     terms: int
-
-
-class _Line(NamedTuple):
-    """Term values and term counts on the consecutive flat keys lo, lo + 1, ..."""
-
-    lo: int
-    vals: np.ndarray
-    cnts: np.ndarray
-
-
-def _line(keys: np.ndarray, vals: np.ndarray) -> _Line:
-    lo = int(keys.min())
-    n = int(keys.max()) - lo + 1
-    line = _Line(lo, np.zeros(n, dtype=complex), np.zeros(n))
-    line.vals[keys - lo] = vals
-    line.cnts[keys - lo] = 1.0
-    return line
-
-
-def _convolve(a: _Line, b: _Line) -> _Line:
-    return _Line(a.lo + b.lo, np.convolve(a.vals, b.vals), np.convolve(a.cnts, b.cnts))
 
 
 def _cap(spec: SparseSetSpec, alpha: int = 1) -> int | None:
@@ -205,25 +188,33 @@ class _Slots:
 
     Each distinct input is kept once, in self.inputs, and slot s reads
     self.inputs[self.at[s]]; the kernels' per-input tables follow that list.
+    The tables hold supports only: values(inputs) takes each slot's values
+    to its size order, for any inputs on the same supports.
     """
 
     def __init__(self, inputs: Sequence[SpectralVector], spec: SparseSetSpec):
         cap = _cap(spec)
         place = {}  # the place of each distinct input in self.inputs, in order of first use
         self.at = [place.setdefault(id(u), len(place)) for u in inputs]
-        self.inputs = []  # per distinct input: sizes, coordinates, values, sorted by size then key
+        # per distinct input: sizes and coordinates sorted by size then key,
+        # and the order that takes its entries there
+        self.inputs = []
         for u in {id(u): u for u in inputs}.values():
-            coords, vals = u.as_arrays()
+            coords = u.as_arrays()[0]
             sizes = _sizes(coords, spec.size, cap)
             order = np.flatnonzero(sizes <= cap)
             order = order[np.argsort(sizes[order], kind="stable")]
-            self.inputs.append((sizes[order], coords[order], vals[order]))
+            self.inputs.append((sizes[order], coords[order], order))
         self.slots = [self.inputs[i] for i in self.at]
         self.empty = any(len(sizes) == 0 for sizes, _, _ in self.inputs)
         if not self.empty:
             least = [int(sizes[0]) for sizes, _, _ in self.slots]
             self.need = [math.prod(least[s:]) for s in range(len(least) + 1)]
         self.plans: dict[tuple[int, int], tuple[int, list[int], list[int]]] = {}
+
+    def values(self, inputs: Sequence[SpectralVector]) -> list[np.ndarray]:
+        """Each slot's values in its size order."""
+        return [u.as_arrays()[1][self.inputs[i][2]] for u, i in zip(inputs, self.at)]
 
     def plan(self, s: int, b: int) -> tuple[int, list[int], list[int]]:
         """(hi, starts, budgets) of slot s at budget b >= need[s].
@@ -266,27 +257,40 @@ _HOLE_MACS = 1024
 
 
 class _BudgetClasses(_Slots):
-    """Budgeted sums over tuples of Fourier inputs, as dense convolutions.
+    """The plan of the budgeted sums over tuples of Fourier inputs, as dense
+    convolutions.
 
     Multi-indices are flattened to one integer each, key(j) = sum_c j_c *
     stride_c, with strides wider than the output extent in every coordinate:
     the key of a sum is the sum of the keys and no two outputs share a key.
     partial(s, b) is the sum over the tuples of slots s..p-1 within budget b
-    of prod u, placed at the key of sum(js), with the number of such tuples
-    beside it.  A block of slot-s entries is convolved with partial(s + 1, c)
-    as a whole.
+    of prod u, placed at the key of sum(js).  A block of slot-s entries is
+    convolved with partial(s + 1, c) as a whole.
+
+    The plan reads the supports, the symbol's keys, the spec and the output
+    domain, and no value.  Each line becomes one step, the layout of its
+    runs over the lines of earlier steps, and partial(s, b) is the span and
+    step of its line.  The steps run over ones give the count lines, the
+    number of tuples at each key; only the plan forms them, to keep the
+    outputs that have a term and count the terms.  evaluate() is the value
+    pass: the same steps over the inputs' and the symbol's values.
     """
 
     def __init__(
-        self, inputs: Sequence[SpectralVector], symbol: FourierSymbol, spec: SparseSetSpec
+        self,
+        inputs: Sequence[SpectralVector],
+        symbol: FourierSymbol,
+        spec: SparseSetSpec,
+        ells: np.ndarray | None,
     ):
         super().__init__(inputs, spec)
-        self.level = spec.level
+        self.alpha, self.terms = spec.alpha, 0
+        self.ells = np.empty((0, spec.lattice.dim), dtype=np.int64)  # the outputs with a term
+        self.flat, self.steps, self.classes, self.feeds = [], [], [], {}
         # with no tuple in the budget, no key is formed
-        self.empty = self.empty or not symbol.table or self.need[0] > spec.level
-        if self.empty:
+        if self.empty or not symbol.table or self.need[0] > spec.level:
             return
-        bkeys, bvals = symbol.arrays
+        bkeys = symbol.arrays[0]
         picked = [coords for _, coords, _ in self.slots] + [bkeys]
         # the box, its strides and the reach in Python ints, where sums cannot wrap
         lows = [k.min(axis=0).tolist() for k in picked]
@@ -300,36 +304,72 @@ class _BudgetClasses(_Slots):
         span = max(sum(r * s for r, s in zip(reach, strides)), math.prod(width) - 1)
         if span >= COORD_MAX:
             raise ValueError(f"flat keys reach {span}, at or past the int64 limit {COORD_MAX}")
-        self.lo, self.hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
-        self.strides = np.array(strides, dtype=np.int64)
-        self.keys = [coords @ self.strides for _, coords, _ in self.inputs]
-        self.symbol = _line(bkeys @ self.strides, bvals)
-        self.lines = {(len(self.slots), 0): _Line(0, np.ones(1, dtype=complex), np.ones(1))}
+        lo, hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+        strides = np.array(strides, dtype=np.int64)
+        keys = [coords @ strides for _, coords, _ in self.inputs]
+        self.flat = [keys[i] for i in self.at] + [bkeys @ strides]  # per slot, then the symbol's
+        if ells is None:
+            ells = _grid(spec, lo, hi)
+        else:
+            # outside the reachable box a flat key could alias one inside it
+            ells = ells[np.all((ells >= lo) & (ells <= hi), axis=1)]
+        ells, budgets = _outputs(spec, ells)
+        if not len(ells):
+            return
+        self.sym = self._placed(len(self.slots), len(bkeys))
+        self.lines = {(len(self.slots), 0): None}  # the unit line, which the last slot passes over
+        if spec.alpha:
+            self._classes(ells @ strides, budgets)
+        else:  # the line symbol * partial(0, N), read at each ell within it
+            total = self.partial(0, spec.level)
+            pos = ells @ strides - (total[0] + self.sym[0])
+            at = (pos >= 0) & (pos < total[1] + self.sym[1] - 1)
+            ells, self.pos, self.total = ells[at], pos[at], total[2]
+        del self.plans, self.lines  # the layout is in the steps
+        cnts = self._sums([np.ones(len(k)) for k in self.flat])
+        self.keep = cnts > 0
+        self.ells, self.terms = ells[self.keep], int(round(cnts[self.keep].sum()))
+        # a class is gathered whole or not at all: one with no term is dropped
+        self.classes = [c for c in self.classes if self.keep[self.order[c[0] : c[1]]].any()]
 
-    def partial(self, s: int, b: int) -> _Line | None:
-        """None when no tuple of slots s..p-1 fits in budget b."""
+    def partial(self, s: int, b: int) -> tuple[int, int, int] | None:
+        """(lo, length, step) of the line; None when no tuple of slots
+        s..p-1 fits in budget b."""
         return self.fold(self.lines, self._blocks, s, b) if b >= self.need[s] else None
 
-    def _blocks(self, s: int, hi: int, starts: list[int], subs: list[_Line]) -> _Line:
-        """Sum over the admitted slot-s entries j of u_j * subs[block of j] shifted by key(j).
+    def _step(self, lo: int, n: int, *step) -> tuple[int, int, int]:
+        """(lo, length, step) of the line of a new last step."""
+        self.steps.append((*step, n))
+        return lo, n, len(self.steps) - 1
+
+    def _placed(self, s: int, hi: int) -> tuple[int, int, int]:
+        """The line of the first hi entries of slot s (past the last slot,
+        the symbol), placed at their keys."""
+        keys = self.flat[s][:hi]
+        lo = int(keys.min())
+        return self._step(lo, int(keys.max()) - lo + 1, s, slice(hi), lo, None)
+
+    def _blocks(self, s: int, hi: int, starts: list[int], subs: list) -> tuple[int, int, int]:
+        """The step of the sum over the admitted slot-s entries j of u_j *
+        subs[block of j] shifted by key(j).
 
         A block is cut into runs of nearby keys, each run one np.convolve of
-        its own value and count lines with the block's sub line, and a lone
-        key a scaled copy of it; the parts are added in run order.  The
-        bookkeeping is done once for all runs: block ids, the cuts, and where
-        each entry's shifted sub line starts.  The last slot's one block
+        its own line with the block's sub line, and a lone key a scaled copy
+        of it; the parts are added in run order.  The layout is worked out
+        once for all runs: block ids, the cuts, each entry's place in its
+        run, and where each run's part starts.  The last slot's one block
         meets the unit line, so its entries are placed as they are.
         """
-        keys, vals = self.keys[self.at[s]][:hi], self.slots[s][2][:hi]
         if s == len(self.slots) - 1:
-            return _line(keys, vals)
+            return self._placed(s, hi)
+        keys = self.flat[s][:hi]
         # blocks are consecutive in the size order, so sorting by (block,
         # key) keeps each entry's block id and leaves a run's keys ascending
         group = np.repeat(np.arange(len(starts)), np.diff(starts, append=hi))
         order = np.lexsort((keys, group))
-        keys, vals = keys[order], vals[order]
-        sub_lo = np.array([x.lo for x in subs], dtype=np.int64)
-        width = np.array([len(x.vals) for x in subs], dtype=np.int64)[group]
+        keys = keys[order]
+        sub_lo, width, sub = np.array(subs, dtype=np.int64).T
+        width = width[group]
         cut = (np.diff(keys, prepend=keys[:1]) - 1) * width > _HOLE_MACS
         cut[starts] = True
         first = np.flatnonzero(cut)
@@ -337,84 +377,97 @@ class _BudgetClasses(_Slots):
         at = keys + sub_lo[group]  # where each entry's shifted sub line starts
         lo = int(at[first].min())
         n = int((at[last] + width[last]).max()) - lo
-        out_vals, out_cnts = np.zeros(n, dtype=complex), np.zeros(n)
-        shift = (at - lo).tolist()
-        runs = zip(first.tolist(), (last + 1).tolist(), (keys[last] - keys[first] + 1).tolist())
-        for (a, e, m), g in zip(runs, group[first].tolist()):
-            sub, i = subs[g], shift[a]
-            if e - a == 1:
-                part_vals, part_cnts = vals[a] * sub.vals, sub.cnts
-            else:  # a run's keys ascend, so it spans m keys from keys[a] on
-                run_vals, run_cnts = np.zeros(m, dtype=complex), np.zeros(m)
-                rel = keys[a:e] - keys[a]
-                run_vals[rel], run_cnts[rel] = vals[a:e], 1.0
-                part_vals = np.convolve(run_vals, sub.vals)
-                part_cnts = np.convolve(run_cnts, sub.cnts)
-            out_vals[i : i + len(part_vals)] += part_vals
-            out_cnts[i : i + len(part_vals)] += part_cnts
-        return _Line(lo, out_vals, out_cnts)
+        rel = keys - np.repeat(keys[first], last - first + 1)
+        runs = (first, last + 1, rel[last] + 1, sub[group[first]], at[first] - lo)
+        return self._step(lo, n, s, order, rel, list(zip(*(x.tolist() for x in runs))))
 
-    def at_level(self, coords: np.ndarray):
-        """alpha = 0: (symbol * partial(0, N))[ell] for each row ell of coords.
-
-        Returns (values, term counts)."""
-        vals, cnts = np.zeros(len(coords), dtype=complex), np.zeros(len(coords))
-        total = self.partial(0, self.level)
-        if total is not None:
-            total = _convolve(total, self.symbol)
-            pos = coords @ self.strides - total.lo
-            at = (pos >= 0) & (pos < len(total.vals))
-            vals[at], cnts[at] = total.vals[pos[at]], total.cnts[pos[at]]
-        return vals, cnts
-
-    def _row(self, c: int) -> _Line | None:
-        """symbol * partial(1, c): every slot but the first, at budget c."""
+    def _row(self, c: int) -> tuple[int, int, int] | None:
+        """symbol * partial(1, c), every slot but the first at budget c, by
+        the step of partial(1, c); the symbol's own step at p = 1."""
         if len(self.slots) == 1:
-            return self.symbol
+            return self.sym
         sub = self.partial(1, c)
-        return None if sub is None else _convolve(sub, self.symbol)
+        return None if sub is None else (sub[0] + self.sym[0], sub[1] + self.sym[1] - 1, sub[2])
 
-    def at_own_budget(self, coords: np.ndarray, budgets: np.ndarray):
+    def _classes(self, targets: np.ndarray, budgets: np.ndarray) -> None:
         """alpha = 1: X_ell = (symbol * partial(0, budget(ell)))[ell].
 
-        partial(0, c) is never formed whole: an ell of class c reads
-        sum over slot-0 entries j of u_j * row(c // size(j))[ell - j].  One
+        partial(0, c) is never formed whole: an ell of class c reads sum
+        over slot-0 entries j of u_j * row(c // size(j))[ell - j].  One
         stable sort groups the ells by class, and one gather per class reads
         its (members, h) block from the rows stored back to back, each
-        between two zeros: an offset clipped to [-1, len] reads the row or a
-        zero beside it.  Each class multiplies and sums its own block, since
-        the bits of a complex product depend on the shape it is taken in.
-        Returns (values, term counts) at coords.
+        between two zeros: an offset held to a row's window reads the row or
+        a zero beside it.  Each class multiplies and sums its own block,
+        since the bits of a complex product depend on the shape it is taken
+        in.  The plan keeps each class's members and the row each slot-0
+        entry reads.
         """
-        sizes0, _, vals0 = self.slots[0]
-        targets = coords @ self.strides
-        order = np.argsort(budgets, kind="stable")  # by class, and by key within one
-        bounds = np.flatnonzero(np.diff(budgets[order], prepend=-1, append=-1)).tolist()
-        classes = budgets[order[bounds[:-1]]]
-        his = np.searchsorted(sizes0, classes, side="right")
-        wanted = np.unique(np.concatenate([c // sizes0[:h] for c, h in zip(classes, his)]))
-        none = _Line(0, np.zeros(0, dtype=complex), np.zeros(0))
-        rows = [self._row(c) or none for c in wanted.tolist()]
-        lens = np.array([len(r.vals) for r in rows], dtype=np.int64)
-        los = np.array([r.lo for r in rows], dtype=np.int64)
-        # the rows back to back, each between two zeros, row k from bases[k] on
+        sizes0 = self.slots[0][0]
+        self.order = np.argsort(budgets, kind="stable")  # by class, and by key within one
+        self.targets = targets[self.order]
+        bounds = np.flatnonzero(np.diff(budgets[self.order], prepend=-1, append=-1)).tolist()
+        classes = budgets[self.order[bounds[:-1]]].tolist()
+        his = np.searchsorted(sizes0, classes, side="right").tolist()
+        reads = [c // sizes0[:h] for c, h in zip(classes, his)]  # the row of each slot-0 entry
+        wanted = np.unique(np.concatenate(reads))
+        rows = [self._row(c) or (0, 0, -1) for c in wanted.tolist()]  # -1: no row, no tuple
+        los, lens, sources = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        # the rows back to back, each between two zeros, row k from bases[k] on;
+        # the read at ell - j of row k is at ell - (key(j) + shift[k]) in flat,
+        # held to [below[k], above[k]]
         bases = np.cumsum(lens + 1) - lens
-        zv, zc = np.zeros(1, dtype=complex), np.zeros(1)
-        flat_v = np.concatenate([zv] + [x for r in rows for x in (r.vals, zv)])
-        flat_c = np.concatenate([zc] + [x for r in rows for x in (r.cnts, zc)])
-        del rows  # copied: the gathers below would otherwise run on top of them
-        vals, cnts = np.zeros(len(coords), dtype=complex), np.zeros(len(coords))
-        for a, e, c, h in zip(bounds, bounds[1:], classes.tolist(), his.tolist()):
-            sel = order[a:e]
-            r = np.searchsorted(wanted, c // sizes0[:h])
+        self.width = int((lens + 1).sum()) + 1
+        # the rows each step's line makes
+        for k, base, n in zip(sources.tolist(), bases.tolist(), lens.tolist()):
+            if n:
+                self.feeds.setdefault(k, []).append(base)
+        self.shift, self.below, self.above = los - bases, bases - 1, bases + lens
+        for a, e, h, read in zip(bounds, bounds[1:], his, reads):
+            self.classes.append((a, e, h, np.searchsorted(wanted, read)))
+
+    def _sums(self, vals: list[np.ndarray]) -> np.ndarray:
+        """The sum at each candidate output, over vals: each slot's values in
+        its size order, then the symbol's (ones for the count lines)."""
+        flat = np.zeros(self.width, dtype=vals[-1].dtype) if self.alpha else None
+        lines = []
+        for step, (s, order, rel, runs, n) in enumerate(self.steps):
+            v = vals[s][order]
+            out = np.zeros(n, dtype=v.dtype)
+            if runs is None:  # rel is the line's first key
+                out[self.flat[s][order] - rel] = v
+            else:
+                for a, e, m, k, i in runs:
+                    if e - a == 1:
+                        part = v[a] * lines[k]
+                    else:  # a run's keys ascend, so it spans m keys from its first on
+                        run = np.zeros(m, dtype=v.dtype)
+                        run[rel[a:e]] = v[a:e]
+                        part = np.convolve(run, lines[k])
+                    out[i : i + len(part)] += part
+            if step in self.feeds:  # alpha = 1: its rows are filled in place, and
+                # no later step reads it (slot 0 forms no line), so it is dropped
+                row = out if len(self.slots) == 1 else np.convolve(out, lines[self.sym[2]])
+                for base in self.feeds[step]:
+                    flat[base : base + len(row)] = row
+                out = row = None
+            lines.append(out)
+        if not self.alpha:
+            return np.convolve(lines[self.total], lines[self.sym[2]])[self.pos]
+        out = np.zeros(len(self.targets), dtype=flat.dtype)
+        for a, e, h, rows in self.classes:
             # keys + los is the key of a sum in the box, so an offset stays within
-            # its span; clipped to [-1, len] it reads a row or a zero beside it
-            idx = targets[sel, None] - (self.keys[self.at[0]][:h] + los[r])
-            np.clip(idx, -1, lens[r], out=idx)
-            idx += bases[r]
-            vals[sel] = (flat_v[idx] * vals0[:h]).sum(axis=1)
-            cnts[sel] = flat_c[idx].sum(axis=1)
-        return vals, cnts
+            # its span; held to [below, above] it reads a row or a zero beside it
+            idx = self.targets[a:e, None] - (self.flat[0][:h] + self.shift[rows])
+            np.maximum(np.minimum(idx, self.above[rows], out=idx), self.below[rows], out=idx)
+            out[self.order[a:e]] = np.add.reduce(flat[idx] * vals[0][:h], axis=1)
+        return out
+
+    def evaluate(self, inputs: Sequence[SpectralVector], symbol: FourierSymbol) -> np.ndarray:
+        """The value pass: the sums at self.ells, for inputs and a symbol on
+        the supports and keys of this plan."""
+        if not len(self.ells):
+            return np.empty(0, dtype=complex)
+        return self._sums(self.values(inputs) + [symbol.arrays[1]])[self.keep]
 
 
 def _nothing(spec: SparseSetSpec, terms: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
@@ -429,20 +482,8 @@ def _fourier_sum(
     ells: np.ndarray | None,
 ):
     """(ells, values, terms): the outputs that have a term, in key order."""
-    kernel = _BudgetClasses(inputs, symbol, spec)
-    if kernel.empty:
-        return _nothing(spec)
-    if ells is None:
-        ells = _grid(spec, kernel.lo, kernel.hi)
-    else:
-        # outside the reachable box a flat key could alias one inside it
-        ells = ells[np.all((ells >= kernel.lo) & (ells <= kernel.hi), axis=1)]
-    ells, budgets = _outputs(spec, ells)
-    if not len(ells):
-        return _nothing(spec)
-    vals, cnts = kernel.at_own_budget(ells, budgets) if spec.alpha else kernel.at_level(ells)
-    keep = cnts > 0
-    return ells[keep], vals[keep], int(round(cnts[keep].sum()))
+    plan = _BudgetClasses(inputs, symbol, spec, ells)
+    return plan.ells, plan.evaluate(inputs, symbol), plan.terms
 
 
 class _Tally(NamedTuple):
@@ -476,6 +517,8 @@ class _HermiteClasses(_Slots):
     def __init__(self, inputs: Sequence[SpectralVector], spec: SparseSetSpec):
         super().__init__(inputs, spec)
         self.tallies = {(len(self.slots), 0): _Tally(1, 0, 0)}
+        vals = self.values(inputs)
+        self.vals = [vals[self.at.index(i)] for i in range(len(self.inputs))]  # per distinct input
         keys = [coords[:, 0].tolist() for _, coords, _ in self.inputs]
         self.prefix = [(k, list(accumulate((x & 1 for x in k), initial=0))) for k in keys]
 
@@ -520,7 +563,7 @@ class _HermiteClasses(_Slots):
             weights[0] /= 2.0  # the node at 0 has no mirror image
         chi = hermite_batch(deg, rule.nodes[half:] / c)
         self.rows = []  # per distinct input: its even-key and odd-key rows
-        for _, coords, vals in self.inputs:
+        for (_, coords, _), vals in zip(self.inputs, self.vals):
             # no term of these ells holds a key past deg; keys ascend with
             # size on the Hermite lattice, so the rest is a prefix
             keys = coords[:, 0]
@@ -770,17 +813,19 @@ def error_report(
     diff[slot[: len(a_keys)]] = a_vals
     diff[slot[len(a_keys) :]] -= r_vals
     # np.abs on complex can round differently from Python's abs; hypot does not
-    gaps = np.hypot(diff.real, diff.imag).tolist()
-    if s == 0:  # size(j) ** 0 * x == x exactly; skip the size and the power
-        return float(sum(gaps))
-    # every term is >= +0.0, so leaving out the zero gaps keeps the sum's bits,
-    # and a weight is formed only where its gap counts
-    held = [(tuple(j), g) for j, g in zip(ranked[first].tolist(), gaps) if g]
-    try:
-        return float(sum(size.of(j) ** s * g for j, g in held))
-    except OverflowError:  # the weight grows with the size, so the largest passes
-        j, limit = max((j for j, _ in held), key=size.of), sys.float_info.max
-        raise ValueError(f"index {j}: size ** {s} passes the float limit {limit!r}") from None
+    gaps = np.hypot(diff.real, diff.imag)
+    if s != 0:  # size(j) ** 0 * x == x exactly, so at s = 0 no weight is formed
+        # every term is >= +0.0, so leaving out the zero gaps keeps the sum's
+        # bits, and a weight is formed only where its gap counts
+        held = [(tuple(j), g) for j, g in zip(ranked[first].tolist(), gaps.tolist()) if g]
+        try:
+            gaps = np.array([size.of(j) ** s * g for j, g in held])
+        except OverflowError:  # the weight grows with the size, so the largest passes
+            j, limit = max((j for j, _ in held), key=size.of), sys.float_info.max
+            raise ValueError(f"index {j}: size ** {s} passes the float limit {limit!r}") from None
+    # added one at a time from the left on every Python (its sum compensates
+    # from 3.12 on), so a distance keeps its bits across versions
+    return float(np.add.accumulate(gaps)[-1]) if len(gaps) else 0.0
 
 
 class RatePrediction(NamedTuple):

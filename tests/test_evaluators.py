@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 import re
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spspec import evaluators
 from spspec.coeffs import FourierSymbol, HermiteCache, build_cache, hermite_product_integral
 from spspec.evaluators import (
     EvalRequest,
@@ -354,6 +356,61 @@ def test_direct_and_iterative_keep_their_bits():
     got = {name: [digest(u), terms] for name, (u, terms) in direct_guard_cases().items()}
     assert len(got) == 1376
     assert got == golden
+
+
+# ------------------------------------------------------------ Fourier plans
+#
+# A Fourier evaluation builds its plan (layouts, kept outputs, terms) from
+# the supports, the symbol's keys, the clipped spec and the explicit domain,
+# and then runs the value pass on the values.
+
+def _revalued(u: SpectralVector, rng: random.Random) -> SpectralVector:
+    """New complex values on the support of u."""
+    return SpectralVector(u.basis, {j: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for j in u})
+
+
+def _run(provider, inputs, spec, domain=None):
+    got = direct_sparse_eval(EvalRequest(provider, inputs, spec, domain))
+    return digest(got.vector), got.terms
+
+
+@pytest.mark.parametrize("d,p,alpha,sym,domain", [
+    (d, p, alpha, sym, domain)
+    for d in (1, 2)
+    for p in (1, 2, 3)
+    for alpha in (0, 1)
+    for sym in ("unit", "cos")
+    for domain in (False, True)
+])
+def test_a_plan_reads_no_value(monkeypatch, d, p, alpha, sym, domain):
+    """A plan built on the values of one evaluation gives, for any other
+    values on the same supports and symbol keys, the bits that evaluation
+    gives with its own plan, whether it was built with one input in every
+    slot or not."""
+    rng = random.Random(f"plan-{d}-{p}-{alpha}-{sym}-{domain}")
+    first = direct_guard_vec(rng, d, tiny=True)
+    others = [_revalued(first, rng) for _ in range(p)]
+    symbol = direct_guard_symbol(d, sym)
+    scaled = FourierSymbol({k: v * (0.5 - 0.25j) for k, v in symbol.table.items()}, d)
+    level = 24 if d == 1 else 12
+    spec = SparseSetSpec(p, level, alpha, SizeFunction.MAX, integers(d))
+    ells = None
+    if domain:
+        near = 30 if d == 1 else 8
+        cells = list(itertools.product(range(-near, near + 1), repeat=d))
+        ells = tuple(rng.sample(cells, 30)) + ((0,) * d, (10**6,) * d)
+    runs = [(symbol, (first,) * p), (scaled, tuple(others)), (symbol, (others[0],) * p)]
+    fresh = [_run(provider, inputs, spec, ells) for provider, inputs in runs]
+    assert fresh[0][1] > 0
+    plan_class = evaluators._BudgetClasses
+    for built_on, built_with in runs:
+
+        class Planned(plan_class):
+            def __init__(self, inputs, symbol, spec, ells):
+                super().__init__(built_with, built_on, spec, ells)
+
+        monkeypatch.setattr(evaluators, "_BudgetClasses", Planned)
+        assert [_run(provider, inputs, spec, ells) for provider, inputs in runs] == fresh
 
 
 def dict_oracle(tables: list[dict]) -> dict:
@@ -736,7 +793,8 @@ def test_error_report_sums_in_key_order(dim):
     for s in (0.0, 1.5):
         for size in SizeFunction:
             keys = sorted(set(a) | set(b))
-            want = float(sum(size.of(j) ** s * abs(a.get(j, 0j) - b.get(j, 0j)) for j in keys))
+            terms = (size.of(j) ** s * abs(a.get(j, 0j) - b.get(j, 0j)) for j in keys)
+            want = functools.reduce(operator.add, terms, 0.0)
             assert error_report(a, b, s, size) == want
 
 
@@ -766,12 +824,34 @@ def test_error_report_is_the_python_sum_bit_for_bit(dim, supports):
         for size in SizeFunction:
             for x, y in pairs:
                 keys = sorted(set(x) | set(y))
-                want = float(sum(size.of(j) ** s * abs(x.get(j, 0j) - y.get(j, 0j)) for j in keys))
+                terms = (size.of(j) ** s * abs(x.get(j, 0j) - y.get(j, 0j)) for j in keys)
+                want = functools.reduce(operator.add, terms, 0.0)
                 assert error_report(x, y, s, size) == want
     assert error_report(b, b) == 0.0
     for j in sorted(set(a) | set(b))[:300]:
         x, y = (SpectralVector(basis, {j: u[j]} if j in u else {}) for u in (a, b))
         assert error_report(x, y) == abs(a.get(j, 0j) - b.get(j, 0j))
+
+
+def test_error_report_adds_the_gaps_from_left_to_right():
+    """At s = 0 the distance is the gaps over the sorted union added one at a
+    time from 0.0, at the size of the fourier benchmark's reference (a union
+    of 12,289 keys); a compensated sum, as Python 3.12's, would differ."""
+    rng = random.Random("gaps")
+
+    def vector(reach, scale):
+        return SpectralVector(FOURIER, {
+            (k,): complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale
+            for k in range(-reach, reach + 1)
+        })
+
+    a, b, empty = vector(2048, 1.0), vector(6144, 1e-3), fvec({})
+    keys = sorted(set(a) | set(b))
+    assert len(keys) == 12289
+    gaps = [abs(a.get(j, 0j) - b.get(j, 0j)) for j in keys]
+    assert error_report(a, b) == functools.reduce(operator.add, gaps, 0.0)
+    assert error_report(b, empty) == functools.reduce(operator.add, map(abs, b.values()), 0.0)
+    assert error_report(empty, empty) == 0.0
 
 
 def test_monotone_error_and_alpha_ordering():
