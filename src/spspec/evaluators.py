@@ -35,11 +35,16 @@ block combine computes:
   is the projection onto chi_ell of a budgeted sum of products of
   functions, and a block is a sum of rows multiplied once by the later
   slots' sum, at the nodes of one Gauss-Hermite rule that integrates every
-  term exactly.  The same blocks tally the terms first, once per distinct
-  budget, as folds of Python ints over per-input prefix counts of odd keys.
-  No coefficient is looked up.
+  term exactly.  The plan reads only the supports, the spec and the
+  candidate outputs: the same blocks tally the terms, once per distinct
+  budget, as folds of Python ints over per-input prefix counts of odd keys,
+  which fix the outputs that have a term of their own parity, the number of
+  terms and the rule.  The value pass forms the rows on the values and
+  folds them at the nodes.  No coefficient is looked up.
 
-Both are deterministic: every sum is accumulated in a fixed order.
+Both bases thus plan without values and then run a value pass, and
+direct_sparse_eval runs the two the same way.  Both are deterministic:
+every sum is accumulated in a fixed order.
 """
 
 from __future__ import annotations
@@ -210,6 +215,19 @@ class _Slots:
         if not self.empty:
             least = [int(sizes[0]) for sizes, _, _ in self.slots]
             self.need = [math.prod(least[s:]) for s in range(len(least) + 1)]
+            # sat[s]: slot s folds at any budget b >= sat[s] as it does at
+            # sat[s].  With M the slot's largest size, the last slot admits
+            # every entry in one block at any b >= M.  At b >= max(M**2, M *
+            # sat[s + 1]) an earlier slot admits every entry (b // need[s + 1]
+            # >= M, as need[s + 1] <= sat[s + 1]); for sizes x < y <= M, b / x
+            # - b / y >= b / (x y) >= 1, so b // x > b // y and each size is a
+            # block of its own; and every sub-budget b // size is >= sat[s + 1].
+            # By induction the fold at b has the (hi, starts) and the sub folds
+            # of the fold at sat[s].
+            most = [int(sizes[-1]) for sizes, _, _ in self.slots]
+            self.sat = [0]  # past the last slot
+            for s, m in enumerate(reversed(most)):
+                self.sat.insert(0, max(m * m, m * self.sat[0]) if s else m)
         self.plans: dict[tuple[int, int], tuple[int, list[int], list[int]]] = {}
 
     def values(self, inputs: Sequence[SpectralVector]) -> list[np.ndarray]:
@@ -241,8 +259,11 @@ class _Slots:
         """memo[s, b] = combine(s, hi, starts, subs), for b >= need[s].
 
         (hi, starts, budgets) is plan(s, b) and subs[k] the fold of the next
-        slot at budgets[k]; memo holds the empty product at (p, 0).
+        slot at budgets[k]; memo holds the empty product at (p, 0).  A budget
+        past sat[s] is read as sat[s], which folds the same.
         """
+        if b > self.sat[s]:  # not min(): this runs on every fold step
+            b = self.sat[s]
         key = (s, b)
         if key not in memo:
             hi, starts, budgets = self.plan(s, b)
@@ -327,8 +348,13 @@ class _BudgetClasses(_Slots):
             ells, self.pos, self.total = ells[at], pos[at], total[2]
         del self.plans, self.lines  # the layout is in the steps
         cnts = self._sums([np.ones(len(k)) for k in self.flat])
+        # every partial sum of a count is at most the count, so one below
+        # 2**53 is exact in float64, and one that is not still reads >= 2**53
+        if cnts.max(initial=0) >= 2**53:
+            raise ValueError(f"an output has {cnts.max():.0f} terms, at or past 2**53, where"
+                             " the float64 count lines stop being exact")
         self.keep = cnts > 0
-        self.ells, self.terms = ells[self.keep], int(round(cnts[self.keep].sum()))
+        self.ells, self.terms = ells[self.keep], sum(cnts[self.keep].astype(np.int64).tolist())
         # a class is gathered whole or not at all: one with no term is dropped
         self.classes = [c for c in self.classes if self.keep[self.order[c[0] : c[1]]].any()]
 
@@ -470,22 +496,6 @@ class _BudgetClasses(_Slots):
         return self._sums(self.values(inputs) + [symbol.arrays[1]])[self.keep]
 
 
-def _nothing(spec: SparseSetSpec, terms: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
-    """No output index, with the given number of terms."""
-    return np.empty((0, spec.lattice.dim), dtype=np.int64), np.empty(0, dtype=complex), terms
-
-
-def _fourier_sum(
-    symbol: FourierSymbol,
-    inputs: Sequence[SpectralVector],
-    spec: SparseSetSpec,
-    ells: np.ndarray | None,
-):
-    """(ells, values, terms): the outputs that have a term, in key order."""
-    plan = _BudgetClasses(inputs, symbol, spec, ells)
-    return plan.ells, plan.evaluate(inputs, symbol), plan.terms
-
-
 class _Tally(NamedTuple):
     """The tuples within one budget: counted by the parity of their degree
     sum, and the largest degree sum."""
@@ -496,31 +506,71 @@ class _Tally(NamedTuple):
 
 
 class _HermiteClasses(_Slots):
-    """Budgeted sums over tuples of Hermite inputs, pointwise at quadrature nodes.
+    """The plan of the budgeted sums over tuples of Hermite inputs, pointwise
+    at quadrature nodes.
 
     P(s, b)(x) is the sum over the tuples of slots s..p-1 within budget b of
     prod u_j chi_j(x).  By orthonormality X_ell is the integral of chi_ell *
-    P(0, budget(ell)), and one Gauss-Hermite rule makes every such integral
-    exact (see project).  A block's rows u_j chi_j are summed once and
-    multiplied once by P(s + 1, c).
+    P(0, budget(ell)).  The integrand chi_ell * prod chi_j is a polynomial of
+    degree D = ell + sum(js) times exp(-(p+1) x^2 / 2); substituting y = c x
+    with c = sqrt((p+1)/2) turns that into exp(-y^2), which a rule of
+    ceil((D + 1) / 2) nodes integrates exactly.  A block's rows u_j chi_j
+    are summed once and multiplied once by P(s + 1, c).
 
     chi_j(-x) = (-1)**j chi_j(x), so P is kept as an even part (tuples of
     even degree sum) and an odd part, each at the rule's nonnegative nodes
     only; chi_ell meets the part of its own parity, and the other part
-    integrates to zero exactly.  tally folds the same blocks on Python ints
-    first: it counts the tuples of either parity and finds the largest
-    degree, which sizes the rule before any row is evaluated.  Per distinct
-    input it keeps the keys in size order and the prefix count of odd keys,
-    so a block is read as three numbers with no numpy call.
+    integrates to zero exactly.
+
+    The plan reads the supports, the spec and the candidate outputs, and no
+    value.  tally folds the blocks on Python ints: it counts the tuples of
+    either parity and finds the largest degree, which fix the outputs that
+    have a term of their own parity, the number of terms and the rule.  Per
+    distinct input it keeps the keys in size order and the prefix count of
+    odd keys, so a block is read as three numbers with no numpy call.
+    evaluate() is the value pass: the rows, their products at the nodes and
+    the projections.
     """
 
-    def __init__(self, inputs: Sequence[SpectralVector], spec: SparseSetSpec):
+    def __init__(
+        self, inputs: Sequence[SpectralVector], spec: SparseSetSpec, ells: np.ndarray | None
+    ):
+        if ells is None and spec.alpha == 0:
+            raise ValueError("alpha = 0 with a Hermite provider needs an explicit output domain")
+        if ells is None:
+            ells = np.arange(min(_cap(spec), HERMITE_ELL_CAP) + 1)[:, None]
         super().__init__(inputs, spec)
         self.tallies = {(len(self.slots), 0): _Tally(1, 0, 0)}
-        vals = self.values(inputs)
-        self.vals = [vals[self.at.index(i)] for i in range(len(self.inputs))]  # per distinct input
         keys = [coords[:, 0].tolist() for _, coords, _ in self.inputs]
         self.prefix = [(k, list(accumulate((x & 1 for x in k), initial=0))) for k in keys]
+        ells, budgets = _outputs(spec, ells)
+        # an ell whose budget admits no tuple has no term
+        held = np.zeros(len(ells), dtype=bool) if self.empty else budgets >= self.need[0]
+        per_ell = budgets[held].tolist()
+        tallies = {b: self.tally(b) for b in set(per_ell)}
+        self.terms = sum(tallies[b].even + tallies[b].odd for b in per_ell)
+        # the terms of the other parity integrate to zero: an ell with no term
+        # of its own parity stays out, as does one with no term at all
+        own = [tallies[b][ell & 1] for ell, b in zip(ells[held, 0].tolist(), per_ell)]
+        held[held] = [n > 0 for n in own]
+        self.ells, self.budgets = ells[held], budgets[held]
+        if not len(self.ells):
+            return
+        largest = dict(sorted(zip(self.budgets.tolist(), self.ells[:, 0].tolist())))  # per budget
+        self.deg = max(ell + self.tally(b).deg for b, ell in largest.items())
+        if self.deg > MAX_DEGREE:
+            raise ValueError(
+                f"the terms reach degree {self.deg} (ell + j_1 + ... + j_p); a {MAX_NODES}-node"
+                f" Gauss-Hermite rule integrates degree {MAX_DEGREE} at most"
+            )
+        n = self.deg // 2 + 1
+        rule = gauss_hermite_rule(n)
+        c = math.sqrt((len(self.slots) + 1) / 2.0)
+        half = n // 2  # nodes[half:] are the nonnegative nodes
+        self.weights = rule.scaled_weights[half:] * (2.0 / c)
+        if n % 2:
+            self.weights[0] /= 2.0  # the node at 0 has no mirror image
+        self.chi = hermite_batch(self.deg, rule.nodes[half:] / c)
 
     def tally(self, b: int) -> _Tally:
         """The tuples of all slots within budget b >= need[0]."""
@@ -539,82 +589,40 @@ class _HermiteClasses(_Slots):
             deg = max(deg, keys[e - 1] + sub.deg)
         return _Tally(even_n, odd_n, deg)
 
-    def project(self, ells: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-        """X_ell for each ell; each must have a term of its parity.
-
-        The integrand chi_ell * prod chi_j is a polynomial of degree
-        D = ell + sum(js) times exp(-(p+1) x^2 / 2).  Substituting y = c x
-        with c = sqrt((p+1)/2) turns that into exp(-y^2), which a rule of
-        ceil((D + 1) / 2) nodes integrates exactly.
-        """
-        largest = dict(sorted(zip(budgets.tolist(), ells.tolist())))  # each budget's largest ell
-        deg = max(ell + self.tally(b).deg for b, ell in largest.items())
-        if deg > MAX_DEGREE:
-            raise ValueError(
-                f"the terms reach degree {deg} (ell + j_1 + ... + j_p); a {MAX_NODES}-node"
-                f" Gauss-Hermite rule integrates degree {MAX_DEGREE} at most"
-            )
-        n = deg // 2 + 1
-        rule = gauss_hermite_rule(n)
-        c = math.sqrt((len(self.slots) + 1) / 2.0)
-        half = n // 2  # nodes[half:] are the nonnegative nodes
-        weights = rule.scaled_weights[half:] * (2.0 / c)
-        if n % 2:
-            weights[0] /= 2.0  # the node at 0 has no mirror image
-        chi = hermite_batch(deg, rule.nodes[half:] / c)
-        self.rows = []  # per distinct input: its even-key and odd-key rows
-        for (_, coords, _), vals in zip(self.inputs, self.vals):
-            # no term of these ells holds a key past deg; keys ascend with
-            # size on the Hermite lattice, so the rest is a prefix
-            keys = coords[:, 0]
-            held = keys <= deg
-            rows = vals[held, None] * chi[keys[held]]
-            odd = (keys[held] & 1).astype(bool)[:, None]
-            self.rows.append((np.where(odd, 0.0, rows), np.where(odd, rows, 0.0)))
-        unit = np.ones(len(weights), dtype=complex), np.zeros(len(weights), dtype=complex)
+    def evaluate(self, inputs: Sequence[SpectralVector], provider: HermiteCache) -> np.ndarray:
+        """The value pass: X_ell at self.ells, for inputs on the supports of
+        this plan.  The provider fixes only the basis."""
+        if not len(self.ells):
+            return np.empty(0, dtype=complex)
+        rows = {}  # per input and size order: its even-key and odd-key rows
+        for u, i, vals in zip(inputs, self.at, self.values(inputs)):
+            if (id(u), i) not in rows:
+                # no term of these ells holds a key past deg; keys ascend with
+                # size on the Hermite lattice, so the rest is a prefix
+                keys = self.inputs[i][1][:, 0]
+                held = keys <= self.deg
+                row = vals[held, None] * self.chi[keys[held]]
+                odd = (keys[held] & 1).astype(bool)[:, None]
+                rows[id(u), i] = np.where(odd, 0.0, row), np.where(odd, row, 0.0)
+        self.rows = [rows[id(u), i] for u, i in zip(inputs, self.at)]  # per slot, for _product
+        unit = np.ones(len(self.weights), dtype=complex), np.zeros(len(self.weights), dtype=complex)
         parts = {(len(self.slots), 0): unit}
+        ells, budgets = self.ells[:, 0], self.budgets
         out = np.empty(len(ells), dtype=complex)
         for b in np.unique(budgets).tolist():
             at = np.flatnonzero(budgets == b)
             even, odd = self.fold(parts, self._product, 0, b)
             own = np.where((ells[at] & 1).astype(bool)[:, None], odd, even)
-            out[at] = (chi[ells[at]] * own) @ weights
+            out[at] = (self.chi[ells[at]] * own) @ self.weights
         return out
 
     def _product(self, s: int, hi: int, starts: list[int], subs: list) -> tuple:
         """Even and odd parts of P(s, b) at the nonnegative nodes."""
-        even_rows, odd_rows = self.rows[self.at[s]]
+        even_rows, odd_rows = self.rows[s]
         be = np.add.reduceat(even_rows[:hi], starts, axis=0)
         bo = np.add.reduceat(odd_rows[:hi], starts, axis=0)
         se, so = (np.array(x) for x in zip(*subs))
         return (be * se + bo * so).sum(axis=0), (be * so + bo * se).sum(axis=0)
-
-
-def _hermite_sum(inputs: Sequence[SpectralVector], spec: SparseSetSpec, ells: np.ndarray | None):
-    """(ells, values, terms) as _fourier_sum returns them."""
-    if ells is None:  # alpha = 1 here
-        ells = np.arange(min(_cap(spec), HERMITE_ELL_CAP) + 1)[:, None]
-    ells, budgets = _outputs(spec, ells)
-    ells = ells[:, 0]
-    if not len(ells):
-        return _nothing(spec)
-    kernel = _HermiteClasses(inputs, spec)
-    if kernel.empty:
-        return _nothing(spec)
-    # an ell whose budget admits no tuple has no term
-    fits = budgets >= kernel.need[0]
-    ells, budgets = ells[fits], budgets[fits]
-    per_ell = budgets.tolist()
-    tallies = {b: kernel.tally(b) for b in set(per_ell)}
-    terms = sum(tallies[b].even + tallies[b].odd for b in per_ell)
-    # the terms of the other parity integrate to zero: an ell with no term
-    # of its own parity stays out, as does one with no term at all
-    own = [tallies[b].odd if ell & 1 else tallies[b].even for ell, b in zip(ells.tolist(), per_ell)]
-    present = np.array([n > 0 for n in own], dtype=bool)
-    if not present.any():
-        return _nothing(spec, terms)
-    ells, budgets = ells[present], budgets[present]
-    return ells[:, None], kernel.project(ells, budgets), terms
 
 
 def direct_sparse_eval(request: EvalRequest) -> EvalResult:
@@ -626,7 +634,8 @@ def direct_sparse_eval(request: EvalRequest) -> EvalResult:
     explicit domain since nothing else bounds the output range.  An
     explicit domain must hold indices of the provider's lattice.  A Hermite
     provider fixes only the basis: no coefficient is looked up, and no
-    table is read.
+    table is read.  Either basis builds its plan, which reads no value, and
+    runs the plan's value pass once.
     """
     spec = request.spec
     ells = reach = None
@@ -639,12 +648,12 @@ def direct_sparse_eval(request: EvalRequest) -> EvalResult:
         reach = tuple(map(sum, zip(*reaches, _reach(request.provider.arrays[0]))))
     spec = _clipped(spec, reaches, reach)
     if isinstance(request.provider, FourierSymbol):
-        ells, vals, terms = _fourier_sum(request.provider, request.inputs, spec, ells)
+        plan = _BudgetClasses(request.inputs, request.provider, spec, ells)
     else:
-        if ells is None and spec.alpha == 0:
-            raise ValueError("alpha = 0 with a Hermite provider needs an explicit output domain")
-        ells, vals, terms = _hermite_sum(request.inputs, spec, ells)
-    return EvalResult(SpectralVector._from_arrays(request.provider.basis, ells, vals), terms)
+        plan = _HermiteClasses(request.inputs, spec, ells)
+    vals = plan.evaluate(request.inputs, request.provider)
+    vector = SpectralVector._from_arrays(request.provider.basis, plan.ells, vals)
+    return EvalResult(vector, plan.terms)
 
 
 def iterative_eval(

@@ -19,7 +19,6 @@ from spspec.evaluators import (
     EvalRequest,
     EvalResult,
     _HermiteClasses,
-    _outputs,
     dense_oracle_fourier,
     dense_oracle_hermite,
     direct_sparse_eval,
@@ -358,11 +357,12 @@ def test_direct_and_iterative_keep_their_bits():
     assert got == golden
 
 
-# ------------------------------------------------------------ Fourier plans
+# ------------------------------------------------------------------- plans
 #
-# A Fourier evaluation builds its plan (layouts, kept outputs, terms) from
-# the supports, the symbol's keys, the clipped spec and the explicit domain,
-# and then runs the value pass on the values.
+# An evaluation builds its plan (layouts, kept outputs, terms; for Hermite
+# also the rule) from the supports, the clipped spec and the explicit domain,
+# with the symbol's keys for Fourier, and then runs the value pass on the
+# values.
 
 def _revalued(u: SpectralVector, rng: random.Random) -> SpectralVector:
     """New complex values on the support of u."""
@@ -411,6 +411,34 @@ def test_a_plan_reads_no_value(monkeypatch, d, p, alpha, sym, domain):
 
         monkeypatch.setattr(evaluators, "_BudgetClasses", Planned)
         assert [_run(provider, inputs, spec, ells) for provider, inputs in runs] == fresh
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("alpha,domain", [(0, True), (1, False), (1, True)])
+def test_a_hermite_plan_reads_no_value(monkeypatch, p, alpha, domain):
+    """The Hermite counterpart: a plan built on the values of one evaluation
+    gives, for any other values on the same supports, the bits that
+    evaluation gives with its own plan.  alpha = 0 is refused without a
+    domain before any value is read."""
+    rng = random.Random(f"hermite-plan-{p}-{alpha}-{domain}")
+    keys = rng.sample(range(3), 2) + rng.sample(range(3, 20), 6)
+    first = SpectralVector(HERMITE, {(k,): complex(rng.uniform(-1, 1), 0.0) for k in keys})
+    others = [_revalued(first, rng) for _ in range(p)]
+    spec = SparseSetSpec(p, 24, alpha, SizeFunction.MAX, naturals(1))
+    ells = tuple((ell,) for ell in rng.sample(range(40), 20)) + ((0,),) if domain else None
+    cache = HermiteCache(p)
+    runs = [(first,) * p, tuple(others), (others[0],) * p]
+    fresh = [_run(cache, inputs, spec, ells) for inputs in runs]
+    assert fresh[0][1] > 0
+    plan_class = evaluators._HermiteClasses
+    for built_with in runs:
+
+        class Planned(plan_class):
+            def __init__(self, inputs, spec, ells):
+                super().__init__(built_with, spec, ells)
+
+        monkeypatch.setattr(evaluators, "_HermiteClasses", Planned)
+        assert [_run(cache, inputs, spec, ells) for inputs in runs] == fresh
 
 
 def dict_oracle(tables: list[dict]) -> dict:
@@ -702,6 +730,83 @@ def test_saturation_close_on_float_inputs():
     saturate = math.prod(max(max(1, abs(k[0])) for k in v) for v in inputs)
     got = direct(inputs, saturate, 0)
     assert error_report(got.vector, dense_oracle_fourier(tuple(inputs))) < 1e-13
+
+
+def _ones(m: int) -> SpectralVector:
+    return fvec({j: 1.0 for j in range(m)})
+
+
+def test_a_saturated_budget_folds_once():
+    # every budget class past saturation shares one line: the product of
+    # three ones on 0..1000 at N = 10**30 took 12 s (2 vCPUs) when each was built
+    u = _ones(1001)
+    spec = SparseSetSpec(3, 10**30, 0, SizeFunction.MAX, integers(1))
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        got = direct_sparse_eval(EvalRequest(UNIT, (u,) * 3, spec))
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
+    assert got.terms == 1001**3
+    assert got.vector == dense_oracle_fourier((u,) * 3)
+
+
+@pytest.mark.parametrize("alpha", [0, 1])
+@pytest.mark.parametrize("size", list(SizeFunction))
+def test_the_saturation_clamp_keeps_the_bits(monkeypatch, alpha, size):
+    # a wide slot before narrow ones saturates only at its own size squared,
+    # where each of its sizes leaves a budget of its own
+    rng = random.Random(f"clamp-{alpha}-{size}")
+
+    def contiguous(basis, m):
+        return SpectralVector(basis, {(j,): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                      for j in range(m)})
+
+    cases = []
+    for basis, provider in ((FOURIER, UNIT), (FOURIER, FourierSymbol.inverse_two_minus_cos()),
+                            (HERMITE, HermiteCache(3))):
+        wide, narrow = contiguous(basis, 40), contiguous(basis, 4)
+        for inputs in ((wide, narrow, narrow), (narrow, wide, contiguous(basis, 7)), (narrow,) * 3):
+            ells = tuple((ell,) for ell in range(30)) if basis is HERMITE else None
+            spec = SparseSetSpec(3, 10**5, alpha, size, basis.lattice)
+            cases.append((provider, inputs, spec, ells))
+    clamped = [_run(*case) for case in cases]
+    init = evaluators._Slots.__init__
+
+    def unclamped(self, inputs, spec):
+        init(self, inputs, spec)
+        self.sat = [2**63] * (len(inputs) + 1)
+
+    monkeypatch.setattr(evaluators._Slots, "__init__", unclamped)
+    assert [_run(*case) for case in cases] == clamped
+
+
+def test_saturated_terms_are_exact(run_capped):
+    # m = 10,001 at p = 4 and m = 1,201 at p = 6 raised a bare MemoryError,
+    # and once folded, their float sums came out 1 and 289 terms off; with
+    # six symbol keys the largest count at one output is 0.92 * 2**53
+    child = run_capped("-c", """
+from spspec.coeffs import FourierSymbol
+from spspec.evaluators import EvalRequest, direct_sparse_eval
+from spspec.indices import SizeFunction, SparseSetSpec, integers
+from spspec.spectral import Basis, SpectralVector
+for m, p, keys in ((10001, 4, 1), (1201, 6, 1), (1201, 6, 6)):
+    u = SpectralVector(Basis.fourier(), {(j,): 1.0 for j in range(m)})
+    spec = SparseSetSpec(p, 10**30, 0, SizeFunction.MAX, integers(1))
+    symbol = FourierSymbol({(k,): 1.0 for k in range(keys)}, 1)
+    print(direct_sparse_eval(EvalRequest(symbol, (u,) * p, spec)).terms == keys * m**p)
+""")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["True"] * 3
+
+
+def test_a_count_past_2_53_is_refused():
+    # seven symbol keys take the largest count at one output to 1.07 * 2**53,
+    # where a float64 count line could have rounded
+    spec = SparseSetSpec(6, 10**30, 0, SizeFunction.MAX, integers(1))
+    symbol = FourierSymbol({(k,): 1.0 for k in range(7)}, 1)
+    with pytest.raises(ValueError, match=r"an output has \d+ terms, at or past 2\*\*53"):
+        direct_sparse_eval(EvalRequest(symbol, (_ones(1201),) * 6, spec))
 
 
 # ---------------------------------------------------------------- iterative
@@ -1238,7 +1343,7 @@ def test_hermite_tally_matches_brute_force(p, box, size):
     # tie at its start; the sparse input's 40 enters only one slot's blocks
     inputs = [HERMITE_GUARD_INPUTS[name] for name in ("sparse", "power", "odd")[:p]]
     spec = SparseSetSpec(p, HERMITE_GUARD_LEVEL, 1, size, naturals(1), box=box)
-    kernel = _HermiteClasses(inputs, spec)
+    kernel = _HermiteClasses(inputs, spec, None)
     stored = [[j for (j,) in u if box is None or size.of((j,)) <= box] for u in inputs]
     for b in range(kernel.need[0], HERMITE_GUARD_LEVEL + 1):
         sums = [sum(js) for js in itertools.product(*stored)
@@ -1252,14 +1357,31 @@ def test_hermite_projection_does_not_depend_on_output_order(alpha):
     # at alpha = 0 every ell shares one budget, whose largest ell sets the rule
     inputs = [HERMITE_GUARD_INPUTS[name] for name in ("power", "odd")]
     spec = SparseSetSpec(2, HERMITE_GUARD_LEVEL, alpha, SizeFunction.MAX, naturals(1))
-    kernel = _HermiteClasses(inputs, spec)
-    ells, budgets = _outputs(spec, np.arange(HERMITE_GUARD_LEVEL + 3)[:, None])
-    ells = ells[:, 0]
-    own = [kernel.tally(b)[ell & 1] for ell, b in zip(ells.tolist(), budgets.tolist())]
-    ells, budgets = ells[np.array(own) > 0], budgets[np.array(own) > 0]
-    want = kernel.project(ells, budgets)
-    got = kernel.project(ells[::-1], budgets[::-1])[::-1]
+    domain = np.arange(HERMITE_GUARD_LEVEL + 3)[:, None]
+    forward = _HermiteClasses(inputs, spec, domain)
+    reverse = _HermiteClasses(inputs, spec, domain[::-1])
+    assert len(forward.ells) > 20
+    assert np.array_equal(reverse.ells[::-1], forward.ells)
+    want = forward.evaluate(inputs, HermiteCache(2))
+    got = reverse.evaluate(inputs, HermiteCache(2))[::-1]
     assert want.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("size", list(SizeFunction))
+def test_hermite_tally_matches_brute_force_past_saturation(size):
+    # from sat[0] on every budget folds as sat[0] does, and admits every tuple
+    inputs = [SpectralVector(HERMITE, {(j,): 1.0 for j in keys})
+              for keys in (range(12), (0, 2, 3, 5, 8, 13), range(1, 10))]
+    spec = SparseSetSpec(3, 10**12, 0, size, naturals(1))
+    kernel = _HermiteClasses(inputs, spec, np.array([[0], [1]]))
+    tuples = [(math.prod(size.of((j,)) for j in js), sum(js))
+              for js in itertools.product(*([j for (j,) in u] for u in inputs))]
+    budgets = list(range(kernel.need[0], 200)) + [kernel.sat[0] + d for d in (-1, 0, 1)]
+    for b in budgets + [10**6, 10**12]:
+        sums = [t for n, t in tuples if n <= b]
+        want = (sum(t % 2 == 0 for t in sums), sum(t % 2 for t in sums), max(sums))
+        assert tuple(kernel.tally(b)) == want, b
+    assert kernel.terms == 2 * len(tuples)
 
 
 # ------------------------------------------------------- Hermite direct guard

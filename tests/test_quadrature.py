@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
+from spspec import quadrature
 from spspec.quadrature import MAX_NODES, gauss_hermite_rule, hermite_batch
 
 SQRT_PI = math.sqrt(math.pi)
@@ -87,6 +88,17 @@ def test_node_count_cap():
         gauss_hermite_rule(MAX_NODES + 1)
     with pytest.raises(ValueError):
         gauss_hermite_rule(0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_failed_refinement_is_named(monkeypatch, n):
+    # eigenvalues that all coincide stay coincident through the Newton step;
+    # the uncached builder leaves the rule cache as it was
+    monkeypatch.setattr(quadrature, "eigh_tridiagonal", lambda diag, off, **kw: np.zeros(len(diag)))
+    cached = gauss_hermite_rule.cache_info()
+    with pytest.raises(RuntimeError, match=f"refinement failed between nodes 0 and 1 for n={n}"):
+        gauss_hermite_rule.__wrapped__(n)
+    assert gauss_hermite_rule.cache_info() == cached
 
 
 def test_rules_are_cached_and_read_only():

@@ -6,11 +6,12 @@ Usage:
     PYTHONPATH=CHANGE/src python3 tools/eval_diff.py run CASES change.json
     PYTHONPATH=src python3 tools/eval_diff.py compare parent.json change.json
 
-`run` draws CASES Fourier evaluations from seeds 0 .. CASES - 1, and CASES
-Hermite evaluations from the same seeds under the keys `h<seed>`, and
-writes, per case, the sha256 of its `dump_vector` text with its term count
-and length, or the type and message of the error it raised.  The draw depends on the seed alone, not on the
-tree, so two trees run the same cases.  A Fourier case
+`run` draws CASES Fourier evaluations from seeds 0 .. CASES - 1, CASES
+Hermite evaluations from the same seeds under the keys `h<seed>`, and CASES
+saturating evaluations under the keys `s<seed>`, and writes, per case, the
+sha256 of its `dump_vector` text with its term count and length, or the
+type and message of the error it raised.  The draw depends on the seed
+alone, not on the tree, so two trees run the same cases.  A Fourier case
 crosses d in {1, 2}, p in 1..4, alpha, both norms, no box or a box from 2 to
 2**70, the default output grid or an explicit domain, the unit and
 1/(2 - cos x) symbols (its tensor square in d = 2), and one of: random entries with +-0.0 or random
@@ -24,6 +25,12 @@ of 10**6; at p <= 2 sometimes with a budget of 2**70), and one of: random
 complex entries, some with +-0.0 imaginary parts, or sigma = 2, 3 or 10
 power laws with random signs; the same vector in every slot or not.  About
 one max-norm case in seven at p >= 2 folds iteratively on an arity-2 cache.
+A saturating case puts random complex values on 0..m-1 for m <= 40 and
+evaluates them at p in 1..4, alpha, both norms and N = 2**70, a budget past
+which every budget class folds as its saturation budget does: one in three
+is Hermite on the outputs 0..k for k < 40, the rest Fourier under the unit or
+the 1/(2 - cos x) symbol, with the default outputs; the same vector in every
+slot or not.
 
 `compare` counts the cases whose records agree bit for bit, and lists the
 others.
@@ -155,9 +162,43 @@ def evaluate_hermite(seed: int):
     return "direct", direct_sparse_eval(EvalRequest(HermiteCache(p), inputs, spec, ells))
 
 
-def record(seed: int, hermite: bool):
+def evaluate_saturating(seed: int):
+    """(kind, result) of the saturating case drawn from seed."""
+    rng = random.Random(f"s{seed}")
+    hermite = rng.random() < 1 / 3
+    p = rng.randint(1, 4)
+    alpha = rng.randint(0, 1)
+    size = rng.choice(list(SizeFunction))
+    basis = Basis.hermite() if hermite else Basis.fourier()
+
+    def contiguous() -> SpectralVector:
+        m = rng.randint(1, 40)
+        return SpectralVector(basis, {(j,): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                      for j in range(m)})
+
+    inputs = tuple(contiguous() for _ in range(p))
+    if rng.random() < 0.5:
+        inputs = (inputs[0],) * p
+    spec = SparseSetSpec(p, FAR_BOX, alpha, size, basis.lattice)
+    if hermite:
+        ells = tuple((ell,) for ell in range(rng.randint(1, 40)))
+        return "direct", direct_sparse_eval(EvalRequest(HermiteCache(p), inputs, spec, ells))
+    sym = symbol(1, rng.choice(("unit", "cos")))
+    return "direct", direct_sparse_eval(EvalRequest(sym, inputs, spec))
+
+
+# the case families, by the prefix of their keys
+FAMILIES = {"": ("Fourier", evaluate), "h": ("Hermite", evaluate_hermite),
+            "s": ("saturating", evaluate_saturating)}
+
+
+def family(key: str) -> str:
+    return key.rstrip("0123456789")
+
+
+def record(seed: int, draw):
     try:
-        kind, got = evaluate_hermite(seed) if hermite else evaluate(seed)
+        kind, got = draw(seed)
     except Exception as e:  # recorded: the two trees may raise differently
         return ["error", type(e).__name__, str(e)]
     text = dump_vector(got.vector).encode()
@@ -165,12 +206,12 @@ def record(seed: int, hermite: bool):
 
 
 def run(cases: int, path: str) -> None:
-    out = {str(seed): record(seed, hermite=False) for seed in range(cases)}
-    out.update({f"h{seed}": record(seed, hermite=True) for seed in range(cases)})
+    out = {f"{prefix}{seed}": record(seed, draw)
+           for prefix, (_, draw) in FAMILIES.items() for seed in range(cases)}
     with open(path, "w") as f:
         json.dump(out, f)
-    for name, hermite_key in (("Fourier", False), ("Hermite", True)):
-        base = [v for k, v in out.items() if k.startswith("h") == hermite_key]
+    for prefix, (name, _) in FAMILIES.items():
+        base = [v for k, v in out.items() if family(k) == prefix]
         errors = sum(v[0] == "error" for v in base)
         empty = sum(v[0] != "error" and v[3] == 0 for v in base)
         print(f"{len(base)} {name} cases: {errors} raised, {empty} returned no entry")
@@ -182,8 +223,9 @@ def compare(first_path: str, second_path: str) -> int:
     with open(second_path) as f:
         second = json.load(f)
     other = [k for k in first if first[k] != second.get(k)]
-    hermite = sum(k.startswith("h") for k in first)
-    print(f"{len(first)} cases ({len(first) - hermite} Fourier, {hermite} Hermite):"
+    counts = ", ".join(f"{sum(family(k) == prefix for k in first)} {name}"
+                       for prefix, (name, _) in FAMILIES.items())
+    print(f"{len(first)} cases ({counts}):"
           f" {len(first) - len(other)} identical, {len(other)} differ")
     for k in other:
         print(f"  {k}: {first[k]} -> {second.get(k)}")
