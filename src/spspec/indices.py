@@ -176,14 +176,26 @@ def enumerate_sparse(spec: SparseSetSpec, ell: Index) -> Iterator[tuple[Index, .
     Tuples come out in lexicographic order on the concatenated coordinates.
     The descent carries the remaining multiplicative budget, so no full
     p-fold product is ever formed.  Empty stream when ell itself breaks the
-    budget or the box cap.
+    budget or the box cap; a bad ell raises at the first next(), not here.
 
     A descent from budget b reaches only the budgets b // m, so the indices
-    within each budget, and the budgets they leave, are listed once per call
-    and shared by every prefix that reaches it.  The memo holds at most
-    ENUM_MEMO_ENTRIES indices; a budget whose max-norm count (an upper bound
-    under either norm) would pass that is streamed afresh at every visit.
+    within each budget, split into maximal runs of consecutive indices that
+    leave the same budget c, are listed once per call and shared by every
+    prefix that reaches it.  The memo holds at most ENUM_MEMO_ENTRIES
+    indices; a budget whose max-norm count (an upper bound under either
+    norm) would pass that is streamed afresh at every visit.
+
+    The stream is one chain of pieces.  At the next-to-last slot a run meets
+    the last slot as one itertools.product(*prefix, run, within c), which
+    builds its tuples in C.  Every index of the run leaves the same c, and
+    the run's indices are consecutive, so that product is exactly the
+    lexicographic sub-stream of the tuples the run's indices head.
     """
+    return itertools.chain.from_iterable(_pieces(spec, ell))
+
+
+def _pieces(spec: SparseSetSpec, ell: Index) -> Iterator[Iterator[tuple[Index, ...]]]:
+    """The pieces of enumerate_sparse's chain, in order; a generator, so ell is checked lazily."""
     ell = spec.lattice.validate(ell)
     sz_ell = spec.size.of(ell)
     if spec.box is not None and sz_ell > spec.box:
@@ -191,30 +203,45 @@ def enumerate_sparse(spec: SparseSetSpec, ell: Index) -> Iterator[tuple[Index, .
     budget = spec.level // sz_ell**spec.alpha
     if budget < 1:
         return
-    listed: dict[int, list[Index]] = {}
-    leftovers: dict[int, list[int]] = {}
+    # tuples, which itertools.product takes as they are where it copies a list
+    listed: dict[int, tuple[Index, ...]] = {}
+    runs: dict[int, list[tuple[int, tuple[Index, ...]]]] = {}
     room = ENUM_MEMO_ENTRIES
 
-    def walk(slots: int, b: int, prefix: tuple[Index, ...]) -> Iterator[tuple[Index, ...]]:
+    def cap(b: int) -> int:
+        return b if spec.box is None else min(b, spec.box)
+
+    def memo(b: int) -> tuple[Index, ...] | None:
+        """The indices within b, listed at the first visit if they fit the memo."""
         nonlocal room
         js = listed.get(b)
-        if js is None:
-            cap = b if spec.box is None else min(b, spec.box)
-            js = indices_up_to(spec.lattice, spec.size, cap)
-            if _max_norm_count(spec.lattice, cap) <= room:
-                js = listed[b] = list(js)
-                room -= len(js)
+        if js is None and _max_norm_count(spec.lattice, cap(b)) <= room:
+            js = listed[b] = tuple(indices_up_to(spec.lattice, spec.size, cap(b)))
+            room -= len(js)
+        return js
+
+    def walk(slots: int, b: int, prefix: tuple) -> Iterator[Iterator[tuple[Index, ...]]]:
+        js = memo(b)
+        if js is None:  # past the memo: one fresh stream per visit
+            js = indices_up_to(spec.lattice, spec.size, cap(b))
+            if slots > 1:
+                for j in js:
+                    yield from walk(slots - 1, b // spec.size.of(j), prefix + (j,))
+                return
         if slots == 1:
-            return map(prefix.__add__, zip(js))
-        rest = leftovers.get(b)
-        if rest is None:
-            if b in listed:
-                rest = leftovers[b] = list(map(b.__floordiv__, map(spec.size.of, js)))
-            else:  # one stream for both, so the indices are listed once per visit
-                js, ahead = itertools.tee(js)
-                rest = map(b.__floordiv__, map(spec.size.of, ahead))
-        prefixes = map(prefix.__add__, zip(js))
-        return itertools.chain.from_iterable(map(walk, itertools.repeat(slots - 1), rest, prefixes))
+            yield map(prefix.__add__, zip(js))
+            return
+        split = runs.get(b)
+        if split is None:
+            by_leftover = itertools.groupby(js, lambda j: b // spec.size.of(j))
+            split = runs[b] = [(c, tuple(run)) for c, run in by_leftover]
+        for c, run in split:
+            last = memo(c) if slots == 2 else None
+            if last is not None:
+                yield itertools.product(*zip(prefix), run, last)
+            else:  # a slot above the next-to-last, or c is past the memo
+                for j in run:
+                    yield from walk(slots - 1, c, prefix + (j,))
 
     yield from walk(spec.p, budget, ())
 

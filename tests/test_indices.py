@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -250,6 +251,8 @@ def test_enumerate_past_the_memo_cap_streams_the_same_tuples(entries, monkeypatc
         (SparseSetSpec(3, 20, 1, SizeFunction.PROD, naturals(1), box=5), (1,)),
         (SparseSetSpec(2, 12, 0, SizeFunction.PROD, integers(2)), (0, 0)),
         (SparseSetSpec(2, 9, 1, SizeFunction.MAX, naturals(2), box=4), (1, 0)),
+        (SparseSetSpec(4, 8, 0, SizeFunction.MAX, integers(1)), (0,)),
+        (SparseSetSpec(2, 5, 0, SizeFunction.PROD, integers(3)), (0, 0, 0)),
     ]
     for spec, ell in cases:
         assert list(enumerate_sparse(spec, ell)) == brute_tuples(spec, ell)
@@ -270,6 +273,23 @@ def test_a_streamed_budget_is_listed_once_per_visit(monkeypatch):
     spec = SparseSetSpec(2, 6, 0, SizeFunction.MAX, integers(2))
     assert list(enumerate_sparse(spec, (0, 0))) == brute_tuples(spec, (0, 0))
     assert caps.count(6) == 1 + 9
+
+
+def test_a_listed_run_streams_a_leftover_past_the_memo(monkeypatch):
+    # budget 12 (25 indices) and budget 1 (3) fill a memo of 28, so the runs
+    # of listed 12 that leave 2, 3, 4 or 6 meet the last slot streamed, once
+    # per index: the run (-6, -5) leaves 2, and so does (5, 6)
+    monkeypatch.setattr(indices, "ENUM_MEMO_ENTRIES", 28)
+    caps = []
+
+    def spy(lattice, size, cap):
+        caps.append(cap)
+        return indices_up_to(lattice, size, cap)
+
+    monkeypatch.setattr(indices, "indices_up_to", spy)
+    spec = SparseSetSpec(2, 12, 0, SizeFunction.MAX, integers(1))
+    assert list(enumerate_sparse(spec, (0,))) == brute_tuples(spec, (0,))
+    assert caps == [12, 1, 2, 2, 3, 4, 6, 6, 4, 3, 2, 2]
 
 
 def test_enumerate_streams_a_huge_line_lazily():
@@ -305,6 +325,70 @@ def test_enumerate_streams_a_huge_box_lazily():
         tracemalloc.stop()
     assert first == ((-(10**9), -(10**9)), (-1, -1))
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_enumerate_serves_a_huge_budget_lazily_through_a_product(d):
+    # the first index within 2**80 leaves budget 1, whose listed run meets
+    # the last slot as one product
+    spec = SparseSetSpec(3, 2**80, 0, SizeFunction.MAX, integers(d))
+    tracemalloc.start()
+    try:
+        first = next(enumerate_sparse(spec, (0,) * d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == ((-(2**80),) * d, (-1,) * d, (-1,) * d)
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("spec,ell,limit", [
+    (SparseSetSpec(2, 6, 0, SizeFunction.MAX, integers(1)), (2**63,), f"|c| <= {2**63 - 1}"),
+    (SparseSetSpec(2, 6, 0, SizeFunction.MAX, naturals(2)), (1, -1), "not in N^2"),
+    (SparseSetSpec(2, 6, 1, SizeFunction.PROD, integers(1)), (0.5,), "non-integer"),
+])
+def test_a_bad_ell_raises_at_the_first_next(spec, ell, limit):
+    stream = enumerate_sparse(spec, ell)
+    with pytest.raises(ValueError, match=re.escape(limit)):
+        next(stream)
+
+
+EDGE_BUDGETS = (2**62, 2**63 - 1, 2**64, 2**80)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("size", SizeFunction)
+@pytest.mark.parametrize("lattice", [integers, naturals])
+def test_enumerate_and_count_at_the_edge_of_the_int64_range(d, size, lattice):
+    # every case either streams a sorted prefix inside the budget and the box,
+    # or raises a ValueError naming its limit; nothing else may escape
+    lat = lattice(d)
+    top = 2**63 - 1
+    ells = [(0,) * d] + [(c,) + (0,) * (d - 1) for c in (top - 1, top, top + 1)]
+    if lattice is integers:
+        ells.append((-top,) * d)
+    for n in EDGE_BUDGETS:
+        for alpha in (0, 1):
+            for box in (None, 2**40):
+                spec = SparseSetSpec(3, n, alpha, size, lat, box)
+                for ell in ells:
+                    stream = enumerate_sparse(spec, ell)
+                    if max(map(abs, ell)) > top:
+                        with pytest.raises(ValueError, match=re.escape(f"|c| <= {top}")):
+                            next(stream)
+                        continue
+                    got = list(itertools.islice(stream, 40))
+                    assert got == sorted(got) and len(got) == len(set(got))
+                    sz_ell = size.of(ell)
+                    for js in got:
+                        sizes = [size.of(j) for j in js]
+                        assert sz_ell**alpha * math.prod(sizes) <= n
+                        assert box is None or max(sizes + [sz_ell]) <= box
+                        assert all(lat.contains(j) for j in js)
+                    # a stream is empty only where ell breaks the box or the budget
+                    assert bool(got) == ((box is None or sz_ell <= box) and n // sz_ell**alpha >= 1)
+                with pytest.raises(ValueError, match=f"budget {n} exceeds {2**36}"):
+                    count_sparse(spec)
 
 
 def test_enumerate_memory_is_bounded_by_the_memo_cap():
