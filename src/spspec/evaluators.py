@@ -40,11 +40,13 @@ block combine computes:
   budget, as folds of Python ints over per-input prefix counts of odd keys,
   which fix the outputs that have a term of their own parity, the number of
   terms and the rule.  The value pass forms the rows on the values and
-  folds them at the nodes.  No coefficient is looked up.
+  runs the listed blocks at the nodes.  No coefficient is looked up.
 
-Both bases thus plan without values and then run a value pass, and
-direct_sparse_eval runs the two the same way.  Both are deterministic:
-every sum is accumulated in a fixed order.
+Both bases thus plan without values, each (slot, budget) once, and list
+their steps, each after the steps it reads; a value pass runs the list in
+order on the values, and reads nothing else of the plan nor writes to it.
+direct_sparse_eval runs the two passes the same way.  Both are
+deterministic: every sum is accumulated in a fixed order.
 """
 
 from __future__ import annotations
@@ -195,6 +197,10 @@ class _Slots:
     self.inputs[self.at[s]]; the kernels' per-input tables follow that list.
     The tables hold supports only: values(inputs) takes each slot's values
     to its size order, for any inputs on the same supports.
+
+    Both kernels' plans fold each (slot, budget) once, and the combine
+    appends one step to the plan's list, after the steps of its subs, so
+    a value pass runs the list in order and plans nothing.
     """
 
     def __init__(self, inputs: Sequence[SpectralVector], spec: SparseSetSpec):
@@ -228,7 +234,6 @@ class _Slots:
             self.sat = [0]  # past the last slot
             for s, m in enumerate(reversed(most)):
                 self.sat.insert(0, max(m * m, m * self.sat[0]) if s else m)
-        self.plans: dict[tuple[int, int], tuple[int, list[int], list[int]]] = {}
 
     def values(self, inputs: Sequence[SpectralVector]) -> list[np.ndarray]:
         """Each slot's values in its size order."""
@@ -241,34 +246,30 @@ class _Slots:
         at starts[k] leaves budgets[k] to the next slot (0 past the last
         slot, where the one block leaves nothing to spend).
         """
-        key = (s, b)
-        if key not in self.plans:
-            sizes = self.slots[s][0]
-            hi = int(np.searchsorted(sizes, b // self.need[s + 1], side="right"))
-            if s == len(self.slots) - 1:
-                self.plans[key] = hi, [0], [0]
-            else:
-                cs = b // sizes[:hi]
-                first = np.ones(hi, dtype=bool)
-                first[1:] = cs[1:] != cs[:-1]
-                starts = first.nonzero()[0]
-                self.plans[key] = hi, starts.tolist(), cs[starts].tolist()
-        return self.plans[key]
+        sizes = self.slots[s][0]
+        hi = int(np.searchsorted(sizes, b // self.need[s + 1], side="right"))
+        if s == len(self.slots) - 1:
+            return hi, [0], [0]
+        cs = b // sizes[:hi]
+        first = np.ones(hi, dtype=bool)
+        first[1:] = cs[1:] != cs[:-1]
+        starts = first.nonzero()[0]
+        return hi, starts.tolist(), cs[starts].tolist()
 
     def fold(self, memo: dict, combine, s: int, b: int):
         """memo[s, b] = combine(s, hi, starts, subs), for b >= need[s].
 
         (hi, starts, budgets) is plan(s, b) and subs[k] the fold of the next
-        slot at budgets[k]; memo holds the empty product at (p, 0).  A budget
-        past sat[s] is read as sat[s], which folds the same.
+        slot at budgets[k]; memo holds the unit past the last slot at (p, 0).
+        A budget past sat[s] is read as sat[s], which folds the same.  Each
+        (s, b) is planned once, when its fold is first asked for.
         """
         if b > self.sat[s]:  # not min(): this runs on every fold step
             b = self.sat[s]
         key = (s, b)
         if key not in memo:
-            hi, starts, budgets = self.plan(s, b)
-            subs = [self.fold(memo, combine, s + 1, c) for c in budgets]
-            memo[key] = combine(s, hi, starts, subs)
+            hi, starts, cs = self.plan(s, b)
+            memo[key] = combine(s, hi, starts, [self.fold(memo, combine, s + 1, c) for c in cs])
         return memo[key]
 
 
@@ -346,7 +347,7 @@ class _BudgetClasses(_Slots):
             pos = ells @ strides - (total[0] + self.sym[0])
             at = (pos >= 0) & (pos < total[1] + self.sym[1] - 1)
             ells, self.pos, self.total = ells[at], pos[at], total[2]
-        del self.plans, self.lines  # the layout is in the steps
+        del self.lines  # the layout is in the steps
         cnts = self._sums([np.ones(len(k)) for k in self.flat])
         # every partial sum of a count is at most the count, so one below
         # 2**53 is exact in float64, and one that is not still reads >= 2**53
@@ -527,9 +528,11 @@ class _HermiteClasses(_Slots):
     either parity and finds the largest degree, which fix the outputs that
     have a term of their own parity, the number of terms and the rule.  Per
     distinct input it keeps the keys in size order and the prefix count of
-    odd keys, so a block is read as three numbers with no numpy call.
-    evaluate() is the value pass: the rows, their products at the nodes and
-    the projections.
+    odd keys, so a block is read as three numbers with no numpy call.  Each
+    fold is one step (s, hi, starts, sub steps, tally), and folds holds the
+    step of each (s, b); step 0 is the unit past the last slot.  evaluate()
+    is the value pass: the rows, the steps the kept budgets reach run in
+    list order at the nodes, and the projections.
     """
 
     def __init__(
@@ -540,7 +543,8 @@ class _HermiteClasses(_Slots):
         if ells is None:
             ells = np.arange(min(_cap(spec), HERMITE_ELL_CAP) + 1)[:, None]
         super().__init__(inputs, spec)
-        self.tallies = {(len(self.slots), 0): _Tally(1, 0, 0)}
+        self.steps = [(len(self.slots), 0, [], [], _Tally(1, 0, 0))]
+        self.folds = {(len(self.slots), 0): 0}
         keys = [coords[:, 0].tolist() for _, coords, _ in self.inputs]
         self.prefix = [(k, list(accumulate((x & 1 for x in k), initial=0))) for k in keys]
         ells, budgets = _outputs(spec, ells)
@@ -551,8 +555,7 @@ class _HermiteClasses(_Slots):
         self.terms = sum(tallies[b].even + tallies[b].odd for b in per_ell)
         # the terms of the other parity integrate to zero: an ell with no term
         # of its own parity stays out, as does one with no term at all
-        own = [tallies[b][ell & 1] for ell, b in zip(ells[held, 0].tolist(), per_ell)]
-        held[held] = [n > 0 for n in own]
+        held[held] = [tallies[b][ell & 1] > 0 for ell, b in zip(ells[held, 0].tolist(), per_ell)]
         self.ells, self.budgets = ells[held], budgets[held]
         if not len(self.ells):
             return
@@ -574,20 +577,21 @@ class _HermiteClasses(_Slots):
 
     def tally(self, b: int) -> _Tally:
         """The tuples of all slots within budget b >= need[0]."""
-        return self.fold(self.tallies, self._count, 0, b)
+        return self.steps[self.fold(self.folds, self._count, 0, b)][4]
 
-    def _count(self, s: int, hi: int, starts: list[int], subs: list[_Tally]) -> _Tally:
-        """A block [a, e) holds odd[e] - odd[a] odd keys, and its largest key
-        is keys[e - 1]: keys ascend with size on the Hermite lattice."""
+    def _count(self, s: int, hi: int, starts: list[int], subs: list[int]) -> int:
+        """The number of a new last step, the fold of slot s over the steps
+        subs.  A block [a, e) holds odd[e] - odd[a] odd keys, and its largest
+        key is keys[e - 1]: keys ascend with size on the Hermite lattice."""
         keys, odd = self.prefix[self.at[s]]
-        even_n = odd_n = 0
-        deg = -1
-        for a, e, sub in zip(starts, starts[1:] + [hi], subs):
-            o = odd[e] - odd[a]
+        even_n, odd_n, deg = 0, 0, -1
+        for a, e, k in zip(starts, starts[1:] + [hi], subs):
+            sub, o = self.steps[k][4], odd[e] - odd[a]
             even_n += (e - a - o) * sub.even + o * sub.odd
             odd_n += (e - a - o) * sub.odd + o * sub.even
             deg = max(deg, keys[e - 1] + sub.deg)
-        return _Tally(even_n, odd_n, deg)
+        self.steps.append((s, hi, starts, subs, _Tally(even_n, odd_n, deg)))
+        return len(self.steps) - 1
 
     def evaluate(self, inputs: Sequence[SpectralVector], provider: HermiteCache) -> np.ndarray:
         """The value pass: X_ell at self.ells, for inputs on the supports of
@@ -604,25 +608,29 @@ class _HermiteClasses(_Slots):
                 row = vals[held, None] * self.chi[keys[held]]
                 odd = (keys[held] & 1).astype(bool)[:, None]
                 rows[id(u), i] = np.where(odd, 0.0, row), np.where(odd, row, 0.0)
-        self.rows = [rows[id(u), i] for u, i in zip(inputs, self.at)]  # per slot, for _product
-        unit = np.ones(len(self.weights), dtype=complex), np.zeros(len(self.weights), dtype=complex)
-        parts = {(len(self.slots), 0): unit}
+        rows = [rows[id(u), i] for u, i in zip(inputs, self.at)]  # per slot
         ells, budgets = self.ells[:, 0], self.budgets
+        tops = {b: self.folds[0, min(b, self.sat[0])] for b in np.unique(budgets).tolist()}
+        # the steps these budgets reach; a budget whose outputs were all
+        # dropped for their parity can admit a key past deg, which has no row
+        live = set(tops.values())
+        for k in range(len(self.steps) - 1, 0, -1):
+            live.update(self.steps[k][3] if k in live else ())
+        # the even and odd parts of each live step's P(s, b) at the nonnegative
+        # nodes, in list order, where a step's subs come before it
+        parts = {0: np.outer([1, 0], np.ones(len(self.weights), dtype=complex))}  # the unit
+        for k in sorted(live - {0}):
+            s, hi, starts, subs, _ = self.steps[k]
+            even_rows, odd_rows = rows[s]
+            be = np.add.reduceat(even_rows[:hi], starts, axis=0)
+            bo = np.add.reduceat(odd_rows[:hi], starts, axis=0)
+            se, so = (np.array(x) for x in zip(*(parts[j] for j in subs)))
+            parts[k] = (be * se + bo * so).sum(axis=0), (be * so + bo * se).sum(axis=0)
         out = np.empty(len(ells), dtype=complex)
-        for b in np.unique(budgets).tolist():
-            at = np.flatnonzero(budgets == b)
-            even, odd = self.fold(parts, self._product, 0, b)
-            own = np.where((ells[at] & 1).astype(bool)[:, None], odd, even)
-            out[at] = (self.chi[ells[at]] * own) @ self.weights
+        for b, top in tops.items():
+            at = np.flatnonzero(budgets == b)  # each ell meets the part of its own parity
+            out[at] = (self.chi[ells[at]] * np.array(parts[top])[ells[at] & 1]) @ self.weights
         return out
-
-    def _product(self, s: int, hi: int, starts: list[int], subs: list) -> tuple:
-        """Even and odd parts of P(s, b) at the nonnegative nodes."""
-        even_rows, odd_rows = self.rows[s]
-        be = np.add.reduceat(even_rows[:hi], starts, axis=0)
-        bo = np.add.reduceat(odd_rows[:hi], starts, axis=0)
-        se, so = (np.array(x) for x in zip(*subs))
-        return (be * se + bo * so).sum(axis=0), (be * so + bo * se).sum(axis=0)
 
 
 def direct_sparse_eval(request: EvalRequest) -> EvalResult:

@@ -136,34 +136,34 @@ class SparseSetSpec:
 
 
 def indices_up_to(lattice: Lattice, size: SizeFunction, cap: int) -> Iterator[Index]:
-    """All lattice indices with size <= cap, in lexicographic order."""
+    """All lattice indices with size <= cap, in lexicographic order, streamed.
+
+    A cap that lets a coordinate pass COORD_MAX raises a ValueError here.
+    """
     if cap < 1:
         return iter(())
-    if size is SizeFunction.PROD and lattice.dim > 1:
-        return _prod_norm_indices(lattice.kind, lattice.dim, cap)
-    top = cap if size is SizeFunction.MAX else cap - 1  # on one coordinate 1 + |c| <= cap
-    return _box(range(-top if lattice.kind is LatticeKind.INTEGERS else 0, top + 1), lattice.dim)
+    if (cap if size is SizeFunction.MAX else cap - 1) > COORD_MAX:  # 1 + |c| <= cap
+        raise ValueError(f"cap {cap} admits a coordinate past the bound |c| <= {COORD_MAX}")
+    return _lattice(lattice.kind, size, lattice.dim, cap)
 
 
-def _box(rng: range, dim: int) -> Iterator[Index]:
-    """rng**dim in lexicographic order, streamed: itertools.product copies its pools.
+def _lattice(kind: LatticeKind, size: SizeFunction, dim: int, cap: int) -> Iterator[Index]:
+    """The indices of indices_up_to, for cap >= 1, streamed (itertools.product
+    copies its pools).
 
-    Each index of the first dim - 1 coordinates heads one run of rng.
+    Each index of the first dim - 1 coordinates heads one row, the last
+    coordinate's range zipped in C: within cap under the max norm, and
+    within cap // prod_norm(head) under the product norm.
     """
+
+    def row(head: Index) -> Iterator[Index]:
+        top = cap if size is SizeFunction.MAX else cap // prod_norm(head) - 1
+        line = range(-top if kind is LatticeKind.INTEGERS else 0, top + 1)
+        return zip(*map(itertools.repeat, head), line)
+
     if dim == 1:
-        return zip(rng)
-    rows = (zip(*map(itertools.repeat, head), rng) for head in _box(rng, dim - 1))
-    return itertools.chain.from_iterable(rows)
-
-
-def _prod_norm_indices(kind: LatticeKind, dim: int, cap: int) -> Iterator[Index]:
-    if dim == 0:
-        yield ()
-        return
-    lo = -(cap - 1) if kind is LatticeKind.INTEGERS else 0
-    for c in range(lo, cap):
-        for rest in _prod_norm_indices(kind, dim - 1, cap // (1 + abs(c))):
-            yield (c,) + rest
+        return row(())
+    return itertools.chain.from_iterable(map(row, _lattice(kind, size, dim - 1, cap)))
 
 
 # indices one enumerate_sparse call may hold in its memo; about 100 bytes each

@@ -441,6 +441,71 @@ def test_a_hermite_plan_reads_no_value(monkeypatch, p, alpha, domain):
         assert [_run(cache, inputs, spec, ells) for inputs in runs] == fresh
 
 
+@pytest.mark.parametrize("alpha", [0, 1])
+def test_the_hermite_value_pass_plans_nothing(monkeypatch, alpha):
+    """A value pass runs the steps its plan lists: on other values on the
+    same supports it plans no (slot, budget), and gives a fresh plan's bits."""
+    rng = random.Random(f"hermite-replan-{alpha}")
+    inputs = tuple(HERMITE_GUARD_INPUTS[name] for name in ("power", "odd", "sparse"))
+    others = tuple(_revalued(u, rng) for u in inputs)
+    spec = SparseSetSpec(3, HERMITE_GUARD_LEVEL, alpha, SizeFunction.MAX, naturals(1))
+    domain = np.array(HERMITE_GUARD_DOMAIN) if alpha == 0 else None
+    plan = _HermiteClasses(inputs, spec, domain)
+    calls = []
+    plan_of = evaluators._Slots.plan
+
+    def counted(self, s, b):
+        calls.append((s, b))
+        return plan_of(self, s, b)
+
+    monkeypatch.setattr(evaluators._Slots, "plan", counted)
+    fresh = _HermiteClasses(others, spec, domain)
+    assert calls and np.array_equal(fresh.ells, plan.ells) and len(plan.ells) > 5
+    calls.clear()
+    got = plan.evaluate(others, HermiteCache(3))
+    assert calls == []
+    assert got.tobytes() == fresh.evaluate(others, HermiteCache(3)).tobytes()
+
+
+def test_the_hermite_value_pass_writes_nothing_to_its_plan():
+    """Two plans' value passes, interleaved on distinct values, leave each
+    plan's attributes as they were and each give a fresh plan's bits."""
+    rng = random.Random("hermite-no-write")
+    spec = SparseSetSpec(2, HERMITE_GUARD_LEVEL, 1, SizeFunction.PROD, naturals(1))
+    pairs = [tuple(HERMITE_GUARD_INPUTS[name] for name in ("power", "even")),
+             (HERMITE_GUARD_INPUTS["odd"],) * 2]
+    plans = [_HermiteClasses(inputs, spec, None) for inputs in pairs]
+
+    def state(plan):  # each attribute's id, and its length where it can grow
+        grows = (list, dict)
+        return {k: (id(v), len(v) if isinstance(v, grows) else 0) for k, v in vars(plan).items()}
+
+    before = [state(plan) for plan in plans]
+    for _ in range(3):
+        for plan, inputs in zip(plans, pairs):
+            values = tuple(_revalued(u, rng) for u in inputs)
+            got = plan.evaluate(values, HermiteCache(2))
+            want = _HermiteClasses(values, spec, None).evaluate(values, HermiteCache(2))
+            assert len(got) and got.tobytes() == want.tobytes()
+    assert [state(plan) for plan in plans] == before
+
+
+@pytest.mark.parametrize("p,size,level,inputs,domain", [
+    (2, SizeFunction.MAX, 40, "even", ((1,), (10,))),
+    (3, SizeFunction.PROD, 80, "odd", None),
+])
+def test_hermite_budgets_dropped_for_parity_may_pass_the_rule(p, size, level, inputs, domain):
+    # every output of the first budget has no term of its own parity, and
+    # that budget admits keys past the degree the kept outputs reach, which
+    # have no chi row; the value pass runs only the steps the kept reach
+    u = {"even": SpectralVector(HERMITE, {(j,): 1.0 + 0.1 * j for j in range(0, 41, 2)}),
+         "odd": SpectralVector(HERMITE, {(1,): 0.5, (19,): 0.25, (3,): 0.1})}[inputs]
+    spec = SparseSetSpec(p, level, 1, size, naturals(1))
+    ells = domain or tuple((ell,) for ell in range(level + 1))
+    got = direct_sparse_eval(EvalRequest(HermiteCache(p), (u,) * p, spec, domain))
+    _assert_close_to_brute(got, _hermite_brute_sums([(u,) * p], spec, ells)[0])
+
+
 def dict_oracle(tables: list[dict]) -> dict:
     """Reference convolution: a dict double loop over every pair of entries."""
     acc = tables[0]

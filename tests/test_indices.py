@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ def test_lattice_dimension_validation():
 
 
 def test_indices_up_to_matches_count():
-    for lattice in (integers(1), naturals(1), integers(2), naturals(2)):
+    for lattice in (integers(1), naturals(1), integers(2), naturals(2), integers(3), naturals(3)):
         for size in SizeFunction:
             # product-norm caps 60 and 97 have blocks of constant cap // k longer than one entry
             for cap in (1, 2, 3, 7, 12) + ((60, 97) if size is SizeFunction.PROD else ()):
@@ -329,17 +330,39 @@ def test_enumerate_streams_a_huge_box_lazily():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_enumerate_serves_a_huge_budget_lazily_through_a_product(d):
-    # the first index within 2**80 leaves budget 1, whose listed run meets
-    # the last slot as one product
-    spec = SparseSetSpec(3, 2**80, 0, SizeFunction.MAX, integers(d))
+    # the first index within 2**62 leaves budget 1, whose listed run meets
+    # the last slot as one product; within 2**80 an index would pass int64
+    spec = SparseSetSpec(3, 2**62, 0, SizeFunction.MAX, integers(d))
     tracemalloc.start()
     try:
         first = next(enumerate_sparse(spec, (0,) * d))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first == ((-(2**80),) * d, (-1,) * d, (-1,) * d)
+    assert first == ((-(2**62),) * d, (-1,) * d, (-1,) * d)
     assert peak < 2**20
+    with pytest.raises(ValueError, match=re.escape(f"|c| <= {2**63 - 1}")):
+        next(enumerate_sparse(replace(spec, level=2**80), (0,) * d))
+
+
+@pytest.mark.parametrize("size", SizeFunction)
+@pytest.mark.parametrize("lattice", [integers(1), naturals(2)])
+def test_no_index_is_listed_past_the_int64_bound(lattice, size):
+    # a coordinate reaches cap under the max norm and cap - 1 under the
+    # product norm; the refusal comes at the call, before any index
+    top = 2**63 - 1
+    last = top if size is SizeFunction.MAX else top + 1
+    low = -top if lattice.kind is LatticeKind.INTEGERS else 0
+    assert next(indices_up_to(lattice, size, last)) == (low,) * lattice.dim
+    with pytest.raises(ValueError, match=re.escape(f"|c| <= {top}")):
+        indices_up_to(lattice, size, last + 1)
+    # an unboxed budget past the bound refuses at the first next(), a boxed one streams
+    spec = SparseSetSpec(2, 2**64, 0, size, lattice)
+    stream = enumerate_sparse(spec, (0,) * lattice.dim)
+    with pytest.raises(ValueError, match=re.escape(f"|c| <= {top}")):
+        next(stream)
+    for js in itertools.islice(enumerate_sparse(replace(spec, box=2**40), (0,) * lattice.dim), 10):
+        assert all(lattice.validate(j) == j for j in js)
 
 
 @pytest.mark.parametrize("spec,ell,limit", [
@@ -377,9 +400,15 @@ def test_enumerate_and_count_at_the_edge_of_the_int64_range(d, size, lattice):
                         with pytest.raises(ValueError, match=re.escape(f"|c| <= {top}")):
                             next(stream)
                         continue
+                    sz_ell = size.of(ell)
+                    # an unboxed budget whose first index would pass the bound
+                    reach = n // sz_ell**alpha - (size is SizeFunction.PROD)
+                    if box is None and reach > top:
+                        with pytest.raises(ValueError, match=re.escape(f"|c| <= {top}")):
+                            next(stream)
+                        continue
                     got = list(itertools.islice(stream, 40))
                     assert got == sorted(got) and len(got) == len(set(got))
-                    sz_ell = size.of(ell)
                     for js in got:
                         sizes = [size.of(j) for j in js]
                         assert sz_ell**alpha * math.prod(sizes) <= n
