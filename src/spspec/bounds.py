@@ -14,6 +14,10 @@ import numpy as np
 
 from .indices import Index, max_norm
 
+# The most rows check_kernel_bound sweeps.  A row takes 113 (p = 2) to 161
+# (p = 4) bytes at its peak, so a sweep at the limit stays under about 0.7 GB.
+SWEEP_ROWS_MAX = 2**22
+
 
 def mu(ks: Sequence[Index]) -> tuple[int, ...]:
     """Max-norm sizes of the tuple, sorted non-increasing (ties kept)."""
@@ -51,12 +55,16 @@ def check_kernel_bound(p: int, size_max: int, theta: float) -> KernelBoundReport
 
     Checks size(ell) * A_theta(ell, js) <= 2 * mu1(js) for every profile of
     one output and p input sizes.  Vectorized; p = 3 at size_max = 30 is
-    under a million rows.
+    under a million rows.  A sweep of more than SWEEP_ROWS_MAX rows is
+    refused before anything is allocated.
     """
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
     if size_max < 1:
         raise ValueError(f"size_max must be >= 1, got {size_max}")
+    if size_max ** (p + 1) > SWEEP_ROWS_MAX:
+        raise ValueError(f"the sweep has size_max ** (p + 1) = {size_max ** (p + 1)} rows,"
+                         f" past the limit of {SWEEP_ROWS_MAX}")
     axes = np.meshgrid(*([np.arange(1, size_max + 1)] * (p + 1)), indexing="ij")
     grid = np.stack([a.ravel() for a in axes], axis=1).astype(float)
     prof = np.sort(grid, axis=1)[:, ::-1]

@@ -8,12 +8,14 @@ with the tuples admitted by a SparseSetSpec budget.  Both bases plan their
 outputs in one place (_outputs): of the candidate indices, an explicit
 domain or the default range, they keep each ell that can have a term, with
 the budget N // size(ell)**alpha it leaves to the inputs; at alpha = 1 no
-ell past min(N, box) has a term, at alpha = 0 none past the box.  Both run
-one budget-class recursion (_Slots): the budget a slot leaves to the next
-only takes the values N // m, O(sqrt(N)) of them, so the entries of a slot
-that leave the same budget form one block, combined as a whole with the
-memoized sum of the later slots at that budget.  Each basis supplies what a
-block combine computes:
+ell past min(N, box) has a term, at alpha = 0 none past the box.  Both
+share one budget-class planner (_Slots): the budget a slot leaves to the
+next only takes the values N // m, O(sqrt(N)) of them, so the entries of a
+slot that leave the same budget form one block, combined as a whole with
+the sum of the later slots at that budget.  The planner finds each slot's
+distinct budgets top-down and has the basis lay out all the steps of a
+slot at once, bottom-up, over arrays of the slot's blocks at every budget.
+Each basis supplies what a block combine computes:
 
 * A Fourier coefficient is a symbol entry b_{ell - sum(js)}, so X is b
   convolved with the budgeted sum, and a block is one numpy convolution per
@@ -37,7 +39,7 @@ block combine computes:
   slots' sum, at the nodes of one Gauss-Hermite rule that integrates every
   term exactly.  The plan reads only the supports, the spec and the
   candidate outputs: the same blocks tally the terms, once per distinct
-  budget, as folds of Python ints over per-input prefix counts of odd keys,
+  budget, as sums of Python ints over per-input prefix counts of odd keys,
   which fix the outputs that have a term of their own parity, the number of
   terms and the rule.  The value pass forms the rows on the values and
   runs the listed blocks at the nodes.  No coefficient is looked up.
@@ -181,7 +183,7 @@ def _clipped(spec: SparseSetSpec, reaches: Sequence[tuple[int, ...]], reach) -> 
 
 
 class _Slots:
-    """The budget-class recursion over p inputs, apart from what is summed.
+    """The budget-class planner over p inputs, apart from what is summed.
 
     A tuple (j_1, ..., j_p) is admitted at budget b when the product of the
     sizes is <= b (box-capped).  Slot s at budget b leaves b // size(j) to
@@ -191,16 +193,18 @@ class _Slots:
     budget that admits a tuple of slots s..p-1; a slot-s entry that leaves
     less than need[s + 1] heads no tuple and is cut.  The remaining entries
     that leave the same budget c form one block, combined as a whole with
-    the next slot's fold at budget c.  The kernels supply the combine.
+    the next slot's step at budget c.  The kernels supply the combine.
 
     Each distinct input is kept once, in self.inputs, and slot s reads
     self.inputs[self.at[s]]; the kernels' per-input tables follow that list.
     The tables hold supports only: values(inputs) takes each slot's values
     to its size order, for any inputs on the same supports.
 
-    Both kernels' plans fold each (slot, budget) once, and the combine
-    appends one step to the plan's list, after the steps of its subs, so
-    a value pass runs the list in order and plans nothing.
+    levels() plans a slot's budgets a level at a time: each slot's distinct
+    budgets are found top-down, and each kernel's _level lays out all the
+    steps of one slot at once, bottom-up, appending them to the plan's list
+    after the steps of the next slot, so a value pass runs the list in order
+    and plans nothing.
     """
 
     def __init__(self, inputs: Sequence[SpectralVector], spec: SparseSetSpec):
@@ -221,15 +225,15 @@ class _Slots:
         if not self.empty:
             least = [int(sizes[0]) for sizes, _, _ in self.slots]
             self.need = [math.prod(least[s:]) for s in range(len(least) + 1)]
-            # sat[s]: slot s folds at any budget b >= sat[s] as it does at
-            # sat[s].  With M the slot's largest size, the last slot admits
-            # every entry in one block at any b >= M.  At b >= max(M**2, M *
+            # sat[s]: slot s plans any budget b >= sat[s] as it does sat[s].
+            # With M the slot's largest size, the last slot admits every
+            # entry in one block at any b >= M.  At b >= max(M**2, M *
             # sat[s + 1]) an earlier slot admits every entry (b // need[s + 1]
             # >= M, as need[s + 1] <= sat[s + 1]); for sizes x < y <= M, b / x
             # - b / y >= b / (x y) >= 1, so b // x > b // y and each size is a
             # block of its own; and every sub-budget b // size is >= sat[s + 1].
-            # By induction the fold at b has the (hi, starts) and the sub folds
-            # of the fold at sat[s].
+            # By induction the step at b has the (hi, starts) and the sub steps
+            # of the step at sat[s].
             most = [int(sizes[-1]) for sizes, _, _ in self.slots]
             self.sat = [0]  # past the last slot
             for s, m in enumerate(reversed(most)):
@@ -239,39 +243,53 @@ class _Slots:
         """Each slot's values in its size order."""
         return [u.as_arrays()[1][self.inputs[i][2]] for u, i in zip(inputs, self.at)]
 
-    def plan(self, s: int, b: int) -> tuple[int, list[int], list[int]]:
-        """(hi, starts, budgets) of slot s at budget b >= need[s].
+    def levels(self, s: int, budgets) -> np.ndarray:
+        """The steps of slot s at budgets, each >= need[s], as _level gives
+        them, one per budget.
 
-        The entries [:hi] of the size order are admitted; the block starting
-        at starts[k] leaves budgets[k] to the next slot (0 past the last
-        slot, where the one block leaves nothing to spend).
+        A budget past sat[s] is read as sat[s], which plans the same.
+        Top-down, each slot's distinct budgets b are found, and in groups of
+        at most _LEVEL_ENTRIES admitted entries (or one budget), as arrays
+        over their entries laid back to back: the admitted prefix [:hi] of
+        each b's size order, where each prefix starts (heads), the starts of
+        its blocks of equal b // size and, as subs, the place among the next
+        slot's budgets of the budget each block leaves to it.  Bottom-up,
+        _level lays out the steps of a group, given below, the steps of the
+        next slot's budgets.
         """
-        sizes = self.slots[s][0]
-        hi = int(np.searchsorted(sizes, b // self.need[s + 1], side="right"))
-        if s == len(self.slots) - 1:
-            return hi, [0], [0]
-        cs = b // sizes[:hi]
-        first = np.ones(hi, dtype=bool)
-        first[1:] = cs[1:] != cs[:-1]
-        starts = first.nonzero()[0]
-        return hi, starts.tolist(), cs[starts].tolist()
+        last = len(self.slots) - 1
+        budgets = np.minimum(budgets, min(self.sat[s], COORD_MAX))
+        b = top = np.unique(budgets)
+        levels = []  # per slot from s on: its groups of budgets, as (his, heads, starts, subs)
+        for t in range(s, last + 1):
+            sizes = self.slots[t][0]
+            his = np.searchsorted(sizes, b // self.need[t + 1], side="right")
+            if t == last:  # one block each, which leaves nothing to spend
+                levels.append((t, [(his, np.cumsum(his) - his, None, None)]))
+                break
+            group = max(1, _LEVEL_ENTRIES // len(sizes))  # budgets, each with hi <= len(sizes)
+            level = []
+            for a in range(0, len(b), group):
+                hs = his[a : a + group]
+                heads = np.cumsum(hs) - hs  # where each budget's entries start
+                pos = np.arange(heads[-1] + hs[-1]) - np.repeat(heads, hs)  # their places
+                cs = np.repeat(b[a : a + group], hs) // sizes[pos]
+                first = pos == 0  # each budget's first entry starts a block
+                first[1:] |= cs[1:] != cs[:-1]
+                starts = np.flatnonzero(first)
+                cs = np.minimum(cs[starts], min(self.sat[t + 1], COORD_MAX))
+                level.append((hs, heads, starts, cs))
+            b = np.unique(np.concatenate([cs for *_, cs in level]))  # the next slot's budgets
+            levels.append((t, [(*g, np.searchsorted(b, c)) for *g, c in level]))
+        steps = None
+        for t, level in reversed(levels):
+            steps = np.concatenate([self._level(t, *group, steps) for group in level])
+        return steps[np.searchsorted(top, budgets)]
 
-    def fold(self, memo: dict, combine, s: int, b: int):
-        """memo[s, b] = combine(s, hi, starts, subs), for b >= need[s].
 
-        (hi, starts, budgets) is plan(s, b) and subs[k] the fold of the next
-        slot at budgets[k]; memo holds the unit past the last slot at (p, 0).
-        A budget past sat[s] is read as sat[s], which folds the same.  Each
-        (s, b) is planned once, when its fold is first asked for.
-        """
-        if b > self.sat[s]:  # not min(): this runs on every fold step
-            b = self.sat[s]
-        key = (s, b)
-        if key not in memo:
-            hi, starts, cs = self.plan(s, b)
-            memo[key] = combine(s, hi, starts, [self.fold(memo, combine, s + 1, c) for c in cs])
-        return memo[key]
-
+# A slot's budgets are planned in groups of at most this many admitted
+# entries in all, so that the working arrays of a level stay small.
+_LEVEL_ENTRIES = 2**14
 
 # A hole between two entries of a block is filled with zeros when that costs
 # fewer multiply-adds than one more np.convolve call (about a microsecond).
@@ -285,17 +303,18 @@ class _BudgetClasses(_Slots):
     Multi-indices are flattened to one integer each, key(j) = sum_c j_c *
     stride_c, with strides wider than the output extent in every coordinate:
     the key of a sum is the sum of the keys and no two outputs share a key.
-    partial(s, b) is the sum over the tuples of slots s..p-1 within budget b
+    line(s, b) is the sum over the tuples of slots s..p-1 within budget b
     of prod u, placed at the key of sum(js).  A block of slot-s entries is
-    convolved with partial(s + 1, c) as a whole.
+    convolved with line(s + 1, c) as a whole.
 
     The plan reads the supports, the symbol's keys, the spec and the output
-    domain, and no value.  Each line becomes one step, the layout of its
-    runs over the lines of earlier steps, and partial(s, b) is the span and
-    step of its line.  The steps run over ones give the count lines, the
-    number of tuples at each key; only the plan forms them, to keep the
-    outputs that have a term and count the terms.  evaluate() is the value
-    pass: the same steps over the inputs' and the symbol's values.
+    domain, and no value.  Each line is one step, the layout of its runs
+    over the lines of earlier steps; levels() gives the span and step of
+    line(s, b), and lays out the steps of all the budgets a slot is asked
+    for at once.  The steps run over ones give the count lines, the number
+    of tuples at each key; only the plan forms them, to keep the outputs
+    that have a term and count the terms.  evaluate() is the value pass: the
+    same steps over the inputs' and the symbol's values.
     """
 
     def __init__(
@@ -338,16 +357,15 @@ class _BudgetClasses(_Slots):
         ells, budgets = _outputs(spec, ells)
         if not len(ells):
             return
-        self.sym = self._placed(len(self.slots), len(bkeys))
-        self.lines = {(len(self.slots), 0): None}  # the unit line, which the last slot passes over
+        sym = self._level(len(self.slots), np.r_[len(bkeys)], None, None, None, None)  # placed
+        self.sym = tuple(sym[0].tolist())
         if spec.alpha:
             self._classes(ells @ strides, budgets)
-        else:  # the line symbol * partial(0, N), read at each ell within it
-            total = self.partial(0, spec.level)
+        else:  # the line symbol * line(0, N), read at each ell within it
+            total = self.levels(0, [spec.level])[0].tolist()
             pos = ells @ strides - (total[0] + self.sym[0])
             at = (pos >= 0) & (pos < total[1] + self.sym[1] - 1)
             ells, self.pos, self.total = ells[at], pos[at], total[2]
-        del self.lines  # the layout is in the steps
         cnts = self._sums([np.ones(len(k)) for k in self.flat])
         # every partial sum of a count is at most the count, so one below
         # 2**53 is exact in float64, and one that is not still reads >= 2**53
@@ -359,67 +377,59 @@ class _BudgetClasses(_Slots):
         # a class is gathered whole or not at all: one with no term is dropped
         self.classes = [c for c in self.classes if self.keep[self.order[c[0] : c[1]]].any()]
 
-    def partial(self, s: int, b: int) -> tuple[int, int, int] | None:
-        """(lo, length, step) of the line; None when no tuple of slots
-        s..p-1 fits in budget b."""
-        return self.fold(self.lines, self._blocks, s, b) if b >= self.need[s] else None
+    def _level(self, s: int, his: np.ndarray, heads, starts, subs, below) -> np.ndarray:
+        """The (lo, length, step) of the lines of new steps of slot s, one
+        per admitted prefix [:hi] (past the last slot, of the symbol's keys).
 
-    def _step(self, lo: int, n: int, *step) -> tuple[int, int, int]:
-        """(lo, length, step) of the line of a new last step."""
-        self.steps.append((*step, n))
-        return lo, n, len(self.steps) - 1
-
-    def _placed(self, s: int, hi: int) -> tuple[int, int, int]:
-        """The line of the first hi entries of slot s (past the last slot,
-        the symbol), placed at their keys."""
-        keys = self.flat[s][:hi]
-        lo = int(keys.min())
-        return self._step(lo, int(keys.max()) - lo + 1, s, slice(hi), lo, None)
-
-    def _blocks(self, s: int, hi: int, starts: list[int], subs: list) -> tuple[int, int, int]:
-        """The step of the sum over the admitted slot-s entries j of u_j *
-        subs[block of j] shifted by key(j).
-
-        A block is cut into runs of nearby keys, each run one np.convolve of
-        its own line with the block's sub line, and a lone key a scaled copy
-        of it; the parts are added in run order.  The layout is worked out
-        once for all runs: block ids, the cuts, each entry's place in its
-        run, and where each run's part starts.  The last slot's one block
-        meets the unit line, so its entries are placed as they are.
+        The last slot's one block meets the unit line, so a prefix's entries
+        are placed as they are, over the span of their keys (subs is None).
+        Otherwise, with the prefixes laid back to back from heads on,
+        starts[k] is where block k starts and below[subs[k]] the (lo, length,
+        step) of its sub line.  A step sums, over its entries j, u_j * the
+        sub line of j's block shifted by key(j).  A block is cut into runs of
+        nearby keys, each run one np.convolve of its own line with the
+        block's sub line, and a lone key a scaled copy of it; the parts are
+        added in run order.  The layout is worked out at once for all runs of
+        all the steps: the cuts, each entry's place in its run, each line's
+        span and where each run's part starts in it.
         """
-        if s == len(self.slots) - 1:
-            return self._placed(s, hi)
-        keys = self.flat[s][:hi]
-        # blocks are consecutive in the size order, so sorting by (block,
-        # key) keeps each entry's block id and leaves a run's keys ascending
-        group = np.repeat(np.arange(len(starts)), np.diff(starts, append=hi))
-        order = np.lexsort((keys, group))
-        keys = keys[order]
-        sub_lo, width, sub = np.array(subs, dtype=np.int64).T
-        width = width[group]
-        cut = (np.diff(keys, prepend=keys[:1]) - 1) * width > _HOLE_MACS
-        cut[starts] = True
-        first = np.flatnonzero(cut)
-        last = np.append(first[1:], hi) - 1
-        at = keys + sub_lo[group]  # where each entry's shifted sub line starts
-        lo = int(at[first].min())
-        n = int((at[last] + width[last]).max()) - lo
-        rel = keys - np.repeat(keys[first], last - first + 1)
-        runs = (first, last + 1, rel[last] + 1, sub[group[first]], at[first] - lo)
-        return self._step(lo, n, s, order, rel, list(zip(*(x.tolist() for x in runs))))
-
-    def _row(self, c: int) -> tuple[int, int, int] | None:
-        """symbol * partial(1, c), every slot but the first at budget c, by
-        the step of partial(1, c); the symbol's own step at p = 1."""
-        if len(self.slots) == 1:
-            return self.sym
-        sub = self.partial(1, c)
-        return None if sub is None else (sub[0] + self.sym[0], sub[1] + self.sym[1] - 1, sub[2])
+        keys = self.flat[s]
+        if subs is None:
+            lo = np.minimum.accumulate(keys)[his - 1]
+            n = np.maximum.accumulate(keys)[his - 1] - lo + 1
+            new = [(s, slice(h), a, None, m) for h, a, m in np.stack((his, lo, n), 1).tolist()]
+        else:
+            pos = np.arange(heads[-1] + his[-1]) - np.repeat(heads, his)
+            # blocks are consecutive in the size order, so sorting by (block,
+            # key) keeps each entry's block and step, and leaves a run's keys
+            # ascending
+            group = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(pos)))
+            pos = pos[np.lexsort((keys[pos], group))]
+            keys = keys[pos]
+            sub_lo, width, sub = below[subs[group]].T  # each entry's block's sub line
+            cut = (np.diff(keys, prepend=keys[:1]) - 1) * width > _HOLE_MACS
+            cut[starts] = True
+            first = np.flatnonzero(cut)
+            last = np.append(first[1:], len(keys)) - 1
+            at = keys + sub_lo  # where each entry's shifted sub line starts
+            runs = np.searchsorted(first, heads)  # each step's first run
+            lo = np.minimum.reduceat(at[first], runs)
+            n = np.maximum.reduceat(at[last] + width[last], runs) - lo
+            rel = keys - np.repeat(keys[first], last - first + 1)
+            count = np.diff(runs, append=len(first))  # each step's runs
+            head, base = np.repeat(heads, count), np.repeat(lo, count)  # each run's step's
+            table = (first - head, last + 1 - head, rel[last] + 1, sub[first], at[first] - base)
+            table = list(zip(*(x.tolist() for x in table)))
+            e, r = heads.tolist() + [len(keys)], runs.tolist() + [len(first)]
+            new = [(s, pos[e[i] : e[i + 1]], rel[e[i] : e[i + 1]], table[r[i] : r[i + 1]], m)
+                   for i, m in enumerate(n.tolist())]
+        self.steps += new
+        return np.stack((lo, n, np.arange(len(self.steps) - len(new), len(self.steps))), axis=1)
 
     def _classes(self, targets: np.ndarray, budgets: np.ndarray) -> None:
-        """alpha = 1: X_ell = (symbol * partial(0, budget(ell)))[ell].
+        """alpha = 1: X_ell = (symbol * line(0, budget(ell)))[ell].
 
-        partial(0, c) is never formed whole: an ell of class c reads sum
+        line(0, c) is never formed whole: an ell of class c reads sum
         over slot-0 entries j of u_j * row(c // size(j))[ell - j].  One
         stable sort groups the ells by class, and one gather per class reads
         its (members, h) block from the rows stored back to back, each
@@ -437,8 +447,13 @@ class _BudgetClasses(_Slots):
         his = np.searchsorted(sizes0, classes, side="right").tolist()
         reads = [c // sizes0[:h] for c, h in zip(classes, his)]  # the row of each slot-0 entry
         wanted = np.unique(np.concatenate(reads))
-        rows = [self._row(c) or (0, 0, -1) for c in wanted.tolist()]  # -1: no row, no tuple
-        los, lens, sources = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        # row c is symbol * line(1, c), every slot but the first at budget c,
+        # on the step of line(1, c) (-1: no tuple, no row); at p = 1 it is the
+        # symbol's own line
+        rows = np.tile(self.sym if len(self.slots) == 1 else (0, 0, -1), (len(wanted), 1))
+        if len(self.slots) > 1 and (held := wanted >= self.need[1]).any():
+            rows[held] = self.levels(1, wanted[held]) + (self.sym[0], self.sym[1] - 1, 0)
+        los, lens, sources = rows.T
         # the rows back to back, each between two zeros, row k from bases[k] on;
         # the read at ell - j of row k is at ell - (key(j) + shift[k]) in flat,
         # held to [below[k], above[k]]
@@ -524,15 +539,16 @@ class _HermiteClasses(_Slots):
     integrates to zero exactly.
 
     The plan reads the supports, the spec and the candidate outputs, and no
-    value.  tally folds the blocks on Python ints: it counts the tuples of
-    either parity and finds the largest degree, which fix the outputs that
-    have a term of their own parity, the number of terms and the rule.  Per
-    distinct input it keeps the keys in size order and the prefix count of
-    odd keys, so a block is read as three numbers with no numpy call.  Each
-    fold is one step (s, hi, starts, sub steps, tally), and folds holds the
-    step of each (s, b); step 0 is the unit past the last slot.  evaluate()
-    is the value pass: the rows, the steps the kept budgets reach run in
-    list order at the nodes, and the projections.
+    value.  Each step (s, hi, starts, sub steps, tally) tallies its blocks
+    on Python ints: it counts the tuples of either parity and finds the
+    largest degree, which fix the outputs that have a term of their own
+    parity, the number of terms and the rule.  Per distinct input it keeps
+    the keys in size order and the prefix count of odd keys, so a block is
+    read as three numbers with no numpy call.  levels() plans the outputs'
+    distinct budgets at once, a slot at a time, and tops holds the step of
+    each; step 0 is the unit past the last slot.  evaluate() is the value
+    pass: the rows, the steps the kept budgets reach run in list order at
+    the nodes, and the projections.
     """
 
     def __init__(
@@ -544,14 +560,15 @@ class _HermiteClasses(_Slots):
             ells = np.arange(min(_cap(spec), HERMITE_ELL_CAP) + 1)[:, None]
         super().__init__(inputs, spec)
         self.steps = [(len(self.slots), 0, [], [], _Tally(1, 0, 0))]
-        self.folds = {(len(self.slots), 0): 0}
         keys = [coords[:, 0].tolist() for _, coords, _ in self.inputs]
         self.prefix = [(k, list(accumulate((x & 1 for x in k), initial=0))) for k in keys]
         ells, budgets = _outputs(spec, ells)
         # an ell whose budget admits no tuple has no term
         held = np.zeros(len(ells), dtype=bool) if self.empty else budgets >= self.need[0]
         per_ell = budgets[held].tolist()
-        tallies = {b: self.tally(b) for b in set(per_ell)}
+        distinct = sorted(set(per_ell))
+        self.tops = dict(zip(distinct, self.levels(0, distinct).tolist())) if distinct else {}
+        tallies = {b: self.steps[k][4] for b, k in self.tops.items()}
         self.terms = sum(tallies[b].even + tallies[b].odd for b in per_ell)
         # the terms of the other parity integrate to zero: an ell with no term
         # of its own parity stays out, as does one with no term at all
@@ -560,7 +577,7 @@ class _HermiteClasses(_Slots):
         if not len(self.ells):
             return
         largest = dict(sorted(zip(self.budgets.tolist(), self.ells[:, 0].tolist())))  # per budget
-        self.deg = max(ell + self.tally(b).deg for b, ell in largest.items())
+        self.deg = max(ell + tallies[b].deg for b, ell in largest.items())
         if self.deg > MAX_DEGREE:
             raise ValueError(
                 f"the terms reach degree {self.deg} (ell + j_1 + ... + j_p); a {MAX_NODES}-node"
@@ -577,21 +594,29 @@ class _HermiteClasses(_Slots):
 
     def tally(self, b: int) -> _Tally:
         """The tuples of all slots within budget b >= need[0]."""
-        return self.steps[self.fold(self.folds, self._count, 0, b)][4]
+        return self.steps[self.levels(0, [b])[0]][4]
 
-    def _count(self, s: int, hi: int, starts: list[int], subs: list[int]) -> int:
-        """The number of a new last step, the fold of slot s over the steps
-        subs.  A block [a, e) holds odd[e] - odd[a] odd keys, and its largest
-        key is keys[e - 1]: keys ascend with size on the Hermite lattice."""
+    def _level(self, s: int, his: np.ndarray, heads, starts, subs, below) -> np.ndarray:
+        """The numbers of the new steps of slot s, one per admitted prefix
+        [:hi], each tallied over its blocks and their sub steps (the last
+        slot's one block over the unit).  A block [a, e) holds odd[e] -
+        odd[a] odd keys, and its largest key is keys[e - 1]: keys ascend
+        with size on the Hermite lattice."""
         keys, odd = self.prefix[self.at[s]]
-        even_n, odd_n, deg = 0, 0, -1
-        for a, e, k in zip(starts, starts[1:] + [hi], subs):
-            sub, o = self.steps[k][4], odd[e] - odd[a]
-            even_n += (e - a - o) * sub.even + o * sub.odd
-            odd_n += (e - a - o) * sub.odd + o * sub.even
-            deg = max(deg, keys[e - 1] + sub.deg)
-        self.steps.append((s, hi, starts, subs, _Tally(even_n, odd_n, deg)))
-        return len(self.steps) - 1
+        if subs is None:  # the last slot's one block meets the unit, step 0 (and heads[0] = 0)
+            starts, subs, below = heads, 0 * heads, heads[:1]
+        firsts = np.searchsorted(starts, heads).tolist() + [len(starts)]  # each step's first block
+        starts, subs = (starts - np.repeat(heads, np.diff(firsts))).tolist(), below[subs].tolist()
+        for i, hi in enumerate(his.tolist()):
+            ss, ks = starts[firsts[i] : firsts[i + 1]], subs[firsts[i] : firsts[i + 1]]
+            even_n, odd_n, deg = 0, 0, -1
+            for a, e, k in zip(ss, ss[1:] + [hi], ks):
+                sub, o = self.steps[k][4], odd[e] - odd[a]
+                even_n += (e - a - o) * sub.even + o * sub.odd
+                odd_n += (e - a - o) * sub.odd + o * sub.even
+                deg = max(deg, keys[e - 1] + sub.deg)
+            self.steps.append((s, hi, ss, ks, _Tally(even_n, odd_n, deg)))
+        return np.arange(len(self.steps) - len(his), len(self.steps))
 
     def evaluate(self, inputs: Sequence[SpectralVector], provider: HermiteCache) -> np.ndarray:
         """The value pass: X_ell at self.ells, for inputs on the supports of
@@ -610,7 +635,7 @@ class _HermiteClasses(_Slots):
                 rows[id(u), i] = np.where(odd, 0.0, row), np.where(odd, row, 0.0)
         rows = [rows[id(u), i] for u, i in zip(inputs, self.at)]  # per slot
         ells, budgets = self.ells[:, 0], self.budgets
-        tops = {b: self.folds[0, min(b, self.sat[0])] for b in np.unique(budgets).tolist()}
+        tops = {b: self.tops[b] for b in np.unique(budgets).tolist()}
         # the steps these budgets reach; a budget whose outputs were all
         # dropped for their parity can admit a key past deg, which has no row
         live = set(tops.values())
@@ -680,28 +705,27 @@ def iterative_eval(
     equal to the direct p-ary sum when the symbol is b = 1 and matches it
     bit for bit at p = 2.  A Hermite provider fixes only the basis, and
     every fold is a Hermite product; at alpha = 0 its outputs are
-    0..ell_cap, and at most HERMITE_ELL_CAP.
+    0..ell_cap, and at most HERMITE_ELL_CAP.  One input has no fold: it is
+    the one-slot direct evaluation, with the same provider, budget and
+    outputs.
     """
     if not inputs:
         raise ValueError("need at least one input")
-    if len(inputs) == 1:
-        return EvalResult(inputs[0], 0)
     basis = inputs[0].basis
     fourier = isinstance(provider, FourierSymbol)
-    pair_spec = SparseSetSpec(2, level, alpha, SizeFunction.MAX, basis.lattice)
     domain = None
     if not fourier and alpha == 0:
         if ell_cap is None:
             raise ValueError("alpha = 0 with a Hermite provider needs ell_cap")
         domain = tuple((l,) for l in range(min(ell_cap, HERMITE_ELL_CAP) + 1))
+    pair_spec = SparseSetSpec(min(len(inputs), 2), level, alpha, SizeFunction.MAX, basis.lattice)
+    if len(inputs) == 1:
+        return direct_sparse_eval(EvalRequest(provider, tuple(inputs), pair_spec, domain))
     later = FourierSymbol.unit(basis.dim) if fourier else provider  # the folds after the first
-    acc = inputs[0]
-    terms = 0
+    acc, terms = inputs[0], 0
     for i, u in enumerate(inputs[1:]):
-        prov = later if i else provider
-        res = direct_sparse_eval(EvalRequest(prov, (acc, u), pair_spec, domain))
-        acc = res.vector
-        terms += res.terms
+        res = direct_sparse_eval(EvalRequest(later if i else provider, (acc, u), pair_spec, domain))
+        acc, terms = res.vector, terms + res.terms
     return EvalResult(acc, terms)
 
 

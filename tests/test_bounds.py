@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
 
-from spspec.bounds import KernelBoundReport, a_theta, check_kernel_bound, mu
+from spspec.bounds import SWEEP_ROWS_MAX, KernelBoundReport, a_theta, check_kernel_bound, mu
 
 
 def test_mu_examples():
@@ -69,6 +70,24 @@ def test_kernel_bound_validation():
         check_kernel_bound(1, 10, 0.5)
     with pytest.raises(ValueError):
         check_kernel_bound(2, 0, 0.5)
+
+
+@pytest.mark.parametrize("p,size_max", [(3, 10**4), (2, 600), (2, 162), (3, 46)])
+def test_kernel_bound_refuses_a_sweep_past_the_row_limit(p, size_max):
+    # (3, 10**4) asked for 71.1 PiB and (2, 600) for 1.61 GiB, each a bare
+    # MemoryError under a small enough address-space cap
+    rows = size_max ** (p + 1)
+    assert rows > SWEEP_ROWS_MAX >= 30**4
+    named = (rf"^the sweep has size_max \*\* \(p \+ 1\) = {rows} rows,"
+             rf" past the limit of {SWEEP_ROWS_MAX}$")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=named):
+            check_kernel_bound(p, size_max, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_report_is_frozen():

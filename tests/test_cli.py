@@ -179,6 +179,19 @@ def test_bench_direct_equals_iterative_terms_at_p_two():
     assert a[0].terms == b[0].terms
 
 
+@pytest.mark.parametrize("basis,alpha", [("fourier", 0), ("fourier", 1), ("hermite", 1)])
+def test_converge_iterative_rows_at_p_one_are_the_direct_rows(basis, alpha):
+    # one input iterated to itself: 0 terms, error 0.0 and slope nan at every N
+    rows = {}
+    for method in ("direct", "iterative"):
+        records, slope, _ = cmd_converge(basis, 1, 3.0, [4, 8, 16], alpha, method)
+        assert {r.method for r in records} == {method}
+        rows[method] = [(r.basis, r.p, r.sigma, r.alpha, r.N, r.terms, r.error_l1)
+                        for r in records], slope
+    assert rows["iterative"] == rows["direct"]
+    assert rows["direct"][0][0][5] > 0 and rows["direct"][1] < 0
+
+
 # ---------------------------------------------------------------- main()
 
 def run_main(args):

@@ -452,13 +452,13 @@ def test_the_hermite_value_pass_plans_nothing(monkeypatch, alpha):
     domain = np.array(HERMITE_GUARD_DOMAIN) if alpha == 0 else None
     plan = _HermiteClasses(inputs, spec, domain)
     calls = []
-    plan_of = evaluators._Slots.plan
+    levels_of = evaluators._Slots.levels
 
-    def counted(self, s, b):
-        calls.append((s, b))
-        return plan_of(self, s, b)
+    def counted(self, s, budgets):
+        calls.append((s, budgets))
+        return levels_of(self, s, budgets)
 
-    monkeypatch.setattr(evaluators._Slots, "plan", counted)
+    monkeypatch.setattr(evaluators._Slots, "levels", counted)
     fresh = _HermiteClasses(others, spec, domain)
     assert calls and np.array_equal(fresh.ells, plan.ells) and len(plan.ells) > 5
     calls.clear()
@@ -846,6 +846,140 @@ def test_the_saturation_clamp_keeps_the_bits(monkeypatch, alpha, size):
     assert [_run(*case) for case in cases] == clamped
 
 
+# The plans of the nine `fourier` benchmark shapes on inputs with its
+# supports, as (steps, runs, lone keys); 474 steps and 1,045 runs in all.
+PLAN_COUNTS = {
+    ("direct", 3, 64, 0, "unit"): (32, 94, 0),
+    ("direct", 3, 64, 1, "unit"): (31, 79, 0),
+    ("direct", 3, 256, 0, "unit"): (64, 306, 18),
+    ("direct", 3, 256, 1, "unit"): (63, 254, 0),
+    ("direct", 2, 1024, 0, "unit"): (65, 125, 74),
+    ("direct", 4, 64, 1, "unit"): (46, 158, 0),
+    ("iterative", 4, 512, 1, "unit"): (135, 0, 0),
+    ("direct", 3, 16, 0, "inv2mcos"): (16, 29, 0),
+    ("direct", 2, 128, 1, "inv2mcos"): (22, 0, 0),
+}
+
+
+def test_the_fourier_plans_keep_their_step_and_run_counts(monkeypatch):
+    plans = []
+    plan_class = evaluators._BudgetClasses
+
+    class Recorded(plan_class):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    monkeypatch.setattr(evaluators, "_BudgetClasses", Recorded)
+    u = power_law_vector(3.0, 2048, FOURIER)
+    symbols = {"unit": UNIT, "inv2mcos": FourierSymbol.inverse_two_minus_cos()}
+    got = {}
+    for method, p, n, alpha, name in PLAN_COUNTS:
+        plans.clear()
+        if method == "direct":
+            direct([u] * p, n, alpha, symbols[name])
+        else:
+            iterative_eval(symbols[name], [u] * p, n, alpha)
+        steps = [step for plan in plans for step in plan.steps]
+        runs = [run for *_, block_runs, _ in steps if block_runs is not None for run in block_runs]
+        lone = sum(e - a == 1 for a, e, *_ in runs)
+        got[method, p, n, alpha, name] = (len(steps), len(runs), lone)
+    assert got == PLAN_COUNTS
+    assert sum(steps for steps, _, _ in got.values()) == 474
+
+
+def _restate(plan, sizes, need, hermite):
+    """check(step, s, b): the step of slot s at budget b, restated by brute
+    force from the sizes of each slot's entries in size order."""
+    seen = set()
+
+    def check(k, s, b):
+        if (k, s, b) in seen:
+            return
+        seen.add((k, s, b))
+        assert b >= need[s]  # no budget below need is planned
+        b = min(b, plan.sat[s])
+        hi = sum(x * need[s + 1] <= b for x in sizes[s])
+        cs = [b // x for x in sizes[s][:hi]]
+        starts = [i for i in range(hi) if i == 0 or cs[i] != cs[i - 1]]
+        last = s == len(sizes) - 1
+        assert hi > 0 and plan.steps[k][0] == s
+        if hermite:
+            _, got_hi, got_starts, subs, _ = plan.steps[k]
+            assert (got_hi, got_starts) == (hi, [0] if last else starts)
+            if last:
+                assert subs == [0]  # the unit
+                return
+            for a, sub in zip(starts, subs, strict=True):
+                check(sub, s + 1, min(cs[a], plan.sat[s + 1]))
+            return
+        _, order, _, runs, _ = plan.steps[k]
+        if last:
+            assert order == slice(hi) and runs is None
+            return
+        # the entries of each block keep the block's place in the size order
+        assert sorted(order.tolist()) == list(range(hi))
+        assert [cs[i] for i in order.tolist()] == cs
+        assert [a for a, *_ in runs] == sorted({a for a, *_ in runs} | set(starts))
+        assert [e for _, e, *_ in runs] == [a for a, *_ in runs[1:]] + [hi]
+        for a, e, _, sub, _ in runs:
+            (c,) = {cs[i] for i in order[a:e].tolist()}
+            check(sub, s + 1, min(c, plan.sat[s + 1]))
+
+    return check
+
+
+@pytest.mark.parametrize("entries", [None, 5])
+@pytest.mark.parametrize("box", [None, 3])
+@pytest.mark.parametrize("alpha", [0, 1])
+@pytest.mark.parametrize("size", list(SizeFunction))
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["fourier d=1", "fourier d=2", "hermite"])
+def test_each_planned_step_is_its_budget_class_layout(monkeypatch, kind, p, size, alpha, box,
+                                                      entries):
+    """Every (slot, budget) step of either kernel admits exactly the slot's
+    entries with size * need[s + 1] <= b, in size order; its blocks are the
+    runs of equal b // size, and each block's sub step is the step of (s + 1,
+    min(b // size, sat[s + 1])), and no budget below need is planned.
+    Budgets run from need[s] to past sat[s], planned all at once, and in
+    groups of a few entries."""
+    if entries:
+        monkeypatch.setattr(evaluators, "_LEVEL_ENTRIES", entries)
+    rng = random.Random(f"levels-{kind}-{p}-{size}-{alpha}-{box}")
+    d = 2 if kind == "fourier d=2" else 1
+    if kind == "hermite":
+        cells = [(j,) for j in range(21)]
+    else:
+        reach = 12 if d == 1 else 4
+        cells = list(itertools.product(range(-reach, reach + 1), repeat=d))
+    basis = HERMITE if kind == "hermite" else Basis.fourier(d)
+    inputs = []
+    for _ in range(p):  # each slot holds an index of size 2 or less, and some larger ones
+        keys = rng.sample([j for j in cells if size.of(j) <= 2], 1)
+        keys += rng.sample(cells, rng.randint(2, 12))
+        inputs.append(SpectralVector(basis, {j: complex(rng.uniform(-1, 1), 0.5) for j in keys}))
+    level = 40
+    spec = SparseSetSpec(p, level, alpha, size, basis.lattice, box=box)
+    if kind == "hermite":
+        plan = _HermiteClasses(inputs, spec, np.arange(30)[:, None] if alpha == 0 else None)
+    else:
+        plan = evaluators._BudgetClasses(inputs, FourierSymbol.unit(d), spec, None)
+    cap = level if box is None else min(level, box)
+    sizes = [sorted(x for x in map(size.of, u.keys()) if x <= cap) for u in inputs]
+    assert sizes == [sorted_sizes.tolist() for sorted_sizes, _, _ in plan.slots]
+    need = [math.prod(xs[0] for xs in sizes[s:]) for s in range(p + 1)]
+    check = _restate(plan, sizes, need, kind == "hermite")
+    for s in range(p):
+        budgets = [b for b in range(need[s], need[s] + 60) if b <= 10**4]
+        past = (plan.sat[s] - 1, plan.sat[s], plan.sat[s] + 1, 10**12)
+        budgets += [b for b in past if b >= need[s]]
+        steps = plan.levels(s, budgets)
+        if kind != "hermite":
+            steps = steps[:, 2]
+        for k, b in zip(steps.tolist(), budgets, strict=True):
+            check(k, s, b)
+
+
 def test_saturated_terms_are_exact(run_capped):
     # m = 10,001 at p = 4 and m = 1,201 at p = 6 raised a bare MemoryError,
     # and once folded, their float sums came out 1 and 289 terms off; with
@@ -877,10 +1011,36 @@ def test_a_count_past_2_53_is_refused():
 # ---------------------------------------------------------------- iterative
 
 def test_iterative_identity_at_p_one():
+    # under the unit symbol, with every entry within the budget
     u = fvec({0: 1.0, 2: 0.5})
     res = iterative_eval(UNIT, (u,), 4, 0)
-    assert res.vector is u
-    assert res.terms == 0
+    assert res.vector == u
+    assert res.terms == 2
+
+
+@pytest.mark.parametrize("alpha", [0, 1])
+def test_iterative_at_p_one_is_the_one_slot_direct_evaluation(alpha):
+    # one input was returned uncut with 0 terms, whatever the budget, the
+    # symbol or the Hermite outputs
+    u = fvec({0: 1.0, 1: 0.5, 7: 0.25, -3: 0.125j})
+    for symbol in (UNIT, FourierSymbol.inverse_two_minus_cos()):
+        for n in (3, 8):
+            want = direct([u], n, alpha, symbol)
+            got = iterative_eval(symbol, [u], n, alpha)
+            assert got.terms == want.terms > 0
+            assert digest(got.vector) == digest(want.vector)
+            if symbol is UNIT:  # the output 7 has the term u_7 alone
+                assert ((7,) in got.vector.keys()) == (alpha == 0 and n == 8)
+    h = SpectralVector(HERMITE, {(j,): complex(1.0 / (1 + j), 0.0) for j in (0, 1, 5, 9, 30)})
+    cache = HermiteCache(1)
+    domain = tuple((ell,) for ell in range(13)) if alpha == 0 else None
+    want = direct([h], 6, alpha, cache, output_domain=domain)
+    got = iterative_eval(cache, [h], 6, alpha, ell_cap=12)
+    assert got.terms == want.terms > 0
+    assert digest(got.vector) == digest(want.vector)
+    assert max(ell for (ell,) in got.vector) <= 12
+    with pytest.raises(ValueError, match="needs ell_cap"):
+        iterative_eval(cache, [h], 6, 0)
 
 
 def test_iterative_bitwise_equal_at_p_two():
