@@ -832,33 +832,51 @@ def dense_oracle_hermite(
     return SpectralVector._from_arrays(basis, np.arange(jmax_out + 1).reshape(-1, 1), proj)
 
 
+def _ordered(keys: np.ndarray) -> np.ndarray:
+    """One value per row of (n, dim) int64 keys that orders as the rows do
+    lexicographically: the coordinate in d = 1, else the row's big-endian
+    bytes with each sign bit flipped, compared as bytes."""
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    rows = np.ascontiguousarray(keys.view(np.uint64) ^ np.uint64(1 << 63), dtype=">u8")
+    return rows.view(f"V{8 * keys.shape[1]}")[:, 0]
+
+
 def error_report(
     approx: SpectralVector,
     reference: SpectralVector,
     s: float = 0.0,
     size: SizeFunction = SizeFunction.MAX,
 ) -> float:
-    """Weighted l1 distance over the union of the supports."""
+    """Weighted l1 distance over the union of the supports: the gaps
+    |a_j - r_j|, each times size(j) ** s, added one at a time from the left
+    in key order.
+
+    Each vector holds its keys in key order without repeats, so one search
+    places approx's keys among reference's and nothing is reordered: the
+    gaps start as reference's stored magnitudes, a shared key's gap becomes
+    |a - r|, and approx's other keys insert their stored magnitudes at their
+    places.
+    """
     if approx.basis != reference.basis:
         raise ValueError("cannot compare vectors over different bases")
     a_keys, a_vals = approx.as_arrays()
     r_keys, r_vals = reference.as_arrays()
-    keys = np.concatenate([a_keys, r_keys])
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    first = np.ones(len(ranked), dtype=bool)  # the first row of each run of equal keys
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    slot = np.empty(len(keys), dtype=np.intp)  # each row's place in the sorted union
-    slot[order] = np.cumsum(first) - 1
-    diff = np.zeros(int(first.sum()), dtype=complex)
-    diff[slot[: len(a_keys)]] = a_vals
-    diff[slot[len(a_keys) :]] -= r_vals
+    a_order, r_order = _ordered(a_keys), _ordered(r_keys)
+    at = np.searchsorted(r_order, a_order)  # each approx key's place among reference's
+    shared = at < len(r_order)
+    shared[shared] = r_order[at[shared]] == a_order[shared]  # the place holds the same key
+    gaps = reference.magnitudes().copy()
+    diff = a_vals[shared] - r_vals[at[shared]]
     # np.abs on complex can round differently from Python's abs; hypot does not
-    gaps = np.hypot(diff.real, diff.imag)
+    gaps[at[shared]] = np.hypot(diff.real, diff.imag)
+    new = ~shared
+    gaps = np.insert(gaps, at[new], approx.magnitudes()[new])
     if s != 0:  # size(j) ** 0 * x == x exactly, so at s = 0 no weight is formed
         # every term is >= +0.0, so leaving out the zero gaps keeps the sum's
         # bits, and a weight is formed only where its gap counts
-        held = [(tuple(j), g) for j, g in zip(ranked[first].tolist(), gaps.tolist()) if g]
+        keys = np.insert(r_keys, at[new], a_keys[new], axis=0)
+        held = [(tuple(j), g) for j, g in zip(keys.tolist(), gaps.tolist()) if g]
         try:
             gaps = np.array([size.of(j) ** s * g for j, g in held])
         except OverflowError:  # the weight grows with the size, so the largest passes

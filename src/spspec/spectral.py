@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from enum import Enum
@@ -77,13 +79,14 @@ class Basis:
 class SpectralVector(Mapping):
     """Immutable finitely supported coefficient family u = (u_j).
 
-    Keys are lattice multi-indices, values complex.  The state is two
-    read-only arrays in lexicographic key order, so that iteration,
-    serialization and norm accumulation are deterministic; a lookup by
-    index builds a dict on first use.
+    Keys are lattice multi-indices, values complex.  The state is three
+    read-only arrays in lexicographic key order: the keys, the values and
+    their magnitudes, so that iteration, serialization and norm
+    accumulation are deterministic and no norm or distance recomputes a
+    magnitude; a lookup by index builds a dict on first use.
     """
 
-    __slots__ = ("basis", "_keys", "_vals", "_lookup")
+    __slots__ = ("basis", "_keys", "_vals", "_mags", "_lookup")
 
     def __init__(self, basis: Basis, entries: Mapping | Iterable[tuple[Index, complex]]):
         items = entries.items() if isinstance(entries, Mapping) else entries
@@ -101,10 +104,11 @@ class SpectralVector(Mapping):
         return self
 
     def _store(self, basis: Basis, keys: np.ndarray, vals: np.ndarray) -> None:
-        keep = np.hypot(vals.real, vals.imag) >= PRUNE_TOL  # abs as Python rounds it
-        keys, vals = keys[keep], vals[keep]
-        keys.flags.writeable = vals.flags.writeable = False
-        self.basis, self._keys, self._vals, self._lookup = basis, keys, vals, None
+        mags = np.hypot(vals.real, vals.imag)  # abs as Python rounds it
+        keep = mags >= PRUNE_TOL
+        keys, vals, mags = keys[keep], vals[keep], mags[keep]
+        keys.flags.writeable = vals.flags.writeable = mags.flags.writeable = False
+        self.basis, self._keys, self._vals, self._mags, self._lookup = basis, keys, vals, mags, None
 
     def __getitem__(self, j: Index) -> complex:
         if self._lookup is None:
@@ -139,6 +143,10 @@ class SpectralVector(Mapping):
         order, read-only."""
         return self._keys, self._vals
 
+    def magnitudes(self) -> np.ndarray:
+        """abs(v) of each value, as Python rounds it, in key order, read-only."""
+        return self._mags
+
 
 class _Items(ItemsView):
     """The Mapping view, iterated from the arrays without a lookup."""
@@ -155,13 +163,18 @@ class _Values(ValuesView):
 
 
 def l1s_norm(u: SpectralVector, s: float, size: SizeFunction = SizeFunction.MAX) -> float:
-    """Weighted absolute-sum norm: sum of size(j)**s * |u_j|."""
-    return float(sum(size.of(j) ** s * abs(v) for j, v in u.items()))
+    """Weighted absolute-sum norm: sum of size(j)**s * |u_j|, added one term
+    at a time from the left in key order."""
+    terms = (size.of(j) ** s * m for j, m in zip(u, u.magnitudes().tolist()))
+    # not the builtin sum, which compensates from Python 3.12 on
+    return functools.reduce(operator.add, terms, 0.0)
 
 
 def l2s_norm(u: SpectralVector, s: float) -> float:
-    """Weighted Euclidean norm with max-norm weights."""
-    return math.sqrt(sum(max_norm(j) ** (2.0 * s) * abs(v) ** 2 for j, v in u.items()))
+    """Weighted Euclidean norm with max-norm weights, its squares added from
+    the left in key order."""
+    terms = (max_norm(j) ** (2.0 * s) * m**2 for j, m in zip(u, u.magnitudes().tolist()))
+    return math.sqrt(functools.reduce(operator.add, terms, 0.0))
 
 
 def power_law_vector(sigma: float, cutoff: int, basis: Basis) -> SpectralVector:

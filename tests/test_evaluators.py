@@ -1163,6 +1163,55 @@ def test_error_report_is_the_python_sum_bit_for_bit(dim, supports):
         assert error_report(x, y) == abs(a.get(j, 0j) - b.get(j, 0j))
 
 
+# the sign bit and the byte order of each coordinate decide where these sort
+EDGE_COORDS = (0, 1, -1, 2**31, -(2**31), 2**62, -(2**62), 2**63 - 1, -(2**63 - 1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("supports", ["disjoint", "overlapping", "identical", "empty", "unit"])
+def test_error_report_at_the_edge_of_the_int64_range(dim, supports):
+    """Keys at +-(2**63 - 1), +-2**62 and +-2**31: each distance is the sum of
+    the nonzero weighted gaps over the sorted union added from the left, or,
+    where a weight passes the float range, the ValueError naming the largest
+    index.  At s = 10**3 only sizes 1 and 2 stay finite, hence "unit"."""
+    rng = random.Random(f"edge-{dim}-{supports}")
+    cells = list(itertools.product(EDGE_COORDS, repeat=dim))
+    if supports == "unit":
+        cells = [j for j in cells if max(map(abs, j)) <= 1]
+    rng.shuffle(cells)
+    n = len(cells)
+
+    def vector(picked):
+        return SpectralVector(Basis.fourier(dim), {
+            j: complex(rng.choice((0.0, -0.0, rng.uniform(-1, 1))), rng.uniform(-1, 1))
+            for j in picked
+        })
+
+    a, b = {
+        "disjoint": lambda: (vector(cells[: n // 2]), vector(cells[n // 2 :])),
+        "overlapping": lambda: (vector(cells[: 2 * n // 3]), vector(cells[n // 3 :])),
+        "identical": lambda: (vector(cells), vector(cells)),
+        "empty": lambda: (vector(cells), vector([])),
+        "unit": lambda: (vector(cells[: 2 * n // 3]), vector(cells[n // 3 :])),
+    }[supports]()
+    limit = sys.float_info.max
+    for s in (0.0, 1.5, 1e3):
+        for size in SizeFunction:
+            assert error_report(b, b, s, size) == 0.0
+            for x, y in [(a, b), (b, a)]:
+                gaps = ((j, abs(x.get(j, 0j) - y.get(j, 0j))) for j in sorted(set(x) | set(y)))
+                held = [(j, g) for j, g in gaps if g]
+                try:
+                    want = functools.reduce(operator.add, (size.of(j) ** s * g for j, g in held), 0.0)
+                except OverflowError:
+                    j = max((j for j, _ in held), key=size.of)
+                    text = f"index {j}: size ** {s} passes the float limit {limit!r}"
+                    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                        error_report(x, y, s, size)
+                else:
+                    assert error_report(x, y, s, size) == want
+
+
 def test_error_report_adds_the_gaps_from_left_to_right():
     """At s = 0 the distance is the gaps over the sorted union added one at a
     time from 0.0, at the size of the fourier benchmark's reference (a union

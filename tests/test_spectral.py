@@ -1,17 +1,22 @@
+import functools
 import hashlib
+import itertools
 import json
 import math
+import operator
 import random
 import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.special import zeta
 
 from spspec import spectral
-from spspec.indices import COORD_MAX, Lattice, SizeFunction
+from spspec.indices import COORD_MAX, Lattice, SizeFunction, max_norm
 from spspec.spectral import (
+    PRUNE_TOL,
     Basis,
     BasisKind,
     SpectralVector,
@@ -177,7 +182,7 @@ def test_items_and_values_come_from_the_arrays(basis):
 def test_only_spectral_names_the_vector_state():
     """Other modules read a vector through as_arrays() and build one through
     _from_arrays, so its representation can change in spectral.py alone."""
-    state = re.compile(r"\b_(keys|vals|lookup|entries|arrays)\b")
+    state = re.compile(r"\b_(keys|vals|lookup|entries|arrays|mags)\b")
     named = [f"{path.name}:{n}"
              for path in sorted(Path(spectral.__file__).parent.glob("*.py")) if path.name != "spectral.py"
              for n, line in enumerate(path.read_text().splitlines(), 1) if state.search(line)]
@@ -190,6 +195,36 @@ def test_only_spectral_names_the_vector_state():
 def test_non_finite_coefficients_are_rejected(bad):
     with pytest.raises(ValueError, match=r"index \(2,\) is not finite"):
         SpectralVector(FOURIER, {(0,): 1.0, (2,): bad})
+
+
+def test_magnitudes_are_pythons_abs_of_the_kept_values():
+    """Each built vector keeps |v| for every kept entry, bit for bit as
+    Python's abs gives it, read-only; a pruned entry leaves none behind."""
+    parts = (0.0, -0.0, 1e-300, -1e-300, 3e-301, 0.5, -3.25, 1e300, -1e300)
+    values = [complex(re, im) for re, im in itertools.product(parts, repeat=2)]
+    text = "".join(f"{k}\t{v.real!r}\t{v.imag!r}\n" for k, v in enumerate(values))
+    keys = np.arange(len(values)).reshape(-1, 1)
+    built = {
+        "init": SpectralVector(Basis.fourier(2), {(k, -k): v for k, v in enumerate(values)}),
+        "arrays": SpectralVector._from_arrays(FOURIER, keys, np.array(values)),
+        "parse": parse_vector(text, HERMITE),
+        "power law": power_law_vector(150.0, 120, HERMITE),  # 101**-150 < 1e-300
+        "power law 2d": power_law_vector(3.0, 6, Basis.fourier(2)),
+        "empty": SpectralVector(FOURIER, {}),
+    }
+    kept = [v for v in values if abs(v) >= PRUNE_TOL]
+    assert 0 < len(kept) < len(values)
+    for name, u in built.items():
+        mags = u.magnitudes()
+        assert mags.dtype == np.float64 and len(mags) == len(u), name
+        assert [m.hex() for m in mags.tolist()] == [abs(v).hex() for v in u.values()], name
+        assert u.magnitudes() is mags
+        for a in [a for a in (mags, mags.base) if a is not None]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+    for name in ("init", "arrays", "parse"):
+        assert list(built[name].values()) == kept, name
+    assert len(built["power law"]) == 100
 
 
 # ---------------------------------------------------------------- norms
@@ -228,6 +263,28 @@ def test_l2_below_l1():
         u = random_vector(FOURIER, seed)
         for s in (0.0, 1.0, 2.5):
             assert l2s_norm(u, s) <= l1s_norm(u, s) + 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_norms_add_their_terms_from_the_left_in_key_order(dim):
+    """Bit for bit the terms over the sorted keys added one at a time from
+    0.0, over magnitudes 10**-8 to 10**8, where a compensated sum (the
+    builtin sum from Python 3.12 on) rounds apart."""
+    rng = random.Random(f"norms-{dim}")
+    reach = 3000 if dim == 1 else 40
+    cells = rng.sample(list(itertools.product(range(-reach, reach + 1), repeat=dim)), 4000)
+    u = SpectralVector(Basis.fourier(dim), {
+        j: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10.0 ** rng.randint(-8, 8)
+        for j in cells
+    })
+    keys = sorted(u)
+    for s in (0.0, 1.5):
+        for size in SizeFunction:
+            terms = (size.of(j) ** s * abs(u[j]) for j in keys)
+            assert l1s_norm(u, s, size) == functools.reduce(operator.add, terms, 0.0)
+        terms = (max_norm(j) ** (2.0 * s) * abs(u[j]) ** 2 for j in keys)
+        assert l2s_norm(u, s) == math.sqrt(functools.reduce(operator.add, terms, 0.0))
+    assert l1s_norm(SpectralVector(u.basis, {}), 1.5) == l2s_norm(SpectralVector(u.basis, {}), 1.5) == 0.0
 
 
 def test_prod_norm_embedding():

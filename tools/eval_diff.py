@@ -1,4 +1,5 @@
-"""Seeded differential of direct_sparse_eval and iterative_eval outputs across two trees.
+"""Seeded differential of direct_sparse_eval and iterative_eval outputs, and of
+error_report on them, across two trees.
 
 Usage:
 
@@ -9,9 +10,11 @@ Usage:
 `run` draws CASES Fourier evaluations from seeds 0 .. CASES - 1, CASES
 Hermite evaluations from the same seeds under the keys `h<seed>`, and CASES
 saturating evaluations under the keys `s<seed>`, and writes, per case, the
-sha256 of its `dump_vector` text with its term count and length, or the
-type and message of the error it raised.  The draw depends on the seed
-alone, not on the tree, so two trees run the same cases.  A Fourier case
+sha256 of its `dump_vector` text with its term count and length, then
+`float.hex` of `error_report(output, first input)` at s = 0 and s = 1.5
+under the max and the product norm, or the type and message of the error it
+raised.  The draw depends on the seed alone, not on the tree, so two trees
+run the same cases.  A Fourier case
 crosses d in {1, 2}, p in 1..4, alpha, both norms, no box or a box from 2 to
 2**70, the default output grid or an explicit domain, the unit and
 1/(2 - cos x) symbols (its tensor square in d = 2), and one of: random entries with +-0.0 or random
@@ -47,7 +50,7 @@ import sys
 import numpy as np
 
 from spspec.coeffs import FourierSymbol, HermiteCache
-from spspec.evaluators import EvalRequest, direct_sparse_eval, iterative_eval
+from spspec.evaluators import EvalRequest, direct_sparse_eval, error_report, iterative_eval
 from spspec.indices import SizeFunction, SparseSetSpec, integers, naturals
 from spspec.spectral import Basis, SpectralVector, dump_vector, power_law_vector
 
@@ -90,7 +93,7 @@ def power_vector(rng: random.Random, d: int) -> SpectralVector:
 
 
 def evaluate(seed: int):
-    """(kind, result) of the Fourier case drawn from seed."""
+    """(kind, result, first input) of the Fourier case drawn from seed."""
     rng = random.Random(seed)
     d = rng.choice((1, 1, 2))
     p = rng.randint(1, 4)
@@ -109,7 +112,7 @@ def evaluate(seed: int):
     level = rng.choice((4, 8, 24, 64, 256, 1024) if d == 1 else (4, 9, 24, 64))
     level = min(level, level_cap or level)
     if rng.random() < 0.15 and size is SizeFunction.MAX:
-        return "iterative", iterative_eval(sym, inputs, level, alpha)
+        return "iterative", iterative_eval(sym, inputs, level, alpha), inputs[0]
     box = rng.choice((None, None, 2, 3, 5, 12, 100, FAR_BOX))
     ells = None
     if rng.random() < 0.3:
@@ -117,7 +120,7 @@ def evaluate(seed: int):
         cells = list(itertools.product(range(-near, near + 1), repeat=d))
         ells = tuple(rng.sample(cells, min(len(cells), 60))) + ((10**6,) * d,)
     spec = SparseSetSpec(p, level, alpha, size, integers(d), box=box)
-    return "direct", direct_sparse_eval(EvalRequest(sym, inputs, spec, ells))
+    return "direct", direct_sparse_eval(EvalRequest(sym, inputs, spec, ells)), inputs[0]
 
 
 def hermite_vector(rng: random.Random, law: bool) -> SpectralVector:
@@ -135,7 +138,7 @@ def hermite_vector(rng: random.Random, law: bool) -> SpectralVector:
 
 
 def evaluate_hermite(seed: int):
-    """(kind, result) of the Hermite case drawn from seed."""
+    """(kind, result, first input) of the Hermite case drawn from seed."""
     rng = random.Random(f"h{seed}")
     p = rng.randint(1, 4)
     alpha = rng.randint(0, 1)
@@ -147,7 +150,7 @@ def evaluate_hermite(seed: int):
     level = rng.choice((4, 8, 16, 32, 64, 128))
     if rng.random() < 0.15 and size is SizeFunction.MAX and p >= 2:
         got = iterative_eval(HermiteCache(2), inputs, level, alpha, ell_cap=level + 2)
-        return "iterative", got
+        return "iterative", got, inputs[0]
     box = rng.choice((None, None, 2, 3, 7, 20, 100, FAR_BOX))
     ells = None
     if alpha == 0 or rng.random() < 0.3:
@@ -159,11 +162,12 @@ def evaluate_hermite(seed: int):
         if p <= 2 and rng.random() < 0.2:
             level = FAR_BOX  # cut to what the inputs and the domain can reach
     spec = SparseSetSpec(p, level, alpha, size, naturals(1), box=box)
-    return "direct", direct_sparse_eval(EvalRequest(HermiteCache(p), inputs, spec, ells))
+    got = direct_sparse_eval(EvalRequest(HermiteCache(p), inputs, spec, ells))
+    return "direct", got, inputs[0]
 
 
 def evaluate_saturating(seed: int):
-    """(kind, result) of the saturating case drawn from seed."""
+    """(kind, result, first input) of the saturating case drawn from seed."""
     rng = random.Random(f"s{seed}")
     hermite = rng.random() < 1 / 3
     p = rng.randint(1, 4)
@@ -182,9 +186,10 @@ def evaluate_saturating(seed: int):
     spec = SparseSetSpec(p, FAR_BOX, alpha, size, basis.lattice)
     if hermite:
         ells = tuple((ell,) for ell in range(rng.randint(1, 40)))
-        return "direct", direct_sparse_eval(EvalRequest(HermiteCache(p), inputs, spec, ells))
+        got = direct_sparse_eval(EvalRequest(HermiteCache(p), inputs, spec, ells))
+        return "direct", got, inputs[0]
     sym = symbol(1, rng.choice(("unit", "cos")))
-    return "direct", direct_sparse_eval(EvalRequest(sym, inputs, spec))
+    return "direct", direct_sparse_eval(EvalRequest(sym, inputs, spec)), inputs[0]
 
 
 # the case families, by the prefix of their keys
@@ -198,11 +203,13 @@ def family(key: str) -> str:
 
 def record(seed: int, draw):
     try:
-        kind, got = draw(seed)
+        kind, got, first = draw(seed)
+        errors = [error_report(got.vector, first, s, size).hex()
+                  for s in (0.0, 1.5) for size in SizeFunction]
     except Exception as e:  # recorded: the two trees may raise differently
         return ["error", type(e).__name__, str(e)]
     text = dump_vector(got.vector).encode()
-    return [kind, hashlib.sha256(text).hexdigest()[:16], got.terms, len(got.vector)]
+    return [kind, hashlib.sha256(text).hexdigest()[:16], got.terms, len(got.vector), *errors]
 
 
 def run(cases: int, path: str) -> None:
