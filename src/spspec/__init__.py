@@ -37,14 +37,13 @@ from .indices import (
     naturals,
     prod_norm,
 )
-from .quadrature import QuadratureRule, gauss_hermite_rule, hermite_batch
+from .quadrature import gauss_hermite_rule, hermite_batch
 from .spectral import (
     Basis,
     BasisKind,
     SpectralVector,
     dump_vector,
     l1s_norm,
-    l2s_norm,
     parse_vector,
     power_law_vector,
     read_vector,

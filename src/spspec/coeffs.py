@@ -1,6 +1,7 @@
 """Coefficient providers a_{ell; j_1..j_p} for the two bases.
 
-Fourier coefficients are momentum lookups in a finite symbol table b_k.
+Fourier coefficients are momentum lookups in a symbol b, a finitely
+supported coefficient vector on Z^d like the inputs.
 Hermite coefficients are integrals of products of normalized Hermite
 functions, computed by Gauss-Hermite quadrature after the substitution
 y = x * sqrt(q/2) for q factors, and memoized under sorted keys since the
@@ -13,14 +14,12 @@ import io
 import math
 import re
 from collections import OrderedDict
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .indices import Index, integers, naturals
+from .indices import Index, naturals
 from .quadrature import MAX_NODES, gauss_hermite_rule, hermite_batch
-from .spectral import Basis, _valid_entries
+from .spectral import Basis, SpectralVector, _sorted_arrays, _valid_entries
 
 # Node policy for a product of q Hermite functions of degree at most D:
 # the substituted integrand is a polynomial of degree <= q*D, integrated
@@ -43,28 +42,20 @@ _chi_tables: OrderedDict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = 
 FACTOR_BYTES = 2**20
 
 
-@dataclass(frozen=True)
-class FourierSymbol:
-    """Finite table of symbol coefficients b_k; a_{ell;js} = b_{ell - sum js}."""
+class FourierSymbol(SpectralVector):
+    """The symbol b, a finite coefficient vector on Z^dim; a_{ell;js} = b_{ell - sum js}."""
 
-    table: dict[Index, complex]
-    dim: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        clean = _valid_entries(integers(self.dim), self.table.items(), "symbol key")
-        object.__setattr__(self, "table", dict(sorted((k, v) for k, v in clean.items() if v != 0)))
-
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The table as read-only arrays: (n, dim) int64 keys and complex values."""
-        keys = np.array(list(self.table), dtype=np.int64).reshape(-1, self.dim)
-        vals = np.array(list(self.table.values()), dtype=complex)
-        keys.flags.writeable = vals.flags.writeable = False
-        return keys, vals
+    def __init__(self, table: dict[Index, complex], dim: int = 1):
+        basis = Basis.fourier(dim)
+        clean = _valid_entries(basis.lattice, table.items(), "symbol key")
+        self._store(basis, *_sorted_arrays(clean, dim))
 
     @property
-    def basis(self) -> Basis:
-        return Basis.fourier(self.dim)
+    def table(self) -> "FourierSymbol":
+        """The symbol itself, read as a mapping of its keys to b_k."""
+        return self
 
     @staticmethod
     def unit(dim: int = 1) -> "FourierSymbol":

@@ -54,7 +54,6 @@ deterministic: every sum is accumulated in a fixed order.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import NamedTuple, Sequence
@@ -64,7 +63,7 @@ import numpy as np
 from .coeffs import FourierSymbol, HermiteCache, _chi_table
 from .indices import COORD_MAX, Index, SizeFunction, SparseSetSpec
 from .quadrature import MAX_DEGREE, MAX_NODES, gauss_hermite_rule, hermite_batch
-from .spectral import Basis, BasisKind, SpectralVector
+from .spectral import Basis, BasisKind, SpectralVector, _weighted_l1
 
 # The last Hermite candidate output.  Sizes grow with ell on N^1, so of 2048
 # and 2049 the one of a later ell's parity has a budget at least as large:
@@ -76,9 +75,14 @@ HERMITE_ELL_CAP = MAX_DEGREE + 2
 
 @dataclass(frozen=True)
 class EvalRequest:
-    """One evaluation task: provider, inputs, sparse-set parameters."""
+    """One evaluation task: provider, inputs, sparse-set parameters.
 
-    provider: FourierSymbol | HermiteCache
+    The kernel is chosen by the provider's basis: a Fourier provider is the
+    symbol b, a coefficient vector on the inputs' lattice (a FourierSymbol
+    or any Fourier SpectralVector), and a Hermite provider fixes only the
+    basis."""
+
+    provider: SpectralVector | HermiteCache
     inputs: tuple[SpectralVector, ...]
     spec: SparseSetSpec
     output_domain: tuple[Index, ...] | None = None
@@ -320,7 +324,7 @@ class _BudgetClasses(_Slots):
     def __init__(
         self,
         inputs: Sequence[SpectralVector],
-        symbol: FourierSymbol,
+        symbol: SpectralVector,
         spec: SparseSetSpec,
         ells: np.ndarray | None,
     ):
@@ -329,9 +333,9 @@ class _BudgetClasses(_Slots):
         self.ells = np.empty((0, spec.lattice.dim), dtype=np.int64)  # the outputs with a term
         self.flat, self.steps, self.classes, self.feeds = [], [], [], {}
         # with no tuple in the budget, no key is formed
-        if self.empty or not symbol.table or self.need[0] > spec.level:
+        if self.empty or not len(symbol) or self.need[0] > spec.level:
             return
-        bkeys = symbol.arrays[0]
+        bkeys = symbol.as_arrays()[0]
         picked = [coords for _, coords, _ in self.slots] + [bkeys]
         # the box, its strides and the reach in Python ints, where sums cannot wrap
         lows = [k.min(axis=0).tolist() for k in picked]
@@ -504,12 +508,12 @@ class _BudgetClasses(_Slots):
             out[self.order[a:e]] = np.add.reduce(flat[idx] * vals[0][:h], axis=1)
         return out
 
-    def evaluate(self, inputs: Sequence[SpectralVector], symbol: FourierSymbol) -> np.ndarray:
+    def evaluate(self, inputs: Sequence[SpectralVector], symbol: SpectralVector) -> np.ndarray:
         """The value pass: the sums at self.ells, for inputs and a symbol on
         the supports and keys of this plan."""
         if not len(self.ells):
             return np.empty(0, dtype=complex)
-        return self._sums(self.values(inputs) + [symbol.arrays[1]])[self.keep]
+        return self._sums(self.values(inputs) + [symbol.as_arrays()[1]])[self.keep]
 
 
 class _Tally(NamedTuple):
@@ -661,26 +665,26 @@ class _HermiteClasses(_Slots):
 def direct_sparse_eval(request: EvalRequest) -> EvalResult:
     """Evaluate the budgeted sum per output index in one pass.
 
-    For Fourier providers the output domain defaults to the momentum
-    closure of the admitted tuples; for Hermite, alpha = 1 defaults to
-    {ell <= HERMITE_ELL_CAP : size(ell) <= N} and alpha = 0 requires an
-    explicit domain since nothing else bounds the output range.  An
-    explicit domain must hold indices of the provider's lattice.  A Hermite
-    provider fixes only the basis: no coefficient is looked up, and no
-    table is read.  Either basis builds its plan, which reads no value, and
-    runs the plan's value pass once.
+    The kernel is chosen by the provider's basis.  For Fourier the output
+    domain defaults to the momentum closure of the admitted tuples; for
+    Hermite, alpha = 1 defaults to {ell <= HERMITE_ELL_CAP : size(ell) <= N}
+    and alpha = 0 requires an explicit domain since nothing else bounds the
+    output range.  An explicit domain must hold indices of the provider's
+    lattice.  A Hermite provider fixes only the basis: no coefficient is
+    looked up, and no table is read.  Either basis builds its plan, which
+    reads no value, and runs the plan's value pass once.
     """
-    spec = request.spec
+    spec, fourier = request.spec, request.provider.basis.kind is BasisKind.FOURIER
     ells = reach = None
     reaches = [_reach(u.as_arrays()[0]) for u in request.inputs]
     if request.output_domain is not None:
         domain = {spec.lattice.validate(ell) for ell in request.output_domain}
         ells = np.array(sorted(domain), dtype=np.int64).reshape(-1, spec.lattice.dim)
         reach = _reach(ells)
-    elif isinstance(request.provider, FourierSymbol):
-        reach = tuple(map(sum, zip(*reaches, _reach(request.provider.arrays[0]))))
+    elif fourier:
+        reach = tuple(map(sum, zip(*reaches, _reach(request.provider.as_arrays()[0]))))
     spec = _clipped(spec, reaches, reach)
-    if isinstance(request.provider, FourierSymbol):
+    if fourier:
         plan = _BudgetClasses(request.inputs, request.provider, spec, ells)
     else:
         plan = _HermiteClasses(request.inputs, spec, ells)
@@ -700,7 +704,7 @@ def iterative_eval(
     """Left fold of budgeted binary products: X(..X(X(u1,u2),u3).., up).
 
     Each fold reuses the same budget N and alpha under the max-norm size.
-    For a Fourier symbol the symbol is applied on the first fold only and
+    For a Fourier provider the symbol is applied on the first fold only and
     the remaining folds use the plain product, which keeps the composition
     equal to the direct p-ary sum when the symbol is b = 1 and matches it
     bit for bit at p = 2.  A Hermite provider fixes only the basis, and
@@ -712,7 +716,7 @@ def iterative_eval(
     if not inputs:
         raise ValueError("need at least one input")
     basis = inputs[0].basis
-    fourier = isinstance(provider, FourierSymbol)
+    fourier = provider.basis.kind is BasisKind.FOURIER
     domain = None
     if not fourier and alpha == 0:
         if ell_cap is None:
@@ -743,7 +747,7 @@ def _shared_basis(inputs: Sequence[SpectralVector], kind: BasisKind, oracle: str
 
 def dense_oracle_fourier(
     inputs: Sequence[SpectralVector],
-    symbol: FourierSymbol | None = None,
+    symbol: SpectralVector | None = None,
 ) -> SpectralVector:
     """Full convolution of the stored entries, with no sparsity at all.
 
@@ -757,9 +761,9 @@ def dense_oracle_fourier(
     basis = _shared_basis(inputs, BasisKind.FOURIER, "convolution")
     factors = [u.as_arrays() for u in inputs]
     if symbol is not None:
-        if symbol.dim != basis.dim:
+        if symbol.basis != basis:
             raise ValueError("symbol dimension does not match the inputs")
-        factors.append(symbol.arrays)
+        factors.append(symbol.as_arrays())
     if not all(len(vals) for _, vals in factors):
         return SpectralVector(basis, {})
     lows = [keys.min(axis=0) for keys, _ in factors]
@@ -872,19 +876,8 @@ def error_report(
     gaps[at[shared]] = np.hypot(diff.real, diff.imag)
     new = ~shared
     gaps = np.insert(gaps, at[new], approx.magnitudes()[new])
-    if s != 0:  # size(j) ** 0 * x == x exactly, so at s = 0 no weight is formed
-        # every term is >= +0.0, so leaving out the zero gaps keeps the sum's
-        # bits, and a weight is formed only where its gap counts
-        keys = np.insert(r_keys, at[new], a_keys[new], axis=0)
-        held = [(tuple(j), g) for j, g in zip(keys.tolist(), gaps.tolist()) if g]
-        try:
-            gaps = np.array([size.of(j) ** s * g for j, g in held])
-        except OverflowError:  # the weight grows with the size, so the largest passes
-            j, limit = max((j for j, _ in held), key=size.of), sys.float_info.max
-            raise ValueError(f"index {j}: size ** {s} passes the float limit {limit!r}") from None
-    # added one at a time from the left on every Python (its sum compensates
-    # from 3.12 on), so a distance keeps its bits across versions
-    return float(np.add.accumulate(gaps)[-1]) if len(gaps) else 0.0
+    keys = np.insert(r_keys, at[new], a_keys[new], axis=0) if s != 0 else None
+    return _weighted_l1(gaps, keys, s, size)
 
 
 class RatePrediction(NamedTuple):

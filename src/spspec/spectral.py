@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import cmath
-import functools
-import math
-import operator
+import sys
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from enum import Enum
@@ -13,7 +11,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .indices import Index, Lattice, SizeFunction, integers, max_norm, naturals
+from .indices import Index, Lattice, SizeFunction, integers, naturals
 
 # Entries smaller than this are dropped on normalization: they cannot
 # influence any norm at double precision and would bloat serialized files.
@@ -104,7 +102,12 @@ class SpectralVector(Mapping):
         return self
 
     def _store(self, basis: Basis, keys: np.ndarray, vals: np.ndarray) -> None:
-        mags = np.hypot(vals.real, vals.imag)  # abs as Python rounds it
+        with np.errstate(over="ignore"):  # a finite value's magnitude may pass the float range
+            mags = np.hypot(vals.real, vals.imag)  # abs as Python rounds it
+        big = np.flatnonzero(np.isinf(mags))
+        if len(big):  # at the first in key order
+            raise ValueError(f"coefficient at index {tuple(keys[big[0]].tolist())} has a magnitude"
+                             f" past the float limit {sys.float_info.max!r}")
         keep = mags >= PRUNE_TOL
         keys, vals, mags = keys[keep], vals[keep], mags[keep]
         keys.flags.writeable = vals.flags.writeable = mags.flags.writeable = False
@@ -136,7 +139,7 @@ class SpectralVector(Mapping):
     __hash__ = None  # mutable-looking container semantics; not hashable
 
     def __repr__(self) -> str:
-        return f"SpectralVector({self.basis.kind.value}, {len(self)} entries)"
+        return f"{type(self).__name__}({self.basis.kind.value}, {len(self)} entries)"
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Keys as an (n, dim) int64 array and values as complex, in key
@@ -162,19 +165,27 @@ class _Values(ValuesView):
         return iter(self._mapping._vals.tolist())
 
 
+def _weighted_l1(gaps: np.ndarray, keys: np.ndarray | None, s: float, size: SizeFunction) -> float:
+    """The sum of size(j) ** s * g over the gaps g >= 0 at the (n, dim) keys
+    j (read at s != 0 only), added one term at a time from the left."""
+    if s != 0:  # size(j) ** 0 * x == x exactly, so at s = 0 no weight is formed
+        # every term is >= +0.0, so leaving out the zero gaps keeps the sum's
+        # bits, and a weight is formed only where its gap counts
+        held = [(tuple(j), g) for j, g in zip(keys.tolist(), gaps.tolist()) if g]
+        try:
+            gaps = np.array([size.of(j) ** s * g for j, g in held])
+        except OverflowError:  # the weight grows with the size, so the largest passes
+            j, limit = max((j for j, _ in held), key=size.of), sys.float_info.max
+            raise ValueError(f"index {j}: size ** {s} passes the float limit {limit!r}") from None
+    # added one at a time from the left on every Python (its sum compensates
+    # from 3.12 on), so a sum keeps its bits across versions
+    return float(np.add.accumulate(gaps)[-1]) if len(gaps) else 0.0
+
+
 def l1s_norm(u: SpectralVector, s: float, size: SizeFunction = SizeFunction.MAX) -> float:
     """Weighted absolute-sum norm: sum of size(j)**s * |u_j|, added one term
     at a time from the left in key order."""
-    terms = (size.of(j) ** s * m for j, m in zip(u, u.magnitudes().tolist()))
-    # not the builtin sum, which compensates from Python 3.12 on
-    return functools.reduce(operator.add, terms, 0.0)
-
-
-def l2s_norm(u: SpectralVector, s: float) -> float:
-    """Weighted Euclidean norm with max-norm weights, its squares added from
-    the left in key order."""
-    terms = (max_norm(j) ** (2.0 * s) * m**2 for j, m in zip(u, u.magnitudes().tolist()))
-    return math.sqrt(functools.reduce(operator.add, terms, 0.0))
+    return _weighted_l1(u.magnitudes(), u.as_arrays()[0], s, size)
 
 
 def power_law_vector(sigma: float, cutoff: int, basis: Basis) -> SpectralVector:

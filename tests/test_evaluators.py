@@ -29,7 +29,7 @@ from spspec.evaluators import (
 )
 from spspec.indices import SizeFunction, SparseSetSpec, enumerate_sparse, integers, naturals
 from spspec.quadrature import gauss_hermite_rule, hermite_batch
-from spspec.spectral import Basis, SpectralVector, dump_vector, l1s_norm, power_law_vector
+from spspec.spectral import PRUNE_TOL, Basis, SpectralVector, dump_vector, l1s_norm, power_law_vector
 
 FOURIER = Basis.fourier()
 HERMITE = Basis.hermite()
@@ -1365,6 +1365,55 @@ def _candidate_ells(symbol: FourierSymbol, inputs, d: int):
         hi = sum(max(j[c] for j in u) for u in inputs) + max(m[c] for m in symbol.table)
         axes.append(range(lo, hi + 1))
     return list(itertools.product(*axes))
+
+
+# ------------------------------------------------------- symbols are vectors
+
+def test_a_symbol_is_a_spectral_vector():
+    """The symbol is stored as every coefficient vector is: sorted, pruned
+    and read-only, and its table is the symbol itself."""
+    entries = {(1, -2): 0.5, (0, 3): 1.0, (-1, 0): 2.0 - 1j, (2, 2): 0.5 * PRUNE_TOL}
+    symbol = FourierSymbol(entries, 2)
+    assert isinstance(symbol, SpectralVector) and symbol.basis == Basis.fourier(2)
+    assert symbol.table is symbol
+    keys, vals = symbol.as_arrays()
+    assert keys.dtype == np.int64 and keys.shape == (3, 2)
+    assert keys.tolist() == [[-1, 0], [0, 3], [1, -2]]  # (2, 2) is below PRUNE_TOL
+    assert vals.tolist() == [2.0 - 1j, 1.0, 0.5]
+    for a in (keys, vals):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    assert symbol == SpectralVector(Basis.fourier(2), entries)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("alpha", [0, 1])
+def test_a_fourier_vector_is_the_symbol_of_its_entries(d, alpha):
+    """A Fourier SpectralVector as the provider runs the Fourier kernel, and
+    gives the vector and terms of the FourierSymbol on its entries bit for
+    bit; as the oracle's symbol it is that symbol."""
+    inputs = _guard_inputs(d, 3, 40 + d)
+    spec = SparseSetSpec(3, 6, alpha, SizeFunction.MAX, integers(d))
+    runs = (lambda b: direct_sparse_eval(EvalRequest(b, inputs, spec)),
+            lambda b: iterative_eval(b, inputs, 6, alpha))
+    for make in GUARD_SYMBOLS.values():
+        symbol, vector = FourierSymbol(make(d), d), SpectralVector(Basis.fourier(d), make(d))
+        for run in runs:
+            want, got = run(symbol), run(vector)
+            assert got.terms == want.terms > 0
+            assert dump_vector(got.vector) == dump_vector(want.vector)
+        assert dump_vector(dense_oracle_fourier(inputs, vector)) == dump_vector(
+            dense_oracle_fourier(inputs, symbol))
+
+
+def test_a_value_past_the_float_range_is_refused_in_every_coefficient_family():
+    limit = re.escape(repr(sys.float_info.max))
+    message = rf"^coefficient at index \(0,\) has a magnitude past the float limit {limit}$"
+    u, v = fvec({0: 1.2e154}), fvec({0: complex(1.2e154, 1.2e154)})  # u * v is about 2.0e308
+    for build in (lambda: direct([u, v], 4, 0), lambda: dense_oracle_fourier([u, v]),
+                  lambda: FourierSymbol({(0,): complex(1.5e308, 1.5e308)})):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 @pytest.mark.parametrize("d,size,alpha,box,sym", [

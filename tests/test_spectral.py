@@ -6,6 +6,7 @@ import math
 import operator
 import random
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from scipy.special import zeta
 
 from spspec import spectral
-from spspec.indices import COORD_MAX, Lattice, SizeFunction, max_norm
+from spspec.indices import COORD_MAX, Lattice, SizeFunction
 from spspec.spectral import (
     PRUNE_TOL,
     Basis,
@@ -22,7 +23,6 @@ from spspec.spectral import (
     SpectralVector,
     dump_vector,
     l1s_norm,
-    l2s_norm,
     parse_vector,
     power_law_vector,
     read_vector,
@@ -227,12 +227,47 @@ def test_magnitudes_are_pythons_abs_of_the_kept_values():
     assert len(built["power law"]) == 100
 
 
+def test_a_magnitude_past_the_float_range_is_refused():
+    """Finite parts whose magnitude passes the float range are refused, at
+    the first such index in key order, by every way a vector is built."""
+    big = complex(1.5e308, 1.5e308)  # |big| is about 2.1e308
+    limit = re.escape(repr(sys.float_info.max))
+    message = rf"^coefficient at index \(3,\) has a magnitude past the float limit {limit}$"
+    builds = {
+        "init": lambda: SpectralVector(FOURIER, {(5,): big, (0,): 1.0, (3,): -big}),
+        "arrays": lambda: SpectralVector._from_arrays(
+            FOURIER, np.array([[0], [3], [5]]), np.array([1.0, -big, big])),
+        "parse": lambda: parse_vector("5\t1.5e308\t1.5e308\n3\t-1.5e308\t1.5e308\n", HERMITE),
+    }
+    for build in builds.values():
+        with pytest.raises(ValueError, match=message):
+            build()
+    # the largest magnitude that stays finite is kept as it is
+    edge = complex(sys.float_info.max, 0.0)
+    assert SpectralVector(FOURIER, {(0,): edge}).magnitudes().tolist() == [sys.float_info.max]
+
+
 # ---------------------------------------------------------------- norms
 
 def test_l1s_examples():
     assert l1s_norm(SpectralVector(FOURIER, {(0,): 1.0}), 7.0) == 1.0
     u = SpectralVector(FOURIER, {(2,): 1.0, (-2,): 1.0})
     assert l1s_norm(u, 1.0) == 4.0
+
+
+@pytest.mark.parametrize("size,entries,named", [
+    (SizeFunction.MAX, {(2**62,): 1.0}, (2**62,)),
+    (SizeFunction.MAX, {(3,): 1.0, (-(2**62),): 0.5, (2**61,): 2.0}, (-(2**62),)),
+    (SizeFunction.PROD, {(2**40, 2**30): 1.0, (-(2**50), 7): 1.0, (1, 1): 1.0}, (2**40, 2**30)),
+])
+def test_l1s_names_the_float_limit_where_a_weight_overflows(size, entries, named):
+    """The largest size's weight passes the float range first, and is named
+    as error_report names it."""
+    u = SpectralVector(Basis.fourier(len(named)), entries)
+    limit = re.escape(repr(sys.float_info.max))
+    index = re.escape(str(named))
+    with pytest.raises(ValueError, match=rf"^index {index}: size \*\* 40.0 passes the float limit {limit}$"):
+        l1s_norm(u, 40.0, size)
 
 
 def test_l1s_power_law_partial_sums_approach_zeta():
@@ -252,19 +287,6 @@ def test_l1s_homogeneity_and_monotonicity():
     assert l1s_norm(u, 0.5) <= l1s_norm(u, 2.0)
 
 
-def test_l2s_examples():
-    assert l2s_norm(SpectralVector(FOURIER, {(0,): 3.0}), 1.0) == 3.0
-    u = SpectralVector(FOURIER, {(1,): 3.0, (-1,): 4.0})
-    assert l2s_norm(u, 0.0) == 5.0
-
-
-def test_l2_below_l1():
-    for seed in (1, 2, 3, 4):
-        u = random_vector(FOURIER, seed)
-        for s in (0.0, 1.0, 2.5):
-            assert l2s_norm(u, s) <= l1s_norm(u, s) + 1e-13
-
-
 @pytest.mark.parametrize("dim", [1, 2])
 def test_norms_add_their_terms_from_the_left_in_key_order(dim):
     """Bit for bit the terms over the sorted keys added one at a time from
@@ -282,9 +304,7 @@ def test_norms_add_their_terms_from_the_left_in_key_order(dim):
         for size in SizeFunction:
             terms = (size.of(j) ** s * abs(u[j]) for j in keys)
             assert l1s_norm(u, s, size) == functools.reduce(operator.add, terms, 0.0)
-        terms = (max_norm(j) ** (2.0 * s) * abs(u[j]) ** 2 for j in keys)
-        assert l2s_norm(u, s) == math.sqrt(functools.reduce(operator.add, terms, 0.0))
-    assert l1s_norm(SpectralVector(u.basis, {}), 1.5) == l2s_norm(SpectralVector(u.basis, {}), 1.5) == 0.0
+    assert l1s_norm(SpectralVector(u.basis, {}), 1.5) == 0.0
 
 
 def test_prod_norm_embedding():
