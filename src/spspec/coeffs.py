@@ -5,15 +5,17 @@ supported coefficient vector on Z^d like the inputs.
 Hermite coefficients are integrals of products of normalized Hermite
 functions, computed by Gauss-Hermite quadrature after the substitution
 y = x * sqrt(q/2) for q factors, and memoized under sorted keys since the
-integral is symmetric in all of its indices.
+integral is symmetric in all of its indices.  Only the last chi table used
+is kept: build_cache reads each degree's table for one block of keys, and
+repeated dense oracle calls at one rule and degree read one table again.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import re
-from collections import OrderedDict
 
 import numpy as np
 
@@ -28,14 +30,6 @@ POLICY_ID = "halfdeg8"
 
 CACHE_MAGIC = "SPSPEC-HERMITE"
 CACHE_VERSION = "v1"
-
-# chi tables at substituted nodes by (n_nodes, q, max_degree), least recently
-# used first.  build_cache reads each degree's table for one block of keys;
-# the bound is for HermiteCache misses, which may reach any degree in any
-# order, and it is on bytes, not on a count of tables: one degree-1000 table
-# at q = 2 takes 8 MB.
-CHI_TABLE_BYTES = 32 * 2**20
-_chi_tables: OrderedDict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
 # Bytes of chi factors gathered at once: a block of keys is integrated in
 # chunks of rows under this bound.
@@ -91,6 +85,8 @@ def hermite_product_integral(indices: tuple[int, ...], node_factor: int = 1) -> 
     The integrand is P(x) * exp(-q*x**2/2) for q = len(indices); substituting
     y = x*sqrt(q/2) reduces it to the Gauss-Hermite weight, and the scaled
     weights keep the evaluation stable when the Gaussian tails underflow.
+    The chi table is the last one used when q, the largest index and the node
+    count match it; otherwise it is built afresh, with the same bits.
     """
     q = len(indices)
     if q < 1:
@@ -149,23 +145,19 @@ def _block_keys(q: int, deg: int) -> np.ndarray:
     return keys[keys.sum(axis=1) % 2 == 0]
 
 
+@functools.lru_cache(maxsize=1)
 def _chi_table(n: int, q: int, deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled weights and chi_0..chi_deg at the n-node rule's nodes / sqrt(q/2).
+    """Scaled weights and chi_0..chi_deg at the n-node rule's nodes / sqrt(q/2),
+    both read-only.
 
-    A table dropped to keep the others under CHI_TABLE_BYTES is rebuilt bit
-    for bit on its next use; the newest table is always kept.
+    Only the last table is kept (one degree-1000 table at q = 2 takes 8 MB);
+    any other is rebuilt bit for bit on its next use.
     """
-    key = (n, q, deg)
-    table = _chi_tables.pop(key, None)
-    if table is None:
-        rule = gauss_hermite_rule(n)
-        c = math.sqrt(q / 2.0)
-        table = (rule.scaled_weights / c, hermite_batch(deg, rule.nodes / c))
-        kept = sum(w.nbytes + chi.nbytes for w, chi in _chi_tables.values())
-        while _chi_tables and kept + table[0].nbytes + table[1].nbytes > CHI_TABLE_BYTES:
-            w, chi = _chi_tables.popitem(last=False)[1]
-            kept -= w.nbytes + chi.nbytes
-    _chi_tables[key] = table
+    rule = gauss_hermite_rule(n)
+    c = math.sqrt(q / 2.0)
+    table = (rule.scaled_weights / c, hermite_batch(deg, rule.nodes / c))
+    for arr in table:
+        arr.setflags(write=False)
     return table
 
 
@@ -175,7 +167,8 @@ class HermiteCache:
     The arity p is the number of inputs; keys are sorted (p+1)-tuples
     (ell and the p input indices).  Tuples with odd coordinate sum are
     exactly zero by parity and are never stored.  Writes are idempotent
-    single dict assignments, so concurrent readers are safe.
+    single dict assignments and the chi tables are read-only, so concurrent
+    readers are safe and get the values a sequential reader gets.
     """
 
     __slots__ = ("arity", "table")

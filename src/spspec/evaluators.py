@@ -871,9 +871,11 @@ def error_report(
     shared = at < len(r_order)
     shared[shared] = r_order[at[shared]] == a_order[shared]  # the place holds the same key
     gaps = reference.magnitudes().copy()
-    diff = a_vals[shared] - r_vals[at[shared]]
-    # np.abs on complex can round differently from Python's abs; hypot does not
-    gaps[at[shared]] = np.hypot(diff.real, diff.imag)
+    # np.abs on complex can round differently from Python's abs, and hypot
+    # does not; a gap past the float range is inf, and _weighted_l1 refuses it
+    with np.errstate(over="ignore"):
+        diff = a_vals[shared] - r_vals[at[shared]]
+        gaps[at[shared]] = np.hypot(diff.real, diff.imag)
     new = ~shared
     gaps = np.insert(gaps, at[new], approx.magnitudes()[new])
     keys = np.insert(r_keys, at[new], a_keys[new], axis=0) if s != 0 else None

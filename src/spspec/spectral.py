@@ -178,8 +178,13 @@ def _weighted_l1(gaps: np.ndarray, keys: np.ndarray | None, s: float, size: Size
             j, limit = max((j for j, _ in held), key=size.of), sys.float_info.max
             raise ValueError(f"index {j}: size ** {s} passes the float limit {limit!r}") from None
     # added one at a time from the left on every Python (its sum compensates
-    # from 3.12 on), so a sum keeps its bits across versions
-    return float(np.add.accumulate(gaps)[-1]) if len(gaps) else 0.0
+    # from 3.12 on), so a sum keeps its bits across versions; a gap, a
+    # weighted term or a partial sum past the float range leaves it infinite
+    with np.errstate(over="ignore"):
+        total = float(np.add.accumulate(gaps)[-1]) if len(gaps) else 0.0
+    if not total <= sys.float_info.max:  # inf, or nan where a weight 0.0 met an inf gap
+        raise ValueError(f"the weighted sum passes the float limit {sys.float_info.max!r}")
+    return total
 
 
 def l1s_norm(u: SpectralVector, s: float, size: SizeFunction = SizeFunction.MAX) -> float:

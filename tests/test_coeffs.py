@@ -2,16 +2,19 @@ import functools
 import itertools
 import math
 import os
+import random
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from spspec import coeffs
 from spspec.bounds import a_theta
+from spspec.cli import cmd_bench
 from spspec.coeffs import (
     CACHE_MAGIC,
     POLICY_ID,
@@ -138,6 +141,7 @@ def test_chi_tables_stay_bounded_over_high_degrees():
     for d in range(1000, 1017):
         hermite_product_integral((d, d))
     assert resident_mb() - before < 64
+    assert coeffs._chi_table.cache_info().currsize <= 1
     # the degree-1000 table was dropped on the way and is rebuilt bit for bit
     assert hermite_product_integral((1000, 1000)) == first
 
@@ -711,21 +715,71 @@ def test_build_and_save_match_the_per_key_build(tmp_path, p, jmax):
     assert (tmp_path / "got.cache").read_bytes() == (tmp_path / "want.cache").read_bytes()
 
 
-def test_build_makes_one_chi_table_per_degree_under_a_small_table_bound(monkeypatch):
-    # a per-key build, largest index innermost, rebuilt a dropped table for
-    # almost every key once the tables of all degrees passed the bound
+@pytest.fixture
+def tables_built(monkeypatch):
+    """The degrees of the chi tables coeffs builds from here on, from an empty memo."""
     degrees = []
 
     def batch(nmax, x):
         degrees.append(nmax)
         return hermite_batch(nmax, x)
 
-    monkeypatch.setattr(coeffs, "CHI_TABLE_BYTES", 2**18)
-    monkeypatch.setattr(coeffs, "_chi_tables", OrderedDict())
+    coeffs._chi_table.cache_clear()
     monkeypatch.setattr(coeffs, "hermite_batch", batch)
+    return degrees
+
+
+def test_build_makes_one_chi_table_per_degree_under_a_small_table_bound(tables_built):
+    # a per-key build, largest index innermost, rebuilt a dropped table for
+    # almost every key once the tables of all degrees passed the bound
     cache = build_cache(2, 40)
-    assert degrees == list(range(41))
+    assert tables_built == list(range(41))
     assert bits(cache.table) == bits(reference_build(2, 40))
+
+
+def test_one_chi_table_is_kept_and_it_is_read_only(tables_built):
+    build_cache(2, 40)
+    assert coeffs._chi_table.cache_info().currsize == 1
+    weights, chi = coeffs._chi_table(coeffs._node_count(3, 40), 3, 40)  # the build's last
+    assert len(tables_built) == 41
+    for table in (weights, chi):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+
+
+def test_repeated_oracle_calls_read_the_kept_table(tables_built):
+    # 3 repeats at each of 3 budgets, the repeats of one budget one after another
+    cmd_bench("hermite", 2, 3.0, [8, 16, 32], 1, "transform")
+    assert len(tables_built) == 3
+
+
+def test_concurrent_misses_give_the_sequential_values():
+    rng = random.Random(32)
+    blocks = [coeffs._block_keys(3, deg).tolist() for deg in range(41)]
+    keys = [tuple(key) for block in blocks for key in rng.sample(block, min(10, len(block)))]
+    want = {key: hermite_product_integral(key) for key in keys}
+    # two readers share each cache, and each walks the keys in its own
+    # order, so the kept table changes under the others
+    caches = [HermiteCache(2), HermiteCache(2)]
+    work = [(caches[i % 2], rng.sample(keys, len(keys))) for i in range(4)]
+
+    def miss(cache, order):
+        for key in order:
+            cache.coefficient((key[0],), ((key[1],), (key[2],)))
+
+    threads = [threading.Thread(target=miss, args=pair) for pair in work]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for cache in caches:
+        assert bits(cache.table) == bits(want)
 
 
 def test_build_in_chunks_of_a_few_rows(monkeypatch):
@@ -741,7 +795,7 @@ def test_build_out_of_memory_names_the_entries_built(monkeypatch):
             raise MemoryError
         return hermite_batch(nmax, x)
 
-    monkeypatch.setattr(coeffs, "_chi_tables", OrderedDict())
+    coeffs._chi_table.cache_clear()
     monkeypatch.setattr(coeffs, "hermite_batch", batch)
     monkeypatch.setattr(coeffs, "FACTOR_BYTES", 3 * 4 * 8 * 8)
     entries = len(reference_build(3, 4))  # the blocks of degrees 0..4

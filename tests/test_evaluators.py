@@ -1108,6 +1108,18 @@ def test_error_report_weights_only_the_nonzero_gaps():
         error_report(far, fvec({}), s=40.0)
 
 
+@pytest.mark.parametrize("s", [0.0, 1.0, -20.0])
+@pytest.mark.parametrize("approx,reference", [
+    ({0: 1e308}, {0: -1e308}),  # one gap past the float range
+    ({0: 1.5e308}, {1: 1.5e308}),  # two finite gaps whose sum passes it
+    ({2**62: 1e308}, {2**62: -1e308}),  # at s = -20 its weight is 0.0, times inf nan
+])
+def test_error_report_refuses_a_distance_past_the_float_range(approx, reference, s):
+    text = f"the weighted sum passes the float limit {sys.float_info.max!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        error_report(fvec(approx), fvec(reference), s)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_error_report_sums_in_key_order(dim):
     """The same float, bit for bit, as the plain sum over the sorted union."""

@@ -270,6 +270,19 @@ def test_l1s_names_the_float_limit_where_a_weight_overflows(size, entries, named
         l1s_norm(u, 40.0, size)
 
 
+def test_l1s_refuses_a_sum_past_the_float_range():
+    text = f"the weighted sum passes the float limit {sys.float_info.max!r}"
+    for u, s in [
+        (SpectralVector(FOURIER, {(0,): 1.5e308, (1,): 1.5e308}), 0.0),
+        (SpectralVector(FOURIER, {(9,): 1e308}), 1.0),  # 9.0 * 1e308 is inf, and Python does not raise
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            l1s_norm(u, s)
+    # the largest finite sum is kept as it is
+    edge = SpectralVector(FOURIER, {(0,): sys.float_info.max})
+    assert l1s_norm(edge, 0.0) == sys.float_info.max
+
+
 def test_l1s_power_law_partial_sums_approach_zeta():
     limit = 2.0 * (float(zeta(3.0)) - 1.0) + 1.0
     for cutoff in (50, 200, 800):
