@@ -72,6 +72,19 @@ from .spectral import Basis, BasisKind, SpectralVector, _weighted_l1
 # would change only the degree that the refusal names.
 HERMITE_ELL_CAP = MAX_DEGREE + 2
 
+# Entries of one dense array an evaluation lays out over a span of keys: the
+# grid of candidate outputs, a line of the Fourier plan, or the dense
+# oracle's output box.  2**24 complex entries are 256 MiB.  The tests, tools
+# and benchmark lay out at most 529,208 entries in one array, and the keys
+# {0, 1, 10**6} at p = 3 in d = 1 a grid of 3 * 10**6 + 1.
+DENSE_ENTRIES_MAX = 2**24
+
+
+def _check_dense(what: str, entries: int) -> None:
+    """Refuse a dense array past DENSE_ENTRIES_MAX before it is allocated."""
+    if entries > DENSE_ENTRIES_MAX:
+        raise ValueError(f"{what} has {entries} entries, past the limit of {DENSE_ENTRIES_MAX}")
+
 
 @dataclass(frozen=True)
 class EvalRequest:
@@ -122,7 +135,9 @@ def _grid(spec: SparseSetSpec, lo, hi) -> np.ndarray:
     top = _cap(spec, spec.alpha)
     if top is not None:
         lo, hi = np.maximum(lo, -top), np.minimum(hi, top)
-    axes = [np.arange(a, b + 1) for a, b in zip(lo.tolist(), hi.tolist())]
+    bounds = list(zip(lo.tolist(), hi.tolist()))
+    _check_dense("the output grid", math.prod(max(0, b - a + 1) for a, b in bounds))
+    axes = [np.arange(a, b + 1) for a, b in bounds]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
@@ -370,6 +385,8 @@ class _BudgetClasses(_Slots):
             pos = ells @ strides - (total[0] + self.sym[0])
             at = (pos >= 0) & (pos < total[1] + self.sym[1] - 1)
             ells, self.pos, self.total = ells[at], pos[at], total[2]
+        longest = max([n for *_, n in self.steps] + [self.width if spec.alpha else 0])
+        _check_dense("a count line", longest)
         cnts = self._sums([np.ones(len(k)) for k in self.flat])
         # every partial sum of a count is at most the count, so one below
         # 2**53 is exact in float64, and one that is not still reads >= 2**53
@@ -775,6 +792,7 @@ def dense_oracle_fourier(
     box = [h - l + 1 for l, h in zip(low, high)]
     if math.prod(box) > COORD_MAX:  # no factor's flat keys span more
         raise ValueError(f"the output box has flat keys past the int64 limit {COORD_MAX}")
+    _check_dense("the output box", math.prod(box))
     line, off = None, 0
     for (keys, vals), own in zip(factors, lows):
         flat = np.ravel_multi_index(tuple((keys - own).T), box)

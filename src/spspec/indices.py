@@ -14,9 +14,11 @@ are only the O(sqrt N) values N // m.  The number of q-tuples within
 budget b sums, over blocks [k1, k2] of constant b // k, the indices of
 size in [k1, k2] times the (q - 1)-tuples within b // k1.  The blocks are
 summed by parts (the Dirichlet hyperbola method), so a budget b costs
-sqrt(b) terms and one level of the recursion O(N^(3/4)), evaluated as
-numpy arrays of exact Python ints.  The product norm's per-index count
-is the same recursion over coordinates.
+sqrt(b) terms and one level of the recursion O(N^(3/4)).  A level runs
+on int64 arrays where a bound read off its input tables proves that
+nothing in it passes 2**63 - 1, and on object arrays of exact Python ints
+past that.  The product norm's per-index count is the same recursion over
+coordinates.
 """
 
 from __future__ import annotations
@@ -248,9 +250,11 @@ def _pieces(spec: SparseSetSpec, ell: Index) -> Iterator[Iterator[tuple[Index, .
 
 _CHUNK_TERMS = 2**16
 
-# The largest budget tabulated.  A count holds about 280 bytes per budget
-# in its tables, and 2**36 has 2**19 budgets: 144 MB of peak RSS, and 140 s
-# at p = 3, alpha = 1 with ell on the max-norm line (2 vCPUs).
+# The largest budget tabulated.  2**36 has 2**19 budgets, and a count there
+# peaks at about 230 bytes per budget: 113 MB of RSS above the interpreter's,
+# and 31 s at p = 3, alpha = 1 with ell on the max-norm line, whose two full
+# levels run in int64 and whose last, at N alone, in Python ints (2 vCPUs;
+# 142 MB and 96 s with every level in Python ints).
 BUDGET_MAX = 2**36
 
 
@@ -259,8 +263,10 @@ class _Budgets:
 
     A descent from budget n reaches no other budget, since (n // a) // b is
     n // (a*b).  There are at most 2*sqrt(n) of them: every b <= sqrt(n)
-    and n // m for m <= sqrt(n).  Tables over them are numpy object arrays
-    of Python ints, so counts stay exact.
+    and n // m for m <= sqrt(n).  Tables over them are int64 arrays where
+    a bound proves that they fit (C(n) for the max-norm index table,
+    convolve's for a level), and object arrays of Python ints past it, so
+    counts stay exact.
     """
 
     def __init__(self, n: int):
@@ -269,8 +275,12 @@ class _Budgets:
         self.n = n
         self.root = r = math.isqrt(n)
         large = n // np.arange(n // (r + 1), 0, -1, dtype=np.int64)
-        self.keys = np.concatenate([np.arange(1, r + 1, dtype=np.int64), large])
-        self.roots = np.array([math.isqrt(b) for b in self.keys.tolist()], dtype=np.int64)
+        self.keys = keys = np.concatenate([np.arange(1, r + 1, dtype=np.int64), large])
+        # a key is exact in float64, so its float root is off isqrt by at most one
+        roots = np.sqrt(keys.astype(np.float64)).astype(np.int64)
+        roots -= roots * roots > keys
+        roots += (roots + 1) * (roots + 1) <= keys
+        self.roots = roots
 
     def convolve(self, big_f: np.ndarray, big_g: np.ndarray, first: int = 0) -> np.ndarray:
         """H(b) = sum of f(k) g(v) over k*v <= b, at the budgets keys[first:].
@@ -281,10 +291,21 @@ class _Budgets:
         are summed by parts, which is the Dirichlet hyperbola method:
         H(b) = sum over k <= s of f(k) G(b // k) + g(k) F(b // k), minus
         F(s) G(s), for s = isqrt(b).  That is isqrt(b) terms per budget.
+
+        Every table is nondecreasing in b, so each term f(k) G(b // k) and
+        g(k) F(b // k), every partial sum of a budget's terms and F(s) G(s)
+        are at most F(r) G(n) + G(r) F(n), for r = isqrt(n).  Where that
+        bound fits int64 and neither table is an object array, the level
+        runs in int64; otherwise in exact Python ints.
         """
+        at_r = self.root - 1
+        bound = int(big_f[at_r]) * int(big_g[-1]) + int(big_g[at_r]) * int(big_f[-1])
+        exact = object not in (big_f.dtype, big_g.dtype) and bound <= np.iinfo(np.int64).max
+        dtype = np.int64 if exact else object
+        big_f, big_g = big_f.astype(dtype, copy=False), big_g.astype(dtype, copy=False)
         f = np.diff(big_f[: self.root], prepend=0)
         g = np.diff(big_g[: self.root], prepend=0)
-        out = np.empty(len(self.keys) - first, dtype=object)
+        out = np.empty(len(self.keys) - first, dtype=dtype)
         # a budget has at most root terms; chunks of keys bound the terms
         # alive at once to about _CHUNK_TERMS
         step = max(1, _CHUNK_TERMS // self.root)
@@ -307,11 +328,14 @@ def _index_counts(lattice: Lattice, size: SizeFunction, budgets: _Budgets) -> np
 
     The max norm has a closed form.  Under the product norm Z^d's indices
     are d-tuples of Z^1 indices under a product budget, so C is the d-fold
-    hyperbola convolution of the line count.
+    hyperbola convolution of the line count.  The max-norm table is int64
+    where C(n), its last and largest entry, fits, and object past it; the
+    line count 2b - 1 always fits.
     """
-    b = budgets.keys.astype(object)
+    b = budgets.keys
     if size is SizeFunction.MAX:
-        return _max_norm_count(lattice, b)
+        fits = _max_norm_count(lattice, budgets.n) <= np.iinfo(np.int64).max
+        return _max_norm_count(lattice, b if fits else b.astype(object))
     total = line = _line_count(lattice.kind, b)
     for _ in range(lattice.dim - 1):
         total = budgets.convolve(line, total)
@@ -352,10 +376,11 @@ def count_sparse(spec: SparseSetSpec, include_ell: bool = False) -> int:
     box-capped C with tuples(q - 1, .).  A level costs sum of sqrt(b) over
     the O(sqrt(N)) budgets, O(N^(3/4)), and the last one is needed at N
     alone.  When box**slots <= N every boxed tuple is admitted, and the
-    count is C(box)**slots.  Python integers do not overflow, so large
-    counts are exact.  A count that would tabulate a budget past
-    BUDGET_MAX = 2**36, where the tables reach about 145 MB, raises a
-    ValueError before building them.
+    count is C(box)**slots.  Each level runs in int64 where the bound of
+    _Budgets.convolve fits and in Python ints from the first level past it
+    on, so large counts are exact, and the count is a Python int.  A count
+    that would tabulate a budget past BUDGET_MAX = 2**36, where a count
+    peaks at about 115 MB, raises a ValueError before building the tables.
     """
     if include_ell and spec.alpha == 0 and spec.box is None:
         raise ValueError("count over unconstrained ell is infinite for alpha = 0")

@@ -1905,3 +1905,140 @@ def test_dense_fourier_factor_spans_past_int64_are_named():
     for inputs in ([wide], [wide, fvec({0: 1.0})]):
         with pytest.raises(ValueError, match="flat keys past the int64 limit"):
             dense_oracle_fourier(inputs)
+
+
+# ------------------------------------------------------- coordinates near 2**31
+#
+# Seeded supports of one cluster at the origin and one at c * e_axis, either
+# sign, for c in 2**31, 2**62 and 2**63 - 1 in d = 1, 2, 3.  At 2**31 the
+# output grid, the count lines and the dense oracle's box asked numpy for
+# 16 to 32 GiB and raised a bare MemoryError; the capped child keeps such a
+# request there.  Each entry point returns the sum over the stored entries
+# or a ValueError that names its limit.
+
+_NAMED_LIMIT = re.compile(
+    rf"has \d+ entries, past the limit of {evaluators.DENSE_ENTRIES_MAX}$|the int64 (limit|bound)"
+)
+
+_FAR_CHILD = """
+import json, sys
+from spspec.coeffs import FourierSymbol
+from spspec.evaluators import EvalRequest, dense_oracle_fourier, direct_sparse_eval, iterative_eval
+from spspec.indices import SizeFunction, SparseSetSpec, integers
+from spspec.spectral import Basis, SpectralVector
+for case in json.loads(sys.argv[1]):
+    d, level, alpha = case["d"], case["level"], case["alpha"]
+    basis, unit = Basis.fourier(d), FourierSymbol.unit(d)
+    u, v = (SpectralVector(basis, {tuple(j): x for j, x in entries}) for entries in case["inputs"])
+    spec = SparseSetSpec(2, level, alpha, SizeFunction(case["size"]), integers(d))
+    domain = tuple(map(tuple, case["domain"]))
+    runs = {
+        "direct": lambda: direct_sparse_eval(EvalRequest(unit, (u, v), spec)),
+        "domain": lambda: direct_sparse_eval(EvalRequest(unit, (u, v), spec, domain)),
+        "iterative": lambda: iterative_eval(unit, [u, v], level, alpha),
+        "dense": lambda: dense_oracle_fourier([u, v]),
+    }
+    for name, run in runs.items():
+        try:
+            got = run()
+        except ValueError as exc:
+            print(json.dumps(["refused", str(exc)]))
+            continue
+        except Exception as exc:
+            print(json.dumps(["raised", f"{type(exc).__name__}: {exc}"]))
+            continue
+        vector, terms = (got, None) if name == "dense" else (got.vector, got.terms)
+        print(json.dumps(["ok", [[j, x.real, x.imag] for j, x in vector.items()], terms]))
+"""
+
+
+def test_dense_arrays_are_refused_just_past_the_entry_limit(monkeypatch):
+    monkeypatch.setattr(evaluators, "DENSE_ENTRIES_MAX", 64)
+    past = r"has 65 entries, past the limit of 64$"
+    spec = SparseSetSpec(2, 2**10, 0, SizeFunction.MAX, integers(1))
+    one = SparseSetSpec(1, 2**10, 0, SizeFunction.MAX, integers(1))
+    assert len(dense_oracle_fourier([fvec({0: 1.0, 63: 0.5})])) == 2
+    with pytest.raises(ValueError, match="the output box " + past):
+        dense_oracle_fourier([fvec({0: 1.0, 64: 0.5})])
+    # the default grid of two slots spans 0..2k
+    assert direct_sparse_eval(EvalRequest(UNIT, (fvec({0: 1.0, 31: 0.5}),) * 2, spec)).terms == 4
+    with pytest.raises(ValueError, match="the output grid " + past):
+        direct_sparse_eval(EvalRequest(UNIT, (fvec({0: 1.0, 32: 0.5}),) * 2, spec))
+    # an explicit domain has no grid, and the one slot's line spans 0..k
+    assert direct_sparse_eval(EvalRequest(UNIT, (fvec({0: 1.0, 63: 0.5}),), one, ((0,),))).terms == 1
+    with pytest.raises(ValueError, match="a count line " + past):
+        direct_sparse_eval(EvalRequest(UNIT, (fvec({0: 1.0, 64: 0.5}),), one, ((0,),)))
+
+
+def _far_cases(seed: int) -> list[dict]:
+    rng = random.Random(seed)
+    cases = []
+    for c, d in itertools.product((2**31, 2**62, 2**63 - 1), (1, 2, 3)):
+        for _ in range(3):
+            far = [0] * d
+            far[rng.randrange(d)] = rng.choice((1, -1)) * c
+            inputs = []
+            for _ in range(2):
+                entries = {}
+                for at in rng.choice((((0,) * d,), (far,), ((0,) * d, far))):
+                    for _ in range(rng.randint(1, 2)):
+                        # one step toward the origin, so a coordinate stays within 2**63 - 1
+                        j = tuple(a - (a > 0) * rng.randint(0, 1) + (a < 0) * rng.randint(0, 1)
+                                  if a else rng.randint(-1, 1) for a in at)
+                        entries[j] = rng.choice((1.0, 0.5, -0.25, 0.75))
+                inputs.append(sorted(entries.items()))
+            cases.append({
+                "d": d, "inputs": inputs, "level": rng.choice((8, 2**40, 2**80)),
+                "alpha": rng.randint(0, 1), "size": rng.choice(("max", "prod")),
+                "domain": [[0] * d, far],
+            })
+    return cases
+
+
+def _fourier_brute(inputs, spec: SparseSetSpec, domain=None):
+    """(values, terms) of the unit symbol's sum over every tuple of stored
+    entries within its output's budget, at the outputs of domain (all when None)."""
+    values, terms = {}, 0
+    for js in itertools.product(*inputs):
+        ell = tuple(map(sum, zip(*js)))
+        if domain is not None and ell not in domain:
+            continue
+        if spec.size.of(ell) ** spec.alpha * math.prod(map(spec.size.of, js)) <= spec.level:
+            terms += 1
+            values[ell] = values.get(ell, 0) + math.prod(u[j] for j, u in zip(js, inputs))
+    return {ell: v for ell, v in values.items() if v != 0}, terms
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_coordinates_near_2_31_return_the_brute_force_sum_or_a_named_limit(seed, run_capped):
+    cases = _far_cases(seed)
+    child = run_capped("-c", _FAR_CHILD, json.dumps(cases))
+    assert child.returncode == 0, child.stderr
+    lines = iter(map(json.loads, child.stdout.splitlines()))
+    refused = set()
+    for case in cases:
+        d, level, alpha = case["d"], case["level"], case["alpha"]
+        inputs = [{tuple(j): x for j, x in entries} for entries in case["inputs"]]
+        spec = SparseSetSpec(2, level, alpha, SizeFunction(case["size"]), integers(d))
+        pair = SparseSetSpec(2, level, alpha, SizeFunction.MAX, integers(d))
+        every = SparseSetSpec(2, 2**200, 0, SizeFunction.MAX, integers(d))  # no budget binds
+        domain = set(map(tuple, case["domain"]))
+        wants = {
+            "direct": _fourier_brute(inputs, spec),
+            "domain": _fourier_brute(inputs, spec, domain),
+            "iterative": _fourier_brute(inputs, pair),
+            "dense": (_fourier_brute(inputs, every)[0], None),
+        }
+        for name, (want, terms) in wants.items():
+            kind, *got = next(lines)
+            assert kind != "raised", (name, case, got)
+            if kind == "refused":
+                assert _NAMED_LIMIT.search(got[0]), (name, case, got)
+                refused.add(got[0].split(" has ")[0] if "entries" in got[0] else "int64")
+                continue
+            values, got_terms = got
+            assert {tuple(j): complex(re_, im) for j, re_, im in values} == want, (name, case)
+            assert got_terms == terms, (name, case)
+    assert next(lines, None) is None
+    # every new refusal is reached, and so is the int64 one
+    assert refused >= {"the output grid", "a count line", "the output box", "int64"}

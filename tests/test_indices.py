@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 import re
 import tracemalloc
 from dataclasses import replace
@@ -544,6 +545,97 @@ def test_count_above_int64_is_exact():
     spec_of = lambda n: SparseSetSpec(40, n, 0, SizeFunction.MAX, integers(1))
     assert count_sparse(spec_of(1)) == 3**40 > 2**63
     assert count_sparse(spec_of(2)) == 3**40 + 80 * 3**39
+
+
+# ------------------------------------------------------- int64 and object tables
+
+
+def _recorded_dtypes(monkeypatch) -> list:
+    """The dtype of every table _Budgets.convolve returns, in call order."""
+    seen = []
+    real = indices._Budgets.convolve
+
+    def convolve(self, *args):
+        out = real(self, *args)
+        seen.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(indices._Budgets, "convolve", convolve)
+    return seen
+
+
+def _object_count(monkeypatch, spec: SparseSetSpec, include_ell: bool = False) -> int:
+    """count_sparse with the index tables built on object keys: a level with an
+    object input stays object, so every level runs in Python ints."""
+    as_object = lambda b: b.astype(object) if isinstance(b, np.ndarray) else b
+    with monkeypatch.context() as m:
+        for name in ("_max_norm_count", "_line_count"):
+            real = getattr(indices, name)
+            m.setattr(indices, name, lambda head, b, real=real: real(head, as_object(b)))
+        seen = _recorded_dtypes(m)
+        count = count_sparse(spec, include_ell)
+    assert set(seen) <= {np.dtype(object)}
+    return count
+
+
+def test_budget_roots_are_isqrt():
+    ns = {1, 2, 3, 10**9, indices.BUDGET_MAX}
+    ns |= {2**k + e for k in range(1, 37) for e in (-1, 0)}
+    ns |= {k * k + e for k in (2, 3, 1000, 46341, 2**18 - 1, 2**18) for e in (-1, 0, 1)}
+    for n in sorted(ns):
+        if n <= indices.BUDGET_MAX:
+            budgets = indices._Budgets(n)
+            assert budgets.roots.tolist() == [math.isqrt(b) for b in budgets.keys.tolist()], n
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_int64_levels_count_as_python_ints_do(seed, monkeypatch):
+    rng = random.Random(seed)
+    seen, plain = _recorded_dtypes(monkeypatch), set()
+    for _ in range(40):
+        level = rng.randint(1, 3000)
+        box = rng.choice((None, rng.randint(1, 16), level + rng.randint(0, 100)))
+        alpha = rng.randint(0, 1)
+        spec = SparseSetSpec(
+            rng.randint(1, 5), level, alpha, rng.choice(list(SizeFunction)),
+            rng.choice((integers, naturals))(rng.randint(1, 3)), box,
+        )
+        include_ell = (alpha == 1 or box is not None) and rng.random() < 0.5
+        start = len(seen)
+        got = count_sparse(spec, include_ell)
+        plain |= set(seen[start:])
+        assert type(got) is int
+        assert got == _object_count(monkeypatch, spec, include_ell), (spec, include_ell)
+    # the grid reaches both sides of the switch
+    assert plain == {np.dtype(np.int64), np.dtype(object)}
+
+
+@pytest.mark.parametrize("spec, first_object", [
+    # Z^3 under the max norm: B passes 2**63 at the inner level, of two
+    (SparseSetSpec(3, 30140, 0, SizeFunction.MAX, integers(3)), 0),
+    # 17 slots on Z^2 at N = 4: only the last of 16 levels passes it
+    (SparseSetSpec(17, 4, 0, SizeFunction.MAX, integers(2)), 15),
+])
+def test_a_count_just_past_int64_leaves_int64_where_its_bound_does(spec, first_object, monkeypatch):
+    seen = _recorded_dtypes(monkeypatch)
+    got = count_sparse(spec)
+    assert [dtype == object for dtype in seen] == [i >= first_object for i in range(len(seen))]
+    assert 2**63 < got < 2**63 + 2**58
+    assert got == _object_count(monkeypatch, spec)
+    # one budget less, the count fits int64
+    assert count_sparse(replace(spec, level=spec.level - 1)) < 2**63
+
+
+@pytest.mark.parametrize("size, dim, level", [
+    *((SizeFunction.MAX, 1, n) for n in (2**11, 2**13, 2**15, 10**7)),
+    *((SizeFunction.PROD, 1, n) for n in (2**7, 2**8, 2**9, 10**7)),
+    *((SizeFunction.PROD, 2, n) for n in (2**6, 2**7, 2**8)),
+])
+def test_benchmark_counts_run_every_level_in_int64(size, dim, level, monkeypatch):
+    # the nine count shapes of perfbench's count workload, and N = 10**7 on Z^1
+    seen = _recorded_dtypes(monkeypatch)
+    count_sparse(SparseSetSpec(3, level, 1, size, integers(dim)), include_ell=True)
+    assert len(seen) >= 3 and set(seen) == {np.dtype(np.int64)}
 
 
 def test_count_past_the_budget_limit_is_refused():
