@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .indices import Index, max_norm
+from .indices import Index, _integers, max_norm
 
 # The most rows check_kernel_bound sweeps.  A row takes 113 (p = 2) to 161
 # (p = 4) bytes at its peak, so a sweep at the limit stays under about 0.7 GB.
@@ -58,6 +58,7 @@ def check_kernel_bound(p: int, size_max: int, theta: float) -> KernelBoundReport
     under a million rows.  A sweep of more than SWEEP_ROWS_MAX rows is
     refused before anything is allocated.
     """
+    _integers(p=p, size_max=size_max)
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
     if size_max < 1:

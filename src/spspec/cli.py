@@ -13,7 +13,7 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +33,6 @@ from .indices import Lattice, LatticeKind, SizeFunction, SparseSetSpec, count_sp
 from .quadrature import MAX_NODES
 from .spectral import Basis, BasisKind, l1s_norm, power_law_vector, read_vector, write_vector
 
-CSV_HEADER = "method,basis,p,sigma,alpha,N,terms,error_l1,wall_time_s"
 ERROR_FLOOR = 1e-13  # rows at or below this are saturated and excluded from fits
 REF_MULT = 4  # the Fourier reference cutoff is REF_MULT * max N unless --cutoff sets it
 
@@ -55,10 +54,11 @@ class ConvergenceRecord:
     wall_time_s: float
 
     def row(self) -> str:
-        return (
-            f"{self.method},{self.basis},{self.p},{self.sigma!r},{self.alpha},"
-            f"{self.N},{self.terms},{self.error_l1!r},{self.wall_time_s!r}"
-        )
+        """The fields in CSV_HEADER's order, floats as their shortest repr."""
+        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in astuple(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ConvergenceRecord))
 
 
 def fit_slope(ns, errors) -> float:
@@ -83,20 +83,28 @@ def _parse_n_list(text: str) -> list[int]:
 def _setup(u, p, alpha, method, norm, jmax, ell_cap):
     """run(n) -> EvalResult: the p-fold product of u with itself at budget n.
 
+    The one check of a run's options, made before any evaluation or
+    reference is built: p >= 1, alpha 0 or 1, transform on the Hermite
+    basis only, iterative under the max-norm size only, and ell_cap >= 0.
     The basis comes from u.  Fourier runs use the unit symbol.  Hermite
     runs give direct and iterative one empty HermiteCache(p), which fixes
     only the basis (no evaluator reads its table), gate alpha = 0 outputs
     to 0..ell_cap (default jmax, at most HERMITE_ELL_CAP), and send
     transform to the pointwise route with min(n - 1, jmax) projected
-    coefficients.  Iterative runs take the max-norm size only; another norm
-    is refused when run(n) is called.
+    coefficients.
     """
+    if p < 1:
+        raise CliError(f"p must be >= 1, got {p}")
+    if alpha not in (0, 1):
+        raise CliError(f"alpha must be 0 or 1, got {alpha}")
+    if method == "transform" and u.basis.kind is BasisKind.FOURIER:
+        raise CliError("the transform method applies to the Hermite basis")
+    if method == "iterative" and norm is not SizeFunction.MAX:
+        raise CliError("iterative evaluation is defined for the max-norm size only")
     if ell_cap is not None and ell_cap < 0:
         raise CliError(f"--ell-cap must be >= 0, got {ell_cap}")
     lattice = u.basis.lattice
     if u.basis.kind is BasisKind.FOURIER:
-        if method == "transform":
-            raise CliError("the transform method applies to the Hermite basis")
         provider = FourierSymbol.unit(1)
         domain = None
     elif method != "transform":
@@ -109,8 +117,6 @@ def _setup(u, p, alpha, method, norm, jmax, ell_cap):
         if method == "direct":
             return direct_sparse_eval(EvalRequest(provider, (u,) * p, spec, domain))
         if method == "iterative":
-            if norm is not SizeFunction.MAX:
-                raise CliError("iterative evaluation is defined for the max-norm size only")
             return iterative_eval(provider, [u] * p, n, alpha, ell_cap=ell_cap)
         out = min(n - 1, jmax) if n > 1 else 0
         vec = dense_oracle_hermite([u] * p, n, out, strict=False)
@@ -154,39 +160,34 @@ def cmd_converge(
 ):
     """Error against a dominating dense reference, one record per N.
 
-    Returns (records, slope, notes).  Refuses references weaker than the
-    runs they are supposed to certify.
+    Returns (records, slope, notes).  The run's options are checked before
+    the reference is built, and references weaker than the runs they are
+    supposed to certify are refused.
     """
-    if p < 1:
-        raise CliError(f"p must be >= 1, got {p}")
-    if alpha not in (0, 1):
-        raise CliError(f"alpha must be 0 or 1, got {alpha}")
     n_max = max(n_list)
     notes = []
-    jmax = None
     input_basis = Basis(BasisKind(basis))
-    if input_basis.kind is BasisKind.FOURIER:
-        cut = cutoff if cutoff is not None else REF_MULT * n_max
-        if cut < n_max:
-            raise CliError(f"reference weaker than test: cutoff {cut} < max N {n_max}")
-        u = power_law_vector(sigma, cut, input_basis)
+    fourier = input_basis.kind is BasisKind.FOURIER
+    cut = cutoff if cutoff is not None else (REF_MULT if fourier else 1) * n_max
+    if fourier and cut < n_max:
+        raise CliError(f"reference weaker than test: cutoff {cut} < max N {n_max}")
+    u = power_law_vector(sigma, cut, input_basis)
+    jmax = ref_jmax if ref_jmax is not None else p * n_max  # the Hermite reference's outputs
+    run = _setup(u, p, alpha, method, norm, jmax, ell_cap)
+    if fourier:
         reference = dense_oracle_fourier([u] * p)
         tail = 2.0 * (1.0 + cut) ** (1.0 - sigma) / (sigma - 1.0)
         bound = p * tail * l1s_norm(u, 0.0) ** (p - 1)
         notes.append(f"input tail beyond cutoff {cut} shifts the reference by <= {bound:.3e}")
     else:
-        cut = cutoff if cutoff is not None else n_max
-        jmax = ref_jmax if ref_jmax is not None else p * n_max
         if jmax < n_max:
             raise CliError(f"reference weaker than test: output range {jmax} < max N {n_max}")
         if ref_nodes > MAX_NODES:
             raise CliError(f"--ref-nodes {ref_nodes} exceeds the supported maximum {MAX_NODES}")
-        u = power_law_vector(sigma, cut, input_basis)
         try:
             reference = dense_oracle_hermite([u] * p, ref_nodes, jmax, strict=True)
         except ValueError as exc:
             raise CliError(f"reference weaker than test: {exc}") from None
-    run = _setup(u, p, alpha, method, norm, jmax, ell_cap)
     records = _sweep(run, n_list, 1, reference, (method, basis, p, sigma, alpha))
     fit_records = records
     if fit_window is not None:

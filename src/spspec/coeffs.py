@@ -19,7 +19,7 @@ import re
 
 import numpy as np
 
-from .indices import Index, naturals
+from .indices import Index, _integers, naturals
 from .quadrature import MAX_NODES, gauss_hermite_rule, hermite_batch
 from .spectral import Basis, SpectralVector, _sorted_arrays, _valid_entries
 
@@ -200,6 +200,7 @@ class HermiteCache:
 
 def build_cache(p: int, jmax: int) -> HermiteCache:
     """Precompute all even-parity coefficients with every index <= jmax."""
+    _integers(p=p, jmax=jmax)
     if p < 2:
         raise ValueError(f"bulk build expects arity >= 2, got {p}")
     if jmax < 0:

@@ -41,14 +41,17 @@ Each basis supplies what a block combine computes:
   candidate outputs: the same blocks tally the terms, once per distinct
   budget, as sums of Python ints over per-input prefix counts of odd keys,
   which fix the outputs that have a term of their own parity, the number of
-  terms and the rule.  The value pass forms the rows on the values and
-  runs the listed blocks at the nodes.  No coefficient is looked up.
+  terms and the rule.  The plan also lists the steps its kept outputs
+  reach and, per kept budget, its top step and the outputs that read it.
+  The value pass forms the rows on the values, runs the listed steps at
+  the nodes and projects.  No coefficient is looked up.
 
 Both bases thus plan without values, each (slot, budget) once, and list
-their steps, each after the steps it reads; a value pass runs the list in
-order on the values, and reads nothing else of the plan nor writes to it.
-direct_sparse_eval runs the two passes the same way.  Both are
-deterministic: every sum is accumulated in a fixed order.
+their steps, each after the steps it reads; a value pass runs the steps
+its plan lists, in order, on the values, and plans nothing nor writes to
+the plan.  direct_sparse_eval runs the two passes the same way, and skips
+the value pass of a plan that kept no output.  Both are deterministic:
+every sum is accumulated in a fixed order.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .coeffs import FourierSymbol, HermiteCache, _chi_table
-from .indices import COORD_MAX, Index, SizeFunction, SparseSetSpec
+from .indices import COORD_MAX, Index, SizeFunction, SparseSetSpec, _integers
 from .quadrature import MAX_DEGREE, MAX_NODES, gauss_hermite_rule, hermite_batch
 from .spectral import Basis, BasisKind, SpectralVector, _weighted_l1
 
@@ -528,8 +531,6 @@ class _BudgetClasses(_Slots):
     def evaluate(self, inputs: Sequence[SpectralVector], symbol: SpectralVector) -> np.ndarray:
         """The value pass: the sums at self.ells, for inputs and a symbol on
         the supports and keys of this plan."""
-        if not len(self.ells):
-            return np.empty(0, dtype=complex)
         return self._sums(self.values(inputs) + [symbol.as_arrays()[1]])[self.keep]
 
 
@@ -566,10 +567,12 @@ class _HermiteClasses(_Slots):
     parity, the number of terms and the rule.  Per distinct input it keeps
     the keys in size order and the prefix count of odd keys, so a block is
     read as three numbers with no numpy call.  levels() plans the outputs'
-    distinct budgets at once, a slot at a time, and tops holds the step of
-    each; step 0 is the unit past the last slot.  evaluate() is the value
-    pass: the rows, the steps the kept budgets reach run in list order at
-    the nodes, and the projections.
+    distinct budgets at once, a slot at a time; step 0 is the unit past the
+    last slot.  Of the kept outputs' budgets, reads holds each one's top
+    step and the outputs that read it, and live the steps they reach, in
+    list order.  evaluate() is the value pass: the rows, the live steps at
+    the nodes, and the projections; it is run only on a plan that kept an
+    output.
     """
 
     def __init__(
@@ -588,16 +591,16 @@ class _HermiteClasses(_Slots):
         held = np.zeros(len(ells), dtype=bool) if self.empty else budgets >= self.need[0]
         per_ell = budgets[held].tolist()
         distinct = sorted(set(per_ell))
-        self.tops = dict(zip(distinct, self.levels(0, distinct).tolist())) if distinct else {}
-        tallies = {b: self.steps[k][4] for b, k in self.tops.items()}
+        tops = dict(zip(distinct, self.levels(0, distinct).tolist())) if distinct else {}
+        tallies = {b: self.steps[k][4] for b, k in tops.items()}
         self.terms = sum(tallies[b].even + tallies[b].odd for b in per_ell)
         # the terms of the other parity integrate to zero: an ell with no term
         # of its own parity stays out, as does one with no term at all
         held[held] = [tallies[b][ell & 1] > 0 for ell, b in zip(ells[held, 0].tolist(), per_ell)]
-        self.ells, self.budgets = ells[held], budgets[held]
+        self.ells, budgets = ells[held], budgets[held]
         if not len(self.ells):
             return
-        largest = dict(sorted(zip(self.budgets.tolist(), self.ells[:, 0].tolist())))  # per budget
+        largest = dict(sorted(zip(budgets.tolist(), self.ells[:, 0].tolist())))  # per kept budget
         self.deg = max(ell + tallies[b].deg for b, ell in largest.items())
         if self.deg > MAX_DEGREE:
             raise ValueError(
@@ -612,6 +615,15 @@ class _HermiteClasses(_Slots):
         if n % 2:
             self.weights[0] /= 2.0  # the node at 0 has no mirror image
         self.chi = hermite_batch(self.deg, rule.nodes[half:] / c)
+        # per kept budget, its top step and the outputs that read it; and the
+        # steps those reach, in list order, where a step's subs come before
+        # it.  A budget whose outputs were all dropped for their parity can
+        # admit a key past deg, which has no row, so its steps stay out.
+        self.reads = [(tops[b], np.flatnonzero(budgets == b)) for b in largest]
+        live = {top for top, _ in self.reads}
+        for k in range(len(self.steps) - 1, 0, -1):
+            live.update(self.steps[k][3] if k in live else ())
+        self.live = sorted(live - {0})
 
     def tally(self, b: int) -> _Tally:
         """The tuples of all slots within budget b >= need[0]."""
@@ -642,8 +654,6 @@ class _HermiteClasses(_Slots):
     def evaluate(self, inputs: Sequence[SpectralVector], provider: HermiteCache) -> np.ndarray:
         """The value pass: X_ell at self.ells, for inputs on the supports of
         this plan.  The provider fixes only the basis."""
-        if not len(self.ells):
-            return np.empty(0, dtype=complex)
         rows = {}  # per input and size order: its even-key and odd-key rows
         for u, i, vals in zip(inputs, self.at, self.values(inputs)):
             if (id(u), i) not in rows:
@@ -655,27 +665,20 @@ class _HermiteClasses(_Slots):
                 odd = (keys[held] & 1).astype(bool)[:, None]
                 rows[id(u), i] = np.where(odd, 0.0, row), np.where(odd, row, 0.0)
         rows = [rows[id(u), i] for u, i in zip(inputs, self.at)]  # per slot
-        ells, budgets = self.ells[:, 0], self.budgets
-        tops = {b: self.tops[b] for b in np.unique(budgets).tolist()}
-        # the steps these budgets reach; a budget whose outputs were all
-        # dropped for their parity can admit a key past deg, which has no row
-        live = set(tops.values())
-        for k in range(len(self.steps) - 1, 0, -1):
-            live.update(self.steps[k][3] if k in live else ())
-        # the even and odd parts of each live step's P(s, b) at the nonnegative
-        # nodes, in list order, where a step's subs come before it
+        # the even and odd parts of each listed step's P(s, b) at the
+        # nonnegative nodes
         parts = {0: np.outer([1, 0], np.ones(len(self.weights), dtype=complex))}  # the unit
-        for k in sorted(live - {0}):
+        for k in self.live:
             s, hi, starts, subs, _ = self.steps[k]
             even_rows, odd_rows = rows[s]
             be = np.add.reduceat(even_rows[:hi], starts, axis=0)
             bo = np.add.reduceat(odd_rows[:hi], starts, axis=0)
             se, so = (np.array(x) for x in zip(*(parts[j] for j in subs)))
             parts[k] = (be * se + bo * so).sum(axis=0), (be * so + bo * se).sum(axis=0)
-        out = np.empty(len(ells), dtype=complex)
-        for b, top in tops.items():
-            at = np.flatnonzero(budgets == b)  # each ell meets the part of its own parity
-            out[at] = (self.chi[ells[at]] * np.array(parts[top])[ells[at] & 1]) @ self.weights
+        out = np.empty(len(self.ells), dtype=complex)
+        for top, at in self.reads:  # each ell meets the part of its own parity
+            ells = self.ells[at, 0]
+            out[at] = (self.chi[ells] * np.array(parts[top])[ells & 1]) @ self.weights
         return out
 
 
@@ -689,7 +692,8 @@ def direct_sparse_eval(request: EvalRequest) -> EvalResult:
     output range.  An explicit domain must hold indices of the provider's
     lattice.  A Hermite provider fixes only the basis: no coefficient is
     looked up, and no table is read.  Either basis builds its plan, which
-    reads no value, and runs the plan's value pass once.
+    reads no value, and runs the plan's value pass once, unless the plan
+    kept no output.
     """
     spec, fourier = request.spec, request.provider.basis.kind is BasisKind.FOURIER
     ells = reach = None
@@ -705,7 +709,8 @@ def direct_sparse_eval(request: EvalRequest) -> EvalResult:
         plan = _BudgetClasses(request.inputs, request.provider, spec, ells)
     else:
         plan = _HermiteClasses(request.inputs, spec, ells)
-    vals = plan.evaluate(request.inputs, request.provider)
+    vals = (plan.evaluate(request.inputs, request.provider) if len(plan.ells)
+            else np.empty(0, dtype=complex))
     vector = SpectralVector._from_arrays(request.provider.basis, plan.ells, vals)
     return EvalResult(vector, plan.terms)
 
@@ -828,6 +833,7 @@ def dense_oracle_hermite(
     pass MAX_DEGREE, which no other Hermite route passes either.
     """
     basis = _shared_basis(inputs, BasisKind.HERMITE, "transform")
+    _integers(n_nodes=n_nodes, jmax_out=jmax_out)
     if jmax_out < 0:
         raise ValueError(f"jmax_out must be >= 0, got {jmax_out}")
     degs = [int(u.as_arrays()[0].max(initial=0)) for u in inputs]

@@ -109,6 +109,16 @@ class SizeFunction(Enum):
         return max_norm(j) if self is SizeFunction.MAX else prod_norm(j)
 
 
+def _integers(**values) -> None:
+    """Refuse each named value that is not an integer (an int or a numpy
+    integer) with a TypeError that names it."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SparseSetSpec:
     """Parameters of one sparse set: arity, budget, output weight, geometry."""
@@ -121,12 +131,8 @@ class SparseSetSpec:
     box: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("p", "level", "alpha") + (("box",) if self.box is not None else ()):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        names = ("p", "level", "alpha") + (("box",) if self.box is not None else ())
+        _integers(**{name: getattr(self, name) for name in names})
         if self.p < 1:
             raise ValueError(f"arity p must be >= 1, got {self.p}")
         if self.level < 1:
@@ -248,13 +254,13 @@ def _pieces(spec: SparseSetSpec, ell: Index) -> Iterator[Iterator[tuple[Index, .
     yield from walk(spec.p, budget, ())
 
 
-_CHUNK_TERMS = 2**16
+_CHUNK_TERMS = 2**15
 
 # The largest budget tabulated.  2**36 has 2**19 budgets, and a count there
-# peaks at about 230 bytes per budget: 113 MB of RSS above the interpreter's,
-# and 31 s at p = 3, alpha = 1 with ell on the max-norm line, whose two full
-# levels run in int64 and whose last, at N alone, in Python ints (2 vCPUs;
-# 142 MB and 96 s with every level in Python ints).
+# peaks at about 165 bytes per budget: 84-88 MB of RSS above the
+# interpreter's, and 14-17 s at p = 3, alpha = 1 with ell on the max-norm
+# line, whose two full levels run in int64 and whose last, at N alone, in
+# Python ints (2 vCPUs).
 BUDGET_MAX = 2**36
 
 
@@ -302,25 +308,32 @@ class _Budgets:
         bound = int(big_f[at_r]) * int(big_g[-1]) + int(big_g[at_r]) * int(big_f[-1])
         exact = object not in (big_f.dtype, big_g.dtype) and bound <= np.iinfo(np.int64).max
         dtype = np.int64 if exact else object
-        big_f, big_g = big_f.astype(dtype, copy=False), big_g.astype(dtype, copy=False)
-        f = np.diff(big_f[: self.root], prepend=0)
-        g = np.diff(big_g[: self.root], prepend=0)
+
+        def cast(table, at):  # a level in Python ints casts what it reads, not whole tables
+            return table[at].astype(dtype, copy=False)
+
+        f, g = (np.diff(t[: self.root], prepend=0).astype(dtype, copy=False)
+                for t in (big_f, big_g))
         out = np.empty(len(self.keys) - first, dtype=dtype)
-        # a budget has at most root terms; chunks of keys bound the terms
-        # alive at once to about _CHUNK_TERMS
-        step = max(1, _CHUNK_TERMS // self.root)
-        for i in range(first, len(self.keys), step):
-            keys, roots = self.keys[i : i + step], self.roots[i : i + step]
+        # budget b has isqrt(b) >= 1 terms; a chunk of consecutive budgets holds
+        # at most _CHUNK_TERMS terms (so at most as many budgets) or one budget,
+        # so at most max(_CHUNK_TERMS, root) terms are alive at once
+        i = first
+        while i < len(self.keys):
+            ends = np.cumsum(self.roots[i : i + _CHUNK_TERMS])
+            e = i + max(1, int(np.searchsorted(ends, _CHUNK_TERMS, side="right")))
+            keys, roots = self.keys[i:e], self.roots[i:e]
             starts = np.cumsum(roots) - roots
             k_pos = np.arange(int(roots.sum())) - np.repeat(starts, roots)
             # the terms of b read tables at y = b // k, which sits at y - 1
             # when y <= root and at len - n // y above it
             read = np.repeat(keys, roots) // (k_pos + 1)
             at = np.where(read <= self.root, read - 1, len(self.keys) - self.n // read)
-            terms = f[k_pos] * big_g[at] + g[k_pos] * big_f[at]
-            out[i - first : i - first + len(keys)] = np.add.reduceat(terms, starts)
+            terms = f[k_pos] * cast(big_g, at) + g[k_pos] * cast(big_f, at)
+            out[i - first : e - first] = np.add.reduceat(terms, starts)
+            i = e
         at_root = self.roots[first:] - 1
-        return out - big_f[at_root] * big_g[at_root]
+        return out - cast(big_f, at_root) * cast(big_g, at_root)
 
 
 def _index_counts(lattice: Lattice, size: SizeFunction, budgets: _Budgets) -> np.ndarray:
@@ -380,7 +393,7 @@ def count_sparse(spec: SparseSetSpec, include_ell: bool = False) -> int:
     _Budgets.convolve fits and in Python ints from the first level past it
     on, so large counts are exact, and the count is a Python int.  A count
     that would tabulate a budget past BUDGET_MAX = 2**36, where a count
-    peaks at about 115 MB, raises a ValueError before building the tables.
+    peaks at about 90 MB, raises a ValueError before building the tables.
     """
     if include_ell and spec.alpha == 0 and spec.box is None:
         raise ValueError("count over unconstrained ell is infinite for alpha = 0")

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .indices import _integers
+
 # The largest rule built: the Hermite kernel's degree limit and the node
 # policy of coeffs (with its limits 1016, 677 and 508) derive from it.
 MAX_NODES = 1024
@@ -80,6 +82,7 @@ class QuadratureRule:
 
 def hermite_batch(nmax: int, x) -> np.ndarray:
     """All chi_0(x), ..., chi_nmax(x) as rows, for scalar or array x."""
+    _integers(nmax=nmax)
     if nmax < 0:
         raise ValueError(f"order must be >= 0, got {nmax}")
     x = np.asarray(x, dtype=float)
@@ -108,6 +111,7 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
         Strictly increasing nodes symmetric about 0 and positive,
         underflow-safe scaled weights.
     """
+    _integers(n=n)
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
     if n > MAX_NODES:

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .indices import Index, Lattice, SizeFunction, integers, naturals
+from .indices import Index, Lattice, SizeFunction, _integers, integers, naturals
 
 # Entries smaller than this are dropped on normalization: they cannot
 # influence any norm at double precision and would bloat serialized files.
@@ -200,6 +200,7 @@ def power_law_vector(sigma: float, cutoff: int, basis: Basis) -> SpectralVector:
     dimension); for Hermite, |k| = k.  sigma must exceed 1 so the family has
     finite weighted l1 norms below the critical exponent.
     """
+    _integers(cutoff=cutoff)
     if not sigma > 1:
         raise ValueError(f"power-law exponent must be > 1, got {sigma}")
     if cutoff < 0:

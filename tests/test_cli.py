@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from spspec import cli, evaluators
 from spspec.cli import (
     CSV_HEADER,
     CliError,
@@ -69,6 +70,46 @@ def test_unknown_basis_and_alpha_are_refused():
         cmd_bench("laguerre", 2, 3.0, [4], 1, "direct")
     with pytest.raises(CliError, match="^alpha must be 0 or 1, got 2$"):
         cmd_converge("fourier", 2, 3.0, [4], 2, "direct")
+
+
+REFUSALS = [
+    ("fourier", 3, 1, "transform", "max", "the transform method applies to the Hermite basis"),
+    ("fourier", 3, 1, "iterative", "prod", "iterative evaluation is defined for the max-norm size only"),
+    ("hermite", 3, 1, "iterative", "prod", "iterative evaluation is defined for the max-norm size only"),
+    ("fourier", 0, 1, "direct", "max", "p must be >= 1, got 0"),
+    ("hermite", 0, 1, "transform", "max", "p must be >= 1, got 0"),
+    ("fourier", 3, 2, "direct", "max", "alpha must be 0 or 1, got 2"),
+    ("hermite", 3, 2, "iterative", "max", "alpha must be 0 or 1, got 2"),
+]
+
+
+@pytest.mark.parametrize("basis,p,alpha,method,norm,message", REFUSALS,
+                         ids=[f"{b}-p{p}-a{a}-{m}-{n}" for b, p, a, m, n, _ in REFUSALS])
+def test_a_run_is_refused_before_any_reference_is_built(
+    monkeypatch, capsys, basis, p, alpha, method, norm, message
+):
+    def oracle(*args, **kwargs):
+        raise AssertionError("an oracle ran before the options were checked")
+
+    for module in (cli, evaluators):
+        monkeypatch.setattr(module, "dense_oracle_fourier", oracle)
+        monkeypatch.setattr(module, "dense_oracle_hermite", oracle)
+    n_list = [32, 64, 128, 256, 512, 1024, 2048, 4096, 8192]
+    for command in (cmd_converge, cmd_bench):
+        with pytest.raises(CliError, match=f"^{re.escape(message)}$"):
+            command(basis, p, 3.0, n_list, alpha, method, norm=SizeFunction(norm))
+    if alpha in (0, 1):  # the parser refuses any other alpha itself
+        for command in ("converge", "bench"):
+            argv = [command, "--basis", basis, "--p", str(p), "--alpha", str(alpha),
+                    "--N", ",".join(map(str, n_list)), "--method", method, "--norm", norm]
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_the_csv_columns_are_the_record_fields():
+    record = cli.ConvergenceRecord("direct", "fourier", 3, 3.0, 1, 8, 62, 0.1 + 0.2, 1e-05)
+    assert CSV_HEADER == "method,basis,p,sigma,alpha,N,terms,error_l1,wall_time_s"
+    assert record.row() == "direct,fourier,3,3.0,1,8,62,0.30000000000000004,1e-05"
 
 
 def test_converge_refuses_weak_hermite_reference():

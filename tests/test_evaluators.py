@@ -490,6 +490,45 @@ def test_the_hermite_value_pass_writes_nothing_to_its_plan():
     assert [state(plan) for plan in plans] == before
 
 
+@pytest.mark.parametrize("inputs,level,alpha", [
+    (("power", "odd", "sparse"), None, 0),
+    (("power", "odd", "sparse"), None, 1),
+    (("even", "even", "even"), 80, 1),  # budgets dropped for parity leave steps unlisted
+])
+def test_the_hermite_value_pass_runs_only_its_listed_steps(monkeypatch, inputs, level, alpha):
+    """The plan lists the steps its kept budgets reach, each after its subs,
+    and which outputs read each budget; the value pass runs those steps
+    alone, in that order, and works out nothing of the plan again."""
+    inputs = tuple(HERMITE_GUARD_INPUTS[name] for name in inputs)
+    spec = SparseSetSpec(3, level or HERMITE_GUARD_LEVEL, alpha, SizeFunction.MAX, naturals(1))
+    plan = _HermiteClasses(inputs, spec, None if alpha else np.array(HERMITE_GUARD_DOMAIN))
+    want = plan.evaluate(inputs, HermiteCache(3))
+    reached = {top for top, _ in plan.reads}
+    for k in range(len(plan.steps) - 1, 0, -1):
+        reached.update(plan.steps[k][3] if k in reached else ())
+    assert plan.live == sorted(reached - {0})
+    assert sorted(np.concatenate([at for _, at in plan.reads]).tolist()) == list(range(len(want)))
+    if level == 80:
+        assert len(plan.live) < len(plan.steps) - 1
+    read = []
+
+    class Steps(list):
+        def __getitem__(self, k):
+            read.append(k)
+            return super().__getitem__(k)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the value pass worked out its plan again")
+
+    monkeypatch.setattr(plan, "steps", Steps(plan.steps))
+    monkeypatch.setattr(np, "unique", refused)
+    monkeypatch.setattr(np, "flatnonzero", refused)
+    got = plan.evaluate(inputs, HermiteCache(3))
+    monkeypatch.undo()
+    assert read == plan.live
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("p,size,level,inputs,domain", [
     (2, SizeFunction.MAX, 40, "even", ((1,), (10,))),
     (3, SizeFunction.PROD, 80, "odd", None),
@@ -1826,6 +1865,82 @@ def test_hermite_budgets_past_int64_match_brute_force(level):
     assert got.terms == terms == 9 * len(domain)
     assert set(got.vector) == set(want)
     assert all(abs(got.vector[ell] - v) <= 1e-14 for ell, v in want.items())
+
+
+def _hermite_stored_coefficient(ell, js):
+    return _hermite_coefficient(tuple(sorted(ell + sum(js, ()))))
+
+
+@pytest.mark.parametrize("degree", [2**31, 2**62, 2**63 - 1])
+@pytest.mark.parametrize("strict", [True, False])
+def test_dense_hermite_names_its_limit_at_degrees_near_int64(degree, strict):
+    rng = random.Random(f"hermite-oracle-{degree}-{strict}")
+    small = SpectralVector(HERMITE, {(k,): rng.uniform(-1, 1) for k in (0, 1, 3)})
+    far = SpectralVector(HERMITE, {(0,): 1.0, (degree,): rng.uniform(-1, 1)})
+    # strict: the rule's nodes are too few; loose: the degree passes MAX_DEGREE
+    limit = r"8 nodes cannot integrate degree \d+; need at least \d+" if strict else (
+        f"degree {degree} exceeds 2047, the Hermite degree limit")
+    for inputs, jmax_out in (([far, small], 3), ([small, small], degree), ([far, far], degree)):
+        with pytest.raises(ValueError, match=f"^{limit}$"):
+            dense_oracle_hermite(inputs, 8, jmax_out, strict=strict)
+
+
+@pytest.mark.parametrize("level", [2**62, 2**70, 2**80])
+@pytest.mark.parametrize("alpha", [0, 1])
+@pytest.mark.parametrize("size", list(SizeFunction))
+def test_hermite_budgets_from_2_62_to_2_80_match_brute_force(level, alpha, size):
+    # every tuple is admitted at every output; the default outputs at
+    # alpha = 1 run to HERMITE_ELL_CAP, whose terms pass the rule
+    rng = random.Random(f"hermite-budget-{level}-{alpha}-{size.value}")
+    u = SpectralVector(HERMITE, {(k,): rng.uniform(-1, 1) for k in (0, 1, 3, 6)})
+    domain = ((0,), (1,), (2,), (4,), (7,), (12,))
+    limit = "integrates degree 2047 at most|reaches the int64 limit"
+    for p in (1, 2, 3):
+        spec = SparseSetSpec(p, level, alpha, size, naturals(1))
+        want, terms = _stored_brute_sum((u,) * p, spec, _hermite_stored_coefficient, domain)
+        got = direct_sparse_eval(EvalRequest(HermiteCache(p), (u,) * p, spec, domain))
+        assert got.terms == terms == 4**p * len(domain)
+        assert set(got.vector) == set(want)
+        assert all(abs(got.vector[ell] - v) <= 1e-14 for ell, v in want.items())
+        if alpha:
+            with pytest.raises(ValueError, match=limit):
+                direct_sparse_eval(EvalRequest(HermiteCache(p), (u,) * p, spec))
+    if size is SizeFunction.PROD:  # iterative_eval takes the max-norm size only
+        return
+    if alpha:
+        with pytest.raises(ValueError, match=limit):
+            iterative_eval(HermiteCache(3), [u] * 3, level, alpha)
+        return
+    got = iterative_eval(HermiteCache(3), [u] * 3, level, alpha, ell_cap=7)
+    pair = SparseSetSpec(2, level, alpha, size, naturals(1))
+    outputs = tuple((ell,) for ell in range(8))
+    acc, terms = u, 0
+    for _ in range(2):
+        want, step_terms = _stored_brute_sum((acc, u), pair, _hermite_stored_coefficient, outputs)
+        acc, terms = SpectralVector(HERMITE, want), terms + step_terms
+    assert got.terms == terms and set(got.vector) == set(acc)
+    assert all(abs(got.vector[ell] - v) <= 1e-13 for ell, v in acc.items())
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0, 1])
+@pytest.mark.parametrize("size", list(SizeFunction))
+def test_saturated_hermite_supports_of_10_4_entries(p, alpha, size):
+    # every key even: each tuple's degree sum is even, and integrates to zero
+    # against an odd output, so all m**p tuples count at each and none is
+    # kept; with keys of both parities the terms pass the rule
+    rng = random.Random(f"hermite-10-4-{p}-{alpha}-{size.value}")
+    even = SpectralVector(HERMITE, {(2 * j,): rng.uniform(-1, 1) for j in range(10**4)})
+    mixed = SpectralVector(HERMITE, {(j,): rng.uniform(-1, 1) for j in range(10**4)})
+    spec = SparseSetSpec(p, 2**62, alpha, size, naturals(1))
+    odd = ((1,), (3,), (5,))
+    got = direct_sparse_eval(EvalRequest(HermiteCache(p), (even,) * p, spec, odd))
+    assert not got.vector and got.terms == len(odd) * 10 ** (4 * p)
+    with pytest.raises(ValueError, match=r"the terms reach degree \d+ .* integrates degree 2047"):
+        direct_sparse_eval(EvalRequest(HermiteCache(p), (mixed,) * p, spec, odd))
+    if p > 1 and size is SizeFunction.MAX:
+        with pytest.raises(ValueError, match=r"the terms reach degree \d+ .* integrates degree 2047"):
+            iterative_eval(HermiteCache(2), [mixed] * p, 2**62, alpha, ell_cap=5)
 
 
 def test_budgets_that_stay_past_int64_are_named():

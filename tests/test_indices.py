@@ -10,6 +10,11 @@ import numpy as np
 import pytest
 
 from spspec import indices
+from spspec.bounds import check_kernel_bound
+from spspec.coeffs import build_cache
+from spspec.evaluators import dense_oracle_hermite
+from spspec.quadrature import gauss_hermite_rule, hermite_batch
+from spspec.spectral import Basis, SpectralVector, power_law_vector
 from spspec.indices import (
     Lattice,
     LatticeKind,
@@ -235,6 +240,29 @@ def test_spec_rejects_non_integer_fields(field, value):
     fields = {"p": 2, "level": 8, "alpha": 0, "box": None, field: value}
     with pytest.raises(TypeError, match=f"^{field} must be an integer"):
         SparseSetSpec(size=SizeFunction.MAX, lattice=integers(1), **fields)
+
+
+NON_INTEGER_COUNTS = [
+    (check_kernel_bound, (2, 3.5, 0.5), "size_max"),
+    (check_kernel_bound, (2.5, 3, 0.5), "p"),
+    (gauss_hermite_rule, (2.5,), "n"),
+    (hermite_batch, (2.5, np.zeros(3)), "nmax"),
+    (dense_oracle_hermite, ([SpectralVector(Basis.hermite(), {(0,): 1.0})], 2.5, 3), "n_nodes"),
+    (dense_oracle_hermite, ([SpectralVector(Basis.hermite(), {(0,): 1.0})], 8, 2.5), "jmax_out"),
+    (build_cache, (2.0, 2), "p"),
+    (build_cache, (2, 2.5), "jmax"),
+    (power_law_vector, (3.0, 2.5, Basis.hermite()), "cutoff"),
+    (power_law_vector, (3.0, "8", Basis.fourier()), "cutoff"),
+]
+
+
+@pytest.mark.parametrize("call,args,name", NON_INTEGER_COUNTS,
+                         ids=[f"{call.__name__}-{name}" for call, _, name in NON_INTEGER_COUNTS])
+def test_a_count_that_is_not_an_integer_is_named(call, args, name):
+    # check_kernel_bound(2, 3.5, 0.5) swept sizes 1..4 and reported 64 rows
+    # checked; the others raised numpy's or Python's TypeError, naming nothing
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        call(*args)
 
 
 def test_spec_accepts_numpy_integers():

@@ -366,7 +366,7 @@ def test_power_law_rejects_a_negative_cutoff():
 @pytest.mark.parametrize("basis", [FOURIER, Basis.fourier(2), HERMITE])
 @pytest.mark.parametrize("cutoff", [3.5, 3.0])
 def test_power_law_rejects_a_non_integer_cutoff(basis, cutoff):
-    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+    with pytest.raises(TypeError, match=f"^cutoff must be an integer, got {cutoff!r}$"):
         power_law_vector(3.0, cutoff, basis)
 
 
